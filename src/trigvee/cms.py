@@ -14,21 +14,20 @@ recovers the vee-system structure from a metric that works.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .configuration import (
+    PairingTable,
     PositiveSystem,
     VConfiguration,
-    is_parallel,
+    pairing_table,
     positive_system,
-    vee_pairing_matrix,
 )
 from .errors import CollinearPair, DegenerateForm, NonScalarAction
-from .exactnum import RatMatrix, nullspace
+from .exactnum import RatMatrix, rank
 from .veecheck import (
     SeriesCheckReport,
     TensorMismatch,
@@ -50,16 +49,11 @@ class Metric:
         if not self.matrix.is_symmetric():
             raise DegenerateForm("metric matrix must be symmetric")
 
-    def pairing(self, u, v) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.matrix.row(i)
-            for j, vj in enumerate(v):
-                if vj != 0:
-                    total += ui * row[j] * vj
-        return total
+    def covector_pairing(self, cfg: VConfiguration) -> PairingTable:
+        """The table (a_i, a_j) = a_i . matrix . a_j^T over the entries of cfg."""
+        if self.is_vee_form and cfg.gram_det != 0 and self.matrix == cfg.gram_inverse:
+            return cfg.pairing
+        return pairing_table(cfg.covectors(), self.matrix)
 
     def scaled(self, t) -> "Metric":
         return Metric(self.matrix.scale(t), is_vee_form=False)
@@ -67,7 +61,7 @@ class Metric:
 
 def vee_form_metric(cfg: VConfiguration) -> Metric:
     """The metric induced by the configuration's own form (matrix G^-1)."""
-    return Metric(vee_pairing_matrix(cfg), is_vee_form=True)
+    return Metric(cfg.gram_inverse, is_vee_form=True)
 
 
 def euclidean_metric(dim: int) -> Metric:
@@ -90,9 +84,10 @@ class CmsReport:
 
 
 def _require_cms_hypotheses(cfg: VConfiguration, metric: Metric) -> None:
+    directions = cfg.directions
     for i in range(len(cfg.entries)):
         for j in range(i + 1, len(cfg.entries)):
-            if is_parallel(cfg.entries[i].covector, cfg.entries[j].covector):
+            if directions[i] == directions[j]:
                 raise CollinearPair(
                     f"covectors {cfg.entries[i].label} and {cfg.entries[j].label} are collinear"
                 )
@@ -118,18 +113,9 @@ def cms_identity_residual(
     _require_cms_hypotheses(cfg, metric)
     points = sample_points(cfg, num_points, seed, margin_floor)
 
-    m = len(cfg.entries)
     a = np.array([[float(x) for x in e.covector] for e in cfg.entries])
     c = np.array([float(e.mult) for e in cfg.entries])
-    pair = np.array(
-        [
-            [
-                float(metric.pairing(cfg.entries[i].covector, cfg.entries[j].covector))
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-    )
+    pair = np.array(metric.covector_pairing(cfg), dtype=float)
     pair_offdiag = pair - np.diag(np.diag(pair))
     metric_f = np.array([[float(v) for v in row] for row in metric.matrix.entries])
     norms = np.diag(pair)  # (a,a) per entry
@@ -197,72 +183,7 @@ def check_series_with_metric(cfg: VConfiguration, metric: Metric) -> SeriesCheck
         raise DegenerateForm("metric size does not match the configuration dimension")
     if metric.matrix.det() == 0:
         raise DegenerateForm("metric is degenerate")
-    return series_residuals(cfg, metric.pairing)
-
-
-def _integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
-    """Integer roots (with multiplicity) of an integer polynomial.
-
-    Candidates are seeded from numeric root finding and verified exactly;
-    verified roots are deflated by exact synthetic division.
-    """
-    # strip trailing zero coefficients: roots at 0
-    work = list(coeffs)
-    zero_mult = 0
-    while work and work[-1] == 0:
-        work.pop()
-        zero_mult += 1
-    roots: list[tuple[int, int]] = []
-    if zero_mult:
-        roots.append((0, zero_mult))
-    if len(work) <= 1:
-        return roots
-
-    candidates: set[int] = set()
-    approx = np.roots(np.array(work, dtype=float))
-    for r in approx:
-        if abs(r.imag) < 0.5:
-            base = int(round(r.real))
-            candidates.update((base - 1, base, base + 1))
-    candidates.discard(0)
-
-    def eval_poly(poly: list[int], r: int) -> int:
-        total = 0
-        for coef in poly:  # highest degree first
-            total = total * r + coef
-        return total
-
-    for r in sorted(candidates):
-        mult = 0
-        while len(work) > 1 and eval_poly(work, r) == 0:
-            # synthetic division by (x - r)
-            out = [work[0]]
-            for coef in work[1:-1]:
-                out.append(coef + out[-1] * r)
-            work = out
-            mult += 1
-        if mult:
-            roots.append((r, mult))
-    return roots
-
-
-def _rational_eigenvalues(t: RatMatrix) -> list[tuple[Fraction, int]] | None:
-    """Rational eigenvalues with algebraic multiplicities, or None if some
-    eigenvalue is irrational."""
-    n = t.rows
-    den = 1
-    for row in t.entries:
-        for x in row:
-            den = math.lcm(den, x.denominator)
-    scaled = t.scale(den)
-    coeffs_frac = scaled.charpoly()  # monic with integer coefficients
-    assert all(c.denominator == 1 for c in coeffs_frac)
-    coeffs = [int(c) for c in coeffs_frac]
-    roots = _integer_roots(coeffs)
-    total = sum(m for _, m in roots)
-    if total != n:
-        return None
-    return [(Fraction(r, den), m) for r, m in sorted(roots)]
+    return series_residuals(cfg, metric.covector_pairing(cfg))
 
 
 @dataclass(frozen=True)
@@ -276,12 +197,14 @@ class CmsToVeeResult:
 def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     """Recover the vee-system structure from a metric whose series check holds.
 
-    Decomposes the space into eigenspaces of the exact rational operator
+    Splits the space into eigenspaces of the exact rational operator
     T = M G (M the metric matrix, G the form), on each of which the form is
     the scalar multiple mu_i of the metric's inner product on vectors.  Each
-    covector dual must land in a single eigenspace; failures of rationality,
-    diagonalizability, or that alignment raise NonScalarAction.  The final
-    verdict re-runs the intrinsic series check exactly.
+    covector dual M a^T must be an eigenvector of T, otherwise NonScalarAction
+    is raised.  The duals span the space (G is nondegenerate), so their
+    scalars are all the eigenvalues, T is diagonalizable, and each
+    eigenspace's dimension is the rank of the duals carrying its scalar.
+    The final verdict re-runs the intrinsic series check exactly.
     """
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
@@ -290,38 +213,25 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
         raise ValueError("metric series condition fails; nothing to recover")
 
     t = metric.matrix @ cfg.gram
-    eigen = _rational_eigenvalues(t)
-    if eigen is None:
-        raise NonScalarAction("operator M G has an irrational eigenvalue")
-
-    n = cfg.dim
-    spaces = []
-    for mu, alg_mult in eigen:
-        shifted = t - RatMatrix.identity(n).scale(mu)
-        kernel = nullspace(shifted)
-        if len(kernel) != alg_mult:
-            raise NonScalarAction(
-                f"operator M G is not diagonalizable at eigenvalue {mu}"
-            )
-        spaces.append((mu, kernel))
-
-    # every covector dual M a^T must be an eigenvector (lie in one component)
+    duals_by_scalar: dict[Fraction, list[tuple[Fraction, ...]]] = {}
     for e in cfg.entries:
+        # nonzero: M is nondegenerate (checked with the metric series)
         dual = metric.matrix.mat_vec(e.covector)
         image = t.mat_vec(dual)
-        matched = any(
-            all(iv == mu * dv for iv, dv in zip(image, dual)) for mu, _ in eigen
-        )
-        if not matched:
+        k = next(k for k, x in enumerate(dual) if x != 0)
+        mu = image[k] / dual[k]
+        if any(iv != mu * dv for iv, dv in zip(image, dual)):
             raise NonScalarAction(
                 f"dual of covector {e.label} does not lie in a single scalar block"
             )
+        duals_by_scalar.setdefault(mu, []).append(dual)
 
+    scalars = tuple(sorted(duals_by_scalar))
     vee_series = check_series_condition(cfg)
     return CmsToVeeResult(
         is_trig_vee=vee_series.passed,
-        component_scalars=tuple(mu for mu, _ in eigen),
-        component_dims=tuple(len(k) for _, k in spaces),
+        component_scalars=scalars,
+        component_dims=tuple(rank(duals_by_scalar[mu]) for mu in scalars),
         vee_series=vee_series,
     )
 
@@ -351,7 +261,7 @@ def solve_capital_lambda(
         raise DegenerateForm("metric is degenerate")
     if psys is None:
         psys = positive_system(cfg)
-    status, ratio, witness = tensor_ratio(cfg, psys, metric.pairing)
+    status, ratio, witness = tensor_ratio(cfg, psys, metric.covector_pairing(cfg))
     return CapitalLambdaSolution(
         status=status,
         value=ratio if status == "solved" else None,

@@ -4,7 +4,8 @@ A configuration is a finite list of nonzero rational covectors with nonzero
 rational multiplicities.  Building one caches the bilinear form
 G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
 covectors.  The form identifies vectors and covectors; all pairings of
-covectors below go through its inverse (the "vee product").
+covectors below go through its inverse (the "vee product"), tabulated once
+per configuration as the matrix `pairing`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,6 +34,7 @@ from .exactnum import (
 )
 
 Covector = tuple[Fraction, ...]
+PairingTable = tuple[tuple[Fraction, ...], ...]
 
 
 def covector(coords: Iterable) -> Covector:
@@ -119,6 +122,23 @@ class VConfiguration:
             raise DegenerateForm("the form G is degenerate")
         return mat_inverse(self.gram)
 
+    @cached_property
+    def pairing(self) -> PairingTable:
+        """The symmetric m x m table of vee products (a_i, a_j) = a_i G^-1 a_j^T."""
+        return pairing_table(self.covectors(), self.gram_inverse)
+
+    @cached_property
+    def directions(self) -> tuple[tuple[int, ...], ...]:
+        """Each covector's primitive lattice direction, first nonzero entry
+        positive: two covectors are parallel exactly when these are equal."""
+        out = []
+        for coords in self.lattice_coords:
+            g = gcd(*coords)
+            if next(x for x in coords if x != 0) < 0:
+                g = -g
+            out.append(tuple(x // g for x in coords))
+        return tuple(out)
+
     def covectors(self) -> tuple[Covector, ...]:
         return tuple(e.covector for e in self.entries)
 
@@ -127,6 +147,18 @@ class VConfiguration:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> PairingTable:
+    """The symmetric table A . matrix . A^T for the rows A of `covectors`."""
+    duals = [matrix.mat_vec(v) for v in covectors]
+    table = [[Fraction(0)] * len(covectors) for _ in covectors]
+    for i, u in enumerate(covectors):
+        nonzero = [(k, x) for k, x in enumerate(u) if x != 0]
+        for j in range(i, len(covectors)):
+            dual = duals[j]
+            table[i][j] = table[j][i] = sum((x * dual[k] for k, x in nonzero), Fraction(0))
+    return tuple(tuple(row) for row in table)
 
 
 def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
@@ -200,13 +232,6 @@ def vee_product(cfg: VConfiguration, u: Sequence, v: Sequence) -> Fraction:
     return cov_dot(u, dual_vector(cfg, v))
 
 
-def vee_pairing_matrix(cfg: VConfiguration) -> RatMatrix:
-    """Matrix of the covector inner product, i.e. G^-1."""
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
-    return cfg.gram_inverse
-
-
 def positive_system(cfg: VConfiguration, functional: Sequence | None = None) -> PositiveSystem:
     """Choose signs making every covector strictly positive on a functional.
 
@@ -257,7 +282,7 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
     integer multiple of the base in lattice coordinates.  Entries parallel
     to the base (including the base itself) belong to no series.
     """
-    base = cfg.entries[base_index].covector
+    direction = cfg.directions[base_index]
     a = cfg.lattice_coords[base_index]
     pivot = next(j for j, x in enumerate(a) if x != 0)
     if a[pivot] < 0:
@@ -267,10 +292,9 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
         flipped = False
 
     groups: dict[tuple[int, ...], list[SeriesMember]] = {}
-    for j, e in enumerate(cfg.entries):
-        if j == base_index or is_parallel(e.covector, base):
+    for j, (b, d) in enumerate(zip(cfg.lattice_coords, cfg.directions)):
+        if d == direction:
             continue
-        b = cfg.lattice_coords[j]
         rep_pos, step_pos = _coset_rep(b, a, pivot)
         rep_neg, step_neg = _coset_rep(tuple(-x for x in b), a, pivot)
         if rep_pos <= rep_neg:
@@ -320,7 +344,7 @@ def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if vee_product(cfg, cfg.entries[i].covector, cfg.entries[j].covector) != 0:
+            if cfg.pairing[i][j] != 0:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj

@@ -22,7 +22,7 @@ from .configuration import (
     covector,
     relative_wedge_signs,
 )
-from .errors import DegenerateParametrization, SpanDeficient
+from .errors import DegenerateParametrization, SpanDeficient, VeeError
 from .exactnum import as_rational, rank
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
@@ -239,7 +239,7 @@ def _exact_solution(
         cfg = build_configuration(
             dim, [(v, assignment[sym]) for v, sym in zip(vectors, symbols)]
         )
-    except Exception:
+    except VeeError:
         return False
     if cfg.gram_det == 0:
         return False

@@ -89,26 +89,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.entries))
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch in addition")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
     def scale(self, c) -> "RatMatrix":
         c = as_rational(c)
         return RatMatrix([[c * x for x in row] for row in self.entries])
@@ -126,11 +106,6 @@ class RatMatrix:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise DimensionMismatch("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def det(self) -> Fraction:
         """Determinant by exact Gaussian elimination."""
@@ -154,26 +129,6 @@ class RatMatrix:
                 f = m[r][c] * inv
                 m[r] = [a - f * b for a, b in zip(m[r], m[c])]
         return det
-
-    def charpoly(self) -> tuple[Fraction, ...]:
-        """Characteristic polynomial coefficients (monic, highest degree first).
-
-        Uses the Faddeev-LeVerrier recursion, which stays in exact rational
-        arithmetic.
-        """
-        if not self.is_square():
-            raise DimensionMismatch("characteristic polynomial of non-square matrix")
-        n = self.rows
-        coeffs = [Fraction(1)]
-        mk = RatMatrix.identity(n)
-        for k in range(1, n + 1):
-            mk = self @ mk
-            ck = -mk.trace() / k
-            coeffs.append(ck)
-            if k < n:
-                mk = mk + RatMatrix.identity(n).scale(ck)
-        return tuple(coeffs)
-
 
 def mat_inverse(m: RatMatrix) -> RatMatrix:
     """Exact inverse via Gauss-Jordan; raises SingularMatrix when det = 0."""
@@ -249,20 +204,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(work):
             break
     return work[:r], pivots
-
-
-def nullspace(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the right kernel {v : m v = 0}."""
-    reduced, pivots = rref(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def rank(rows: Sequence[Sequence]) -> int:

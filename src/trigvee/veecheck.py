@@ -11,25 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .configuration import (
     Covector,
+    PairingTable,
     PositiveSystem,
     VConfiguration,
     alpha_series,
     decompose_components,
-    is_parallel,
     positive_system,
     relative_wedge_signs,
     signed_covectors,
-    vee_product,
     wedge_coeffs,
 )
 from .errors import DegenerateForm
 from .exactnum import rref
-
-Pairing = Callable[[Covector, Covector], Fraction]
 
 
 @dataclass(frozen=True)
@@ -57,21 +53,22 @@ class SeriesCheckReport:
         return tuple(r for r in self.residuals if not r.passed)
 
 
-def series_residuals(cfg: VConfiguration, pairing: Pairing) -> SeriesCheckReport:
-    """Series condition residuals with an arbitrary covector pairing.
+def series_residuals(cfg: VConfiguration, pairing: PairingTable) -> SeriesCheckReport:
+    """Series condition residuals with an arbitrary covector pairing table
+    (pairing[i][j] is the product of entries i and j).
 
     For base a and series with representative b0, the 2-form condition
     sum_b c_b (a,b) a^b = 0 reduces to sum_b c_b (a,b) r_b = 0 where
     r_b = +-1 relates a^b to a^b0.
     """
     residuals = []
-    for i, entry in enumerate(cfg.entries):
+    for i in range(len(cfg.entries)):
         for s_idx, series in enumerate(alpha_series(cfg, i)):
             signs = relative_wedge_signs(series)
             total = Fraction(0)
             for member, r in zip(series.members, signs):
-                other = cfg.entries[member.entry_index]
-                total += other.mult * pairing(entry.covector, other.covector) * r
+                j = member.entry_index
+                total += cfg.entries[j].mult * pairing[i][j] * r
             residuals.append(
                 SeriesResidual(
                     base_index=i,
@@ -88,7 +85,7 @@ def check_series_condition(cfg: VConfiguration) -> SeriesCheckReport:
     """Definition check: every series residual vanishes under the vee product."""
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
-    return series_residuals(cfg, lambda u, v: vee_product(cfg, u, v))
+    return series_residuals(cfg, cfg.pairing)
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ def check_v3_identity(cfg: VConfiguration) -> V3Report:
     witnesses = []
     for i, entry in enumerate(cfg.entries):
         acc = [Fraction(0)] * m
-        for other in cfg.entries:
-            p = vee_product(cfg, entry.covector, other.covector)
+        for other, p in zip(cfg.entries, cfg.pairing[i]):
             if p == 0:
                 continue
             w = wedge_coeffs(entry.covector, other.covector)
@@ -167,22 +163,18 @@ def check_rational_vee(cfg: VConfiguration) -> RationalVeeReport:
     planes_checked = 0
     for i, entry in enumerate(cfg.entries):
         a = entry.covector
+        # entries parallel to the base (itself included) lie in every plane
+        parallel = {j for j, d in enumerate(cfg.directions) if d == cfg.directions[i]}
         planes: dict[tuple, list[int]] = {}
         for j, other in enumerate(cfg.entries):
-            if j == i or is_parallel(a, other.covector):
-                continue
-            planes.setdefault(_plane_key(a, other.covector), []).append(j)
+            if j not in parallel:
+                planes.setdefault(_plane_key(a, other.covector), []).append(j)
         for key in sorted(planes, key=lambda k: planes[k][0]):
-            # members of the plane: the listed non-parallel entries plus
-            # every entry parallel to the base (those lie in all planes)
-            member_idx = sorted(
-                set(planes[key])
-                | {j for j, e in enumerate(cfg.entries) if is_parallel(a, e.covector)}
-            )
+            member_idx = sorted(set(planes[key]) | parallel)
             total = [Fraction(0)] * cfg.dim
             for j in member_idx:
                 e = cfg.entries[j]
-                cp = e.mult * vee_product(cfg, a, e.covector)
+                cp = e.mult * cfg.pairing[i][j]
                 for k in range(cfg.dim):
                     total[k] += cp * e.covector[k]
             deviation = wedge_coeffs(tuple(total), a)
@@ -228,13 +220,14 @@ class LambdaSolution:
 
 
 def tensor_ratio(
-    cfg: VConfiguration, psys: PositiveSystem, pairing: Pairing
+    cfg: VConfiguration, psys: PositiveSystem, pairing: PairingTable
 ) -> tuple[str, Fraction | None, TensorMismatch | None]:
     """Solve r * P = Q for the two 4-tensors over a positive system.
 
     P = sum c_a c_b (a,b) (a^b) x (a^b) and Q = sum c_a c_b (a^b) x (a^b),
     both over ordered pairs from the signed system, laid out on the basis
-    e^i ^ e^j (i < j) of 2-forms.  Returns (status, ratio, witness).
+    e^i ^ e^j (i < j) of 2-forms; (a,b) is read off the pairing table of the
+    unsigned entries.  Returns (status, ratio, witness).
     """
     n = cfg.dim
     m = n * (n - 1) // 2
@@ -250,7 +243,7 @@ def tensor_ratio(
             if not any(w):
                 continue
             cc2 = 2 * mults[k] * mults[l]
-            pw = cc2 * pairing(signed[k], signed[l])
+            pw = cc2 * psys.signs[k] * psys.signs[l] * pairing[k][l]
             for u in range(m):
                 if w[u] == 0:
                     continue
@@ -287,7 +280,7 @@ def solve_lambda_squared(
         raise DegenerateForm("the form G is degenerate")
     if psys is None:
         psys = positive_system(cfg)
-    status, ratio, witness = tensor_ratio(cfg, psys, lambda u, v: vee_product(cfg, u, v))
+    status, ratio, witness = tensor_ratio(cfg, psys, cfg.pairing)
     lambda2 = 4 * ratio if status == "solved" else None
     return LambdaSolution(status=status, lambda2=lambda2, psys=psys, witness=witness)
 

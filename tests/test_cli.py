@@ -115,6 +115,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "residual" in out and "1/12" in out
 
+    def test_series_degenerate_form_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.vee"
+        path.write_text("dim 1\nvector 1 mult 1\nvector 2 mult -1/4\n")
+        assert main(["series", str(path), "--report-kv"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["series: FAIL (degenerate form)", "series = fail", "degenerate = yes"]
+
     def test_lambda(self, a2_file, capsys):
         assert main(["lambda", a2_file, "--report-kv"]) == 0
         out = capsys.readouterr().out

@@ -14,6 +14,7 @@ from trigvee.cms import (
     solve_capital_lambda,
     vee_form_metric,
 )
+from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
 from trigvee.errors import CollinearPair, DegenerateForm
 from trigvee.exactnum import RatMatrix
@@ -151,6 +152,19 @@ class TestCmsToVee:
         assert res.component_scalars == (F(1), F(2))
         assert res.component_dims == (1, 1)
         assert res.is_trig_vee
+
+    @pytest.mark.parametrize(
+        "name, scale",
+        [("B3", F(10**6)), ("A4", F(10**6)), ("A2", F(10**9)), ("B3", F(1000001, 7))],
+        ids=["B3*10^6", "A4*10^6", "A2*10^9", "B3*1000001/7"],
+    )
+    def test_scaled_vee_metric_gives_its_scale(self, name, scale):
+        # M G = scale * I: one component whose scalar is large or non-integer
+        cfg = catalog_get(name).cfg
+        res = cms_to_vee(cfg, vee_form_metric(cfg).scaled(scale))
+        assert res.is_trig_vee
+        assert res.component_scalars == (scale,)
+        assert res.component_dims == (cfg.dim,)
 
     def test_failing_metric_series_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,21 @@
 """Configuration model: building, duals, series, positive systems, components."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from trigvee.catalog import catalog_get, catalog_list
+from trigvee.cms import Metric
 from trigvee.configuration import (
     alpha_series,
     build_configuration,
     decompose_components,
     direct_sum,
     dual_vector,
+    is_parallel,
     positive_system,
     signed_covectors,
     vee_product,
@@ -23,6 +29,8 @@ from trigvee.errors import (
     ZeroMultiplicity,
 )
 from trigvee.exactnum import RatMatrix
+
+from conftest import rand_configuration, rand_fraction
 
 F = Fraction
 
@@ -124,6 +132,65 @@ class TestDualsAndProducts:
             assert lhs == tuple(a + s * b for a, b in zip(du, dv))
             # gram . dual composes to the identity
             assert cfg.gram.mat_vec(du) == u
+
+
+def _oracle_configurations():
+    """Every catalog entry, a few random nondegenerate configurations, and
+    two with parallel covectors."""
+    cfgs = [catalog_get(name).cfg for name, _ in catalog_list()]
+    rng = random.Random(7)
+    for dim in (2, 2, 3, 3, 4):
+        cfg = rand_configuration(rng, dim, max_covectors=dim + 4)
+        if cfg.gram_det != 0:
+            cfgs.append(cfg)
+    cfgs.append(build_configuration(2, [((1, 0), 1), ((2, 0), 3), ((0, 1), 1), ((-3, -3), 2), ((1, 1), -1)]))
+    cfgs.append(build_configuration(3, [((F(1, 2), 0, 1), 1), ((3, 0, 6), 2), ((0, 1, 0), 1), ((1, 1, 0), 5)]))
+    return cfgs
+
+
+def _sympy_rows(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+class TestPairingTables:
+    """The cached pairing and direction tables against independent references."""
+
+    def test_pairing_matches_sympy_and_vee_product(self):
+        for cfg in _oracle_configurations():
+            a = _sympy_rows(cfg.covectors())
+            c = sympy.diag(*[sympy.Rational(m.numerator, m.denominator) for m in cfg.mults()])
+            expected = a * (a.T * c * a).inv() * a.T
+            m = len(cfg.entries)
+            assert len(cfg.pairing) == m
+            for i, u in enumerate(cfg.covectors()):
+                for j, v in enumerate(cfg.covectors()):
+                    x = expected[i, j]
+                    assert cfg.pairing[i][j] == F(int(x.p), int(x.q))
+                    assert cfg.pairing[i][j] == vee_product(cfg, u, v)
+
+    def test_metric_pairing_matches_sympy(self):
+        rng = random.Random(11)
+        for cfg in _oracle_configurations():
+            rows = [[rand_fraction(rng) for _ in range(cfg.dim)] for _ in range(cfg.dim)]
+            sym = RatMatrix([[rows[i][j] + rows[j][i] for j in range(cfg.dim)] for i in range(cfg.dim)])
+            a = _sympy_rows(cfg.covectors())
+            expected = a * _sympy_rows(sym.entries) * a.T
+            table = Metric(sym).covector_pairing(cfg)
+            for i in range(len(cfg.entries)):
+                for j in range(len(cfg.entries)):
+                    x = expected[i, j]
+                    assert table[i][j] == F(int(x.p), int(x.q))
+
+    def test_directions_partition_matches_is_parallel(self):
+        for cfg in _oracle_configurations():
+            covs = cfg.covectors()
+            for d in cfg.directions:
+                assert math.gcd(*d) == 1
+                assert next(x for x in d if x != 0) > 0
+            for i in range(len(covs)):
+                for j in range(len(covs)):
+                    same = cfg.directions[i] == cfg.directions[j]
+                    assert same == is_parallel(covs[i], covs[j])
 
 
 class TestPositiveSystem:

@@ -11,7 +11,6 @@ from trigvee.exactnum import (
     lattice_coordinates,
     mat_adjugate_det,
     mat_inverse,
-    nullspace,
 )
 
 from conftest import rand_matrix, rand_nonsingular
@@ -127,16 +126,3 @@ class TestHnfBasis:
             for row in rows:
                 assert lattice_coordinates(basis1, row) is not None
 
-
-class TestCharpolyNullspace:
-    def test_charpoly_diag(self):
-        m = RatMatrix([[2, 0], [0, 3]])
-        # x^2 - 5x + 6
-        assert m.charpoly() == (F(1), F(-5), F(6))
-
-    def test_nullspace(self):
-        m = RatMatrix([[1, 1], [1, 1]])
-        basis = nullspace(m)
-        assert len(basis) == 1
-        v = basis[0]
-        assert m.mat_vec(v) == (F(0), F(0))
