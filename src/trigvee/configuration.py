@@ -44,12 +44,6 @@ def covector(coords: Iterable) -> Covector:
 def cov_neg(v: Covector) -> Covector:
     return tuple(-x for x in v)
 
-def cov_add(u: Covector, v: Covector) -> Covector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def cov_scale(c, v: Covector) -> Covector:
-    c = as_rational(c)
-    return tuple(c * x for x in v)
 
 def cov_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((as_rational(a) * as_rational(b) for a, b in zip(u, v)), Fraction(0))

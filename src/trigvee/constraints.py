@@ -4,13 +4,17 @@ Treating the multiplicities c_1..c_m as variables, each (base, series) pair
 yields one polynomial: the series residual with the form's denominator
 cleared through the adjugate, det(G) * (a,b) = a . adj(G) . b^T.  A rational
 assignment is a trigonometric vee-system exactly when all constraint
-polynomials vanish and the nondegeneracy polynomial det G does not.
+polynomials vanish and the nondegeneracy polynomial det G does not.  By
+Cauchy-Binet both are written in closed form, as sums of squarefree
+monomials whose coefficients are products of integer covector minors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +27,7 @@ from .configuration import (
     relative_wedge_signs,
 )
 from .errors import DegenerateParametrization, SpanDeficient, VeeError
-from .exactnum import as_rational, rank
+from .exactnum import RatMatrix, as_rational
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -51,34 +55,14 @@ class ConstraintSet:
         return seen
 
 
-def _poly_matrix_det(mat: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant of a small matrix of polynomials by Laplace expansion."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    variables = mat[0][0].vars
-    total = MultiPoly.zero(variables)
-    for j in range(n):
-        if mat[0][j].is_zero():
-            continue
-        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = mat[0][j] * _poly_matrix_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def _poly_matrix_adjugate(mat: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
-    n = len(mat)
-    variables = mat[0][0].vars
-    if n == 1:
-        return [[MultiPoly.const(variables, 1)]]
-    adj = [[MultiPoly.zero(variables) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = _poly_matrix_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
+def _cofactor_row(rows: list[list[int]], dim: int) -> list[int]:
+    """Cofactors along the first row of [x; rows], so det[x; rows] = x . cof."""
+    if not rows:
+        return [1]
+    return [
+        (-1) ** k * int(RatMatrix([r[:k] + r[k + 1 :] for r in rows]).det())
+        for k in range(dim)
+    ]
 
 
 def series_constraints(
@@ -86,16 +70,26 @@ def series_constraints(
 ) -> ConstraintSet:
     """Extract the series-condition polynomials for a fixed vector set.
 
-    One polynomial per (base, series) pair: sum over the series of
-    c_b * r_b * (a . adj(G(c)) . b^T), homogeneous of degree n in the
+    One polynomial per (base a_i, series S) pair, sum over j in S of
+    r_j * c_j * (a_i . adj(G(c)) . a_j^T), homogeneous of degree n in the
     multiplicity variables.  The nondegeneracy polynomial is det G(c).
+    Both are read off the integer minors M[T][j] = det[a_j; A_T] * D^n over
+    the (n-1)-subsets T of the covectors, D the common denominator of their
+    entries, by Cauchy-Binet:
+
+        D^2n * a_i . adj(G(c)) . a_j^T = sum_T c_T M[T][i] M[T][j],
+        D^2n * det G(c) = sum_T sum_{j > max T} c_T c_j M[T][j]^2.
+
+    M[T][j] = 0 for j in T, so every monomial is squarefree.
     """
     vecs = [covector(v) for v in vectors]
     if not vecs:
         raise SpanDeficient("empty vector set")
     dim = len(vecs[0])
-    if rank(vecs) < dim:
-        raise SpanDeficient(f"vectors span only {rank(vecs)} of {dim} dimensions")
+    # series structure is independent of multiplicities; build with mult 1
+    cfg = build_configuration(dim, [(v, 1) for v in vecs])
+    if len(cfg.lattice_basis) < dim:
+        raise SpanDeficient(f"vectors span only {len(cfg.lattice_basis)} of {dim} dimensions")
     m = len(vecs)
     if symbols is None:
         symbols = tuple(f"c{i + 1}" for i in range(m))
@@ -106,52 +100,51 @@ def series_constraints(
         if len(set(symbols)) != m:
             raise ValueError("symbols must be distinct")
 
-    # series structure is independent of multiplicities; build with mult 1
-    cfg = build_configuration(dim, [(v, 1) for v in vecs])
+    den = lcm(*(x.denominator for v in vecs for x in v))
+    ints = [[int(x * den) for x in v] for v in vecs]
+    minors = []  # (bitmask of T, M[T]) for every T with a nonzero minor
+    for t in combinations(range(m), dim - 1):
+        cof = _cofactor_row([ints[k] for k in t], dim)
+        row = [sum(x * y for x, y in zip(cof, v)) for v in ints]
+        if any(row):
+            minors.append((sum(1 << k for k in t), row))
+    scale = den ** (2 * dim)
 
-    gram = [
-        [
-            sum(
-                (MultiPoly.variable(symbols, symbols[k]) * (vecs[k][i] * vecs[k][j]) for k in range(m)),
-                MultiPoly.zero(symbols),
-            )
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    adj = _poly_matrix_adjugate(gram)
-    det = _poly_matrix_det(gram)
-
-    def adj_pairing(u, v) -> MultiPoly:
-        total = MultiPoly.zero(symbols)
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if v[j] == 0:
-                    continue
-                total = total + adj[i][j] * (u[i] * v[j])
-        return total
+    def poly(acc: dict[int, int]) -> MultiPoly:
+        return MultiPoly(
+            symbols,
+            {
+                tuple((mask >> k) & 1 for k in range(m)): Fraction(v, scale)
+                for mask, v in acc.items()
+            },
+        )
 
     out = []
     for i in range(m):
+        with_i = [(mask, row) for mask, row in minors if row[i]]
         for s_idx, series in enumerate(alpha_series(cfg, i)):
-            signs = relative_wedge_signs(series)
-            poly = MultiPoly.zero(symbols)
-            for member, r in zip(series.members, signs):
+            acc: dict[int, int] = {}
+            for member, r in zip(series.members, relative_wedge_signs(series)):
                 j = member.entry_index
-                term = MultiPoly.variable(symbols, symbols[j]) * adj_pairing(vecs[i], vecs[j])
-                poly = poly + (term if r == 1 else -term)
+                for mask, row in with_i:
+                    if row[j]:
+                        key = mask | 1 << j
+                        acc[key] = acc.get(key, 0) + r * row[i] * row[j]
             out.append(
                 ConstraintPoly(
                     base_index=i,
                     series_index=s_idx,
                     member_indices=series.entry_indices(),
-                    poly=poly,
+                    poly=poly(acc),
                 )
             )
+    det: dict[int, int] = {}
+    for mask, row in minors:
+        for j in range(mask.bit_length(), m):
+            if row[j]:
+                det[mask | 1 << j] = row[j] ** 2
     return ConstraintSet(
-        symbols=symbols, vectors=tuple(vecs), polynomials=tuple(out), nondegeneracy=det
+        symbols=symbols, vectors=tuple(vecs), polynomials=tuple(out), nondegeneracy=poly(det)
     )
 
 
@@ -177,6 +170,9 @@ def verify_family(
     substitution, otherwise DegenerateParametrization is raised.
     """
     cs = series_constraints(vectors, symbols)
+    unknown = sorted(set(parametrization) - set(cs.symbols))
+    if unknown:
+        raise ValueError(f"unknown symbols {', '.join(map(repr, unknown))} in parametrization")
 
     param_vars: set[str] = set()
     for sym in cs.symbols:

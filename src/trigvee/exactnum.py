@@ -52,20 +52,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.entries == other.entries
 

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
 from trigvee.constraints import find_multiplicities, series_constraints, verify_family
-from trigvee.errors import DegenerateParametrization, SpanDeficient
+from trigvee.errors import DegenerateParametrization, DimensionMismatch, SpanDeficient
 from trigvee.multipoly import MultiPoly, RatFunc
 from trigvee.veecheck import check_series_condition
 
@@ -32,6 +34,44 @@ G2A2_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2), (2, 0), (2, 2), 
 TEN_VECTORS = [
     (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1),
 ]
+HALF3_VECTORS = [
+    (1, 0, 0),
+    (0, 1, 0),
+    (0, 0, 1),
+    (F(1, 2), F(1, 2), 0),
+    (F(1, 2), 0, F(-1, 2)),
+    (0, F(1, 2), F(3, 2)),
+    (F(1, 3), 1, F(-1, 2)),
+]
+PARALLEL3_VECTORS = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+# dimension 3 and up, with the dimension
+HIGHER_SYSTEMS = [
+    (catalog_get("B3").cfg.covectors(), 3),
+    (catalog_get("A3").cfg.covectors(), 3),
+    (catalog_get("A4").cfg.covectors(), 4),
+    (HALF3_VECTORS, 3),
+    (PARALLEL3_VECTORS, 3),
+]
+
+
+def _sympy_rational(x) -> sympy.Rational:
+    x = F(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _to_sympy(poly: MultiPoly, syms) -> sympy.Expr:
+    return sum(
+        (
+            _sympy_rational(coef) * sympy.Mul(*(s**e for s, e in zip(syms, expo)))
+            for expo, coef in poly.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _wedge(u, v) -> list:
+    n = len(u)
+    return [u[p] * v[q] - u[q] * v[p] for p in range(n) for q in range(p + 1, n)]
 
 
 class TestExtraction:
@@ -73,16 +113,50 @@ class TestExtraction:
         assert all(c.poly.is_zero() for c in cs.polynomials)
 
     def test_homogeneity_degree_matches_dimension(self):
-        # c_b times an adjugate entry: degree 1 + (n - 1) = n
-        for vectors, n in ((B2_VECTORS, 2), (PROP4_VECTORS, 2), (G2A2_VECTORS, 2)):
+        # c_b times an adjugate entry: degree 1 + (n - 1) = n, squarefree
+        planar = [(B2_VECTORS, 2), (PROP4_VECTORS, 2), (G2A2_VECTORS, 2)]
+        for vectors, n in planar + HIGHER_SYSTEMS:
             cs = series_constraints(vectors)
-            for c in cs.polynomials:
-                if not c.poly.is_zero():
-                    assert c.poly.homogeneous_degree() == n
+            for p in [c.poly for c in cs.polynomials] + [cs.nondegeneracy]:
+                if not p.is_zero():
+                    assert p.homogeneous_degree() == n
+                    assert all(e <= 1 for expo in p.terms for e in expo)
 
     def test_span_deficient_rejected(self):
         with pytest.raises(SpanDeficient):
             series_constraints([(1, 0), (2, 0)])
+
+    @pytest.mark.parametrize(
+        "vectors", [[(1, 0, 5), (0, 1), (1, 1)], [(1, 0), (0, 1, 1)]], ids=["long-first", "long-last"]
+    )
+    def test_ragged_vectors_rejected(self, vectors):
+        with pytest.raises(DimensionMismatch):
+            series_constraints(vectors)
+
+    @pytest.mark.parametrize("vectors,n", HIGHER_SYSTEMS, ids=["B3", "A3", "A4", "half3", "parallel3"])
+    def test_matches_sympy_adjugate_in_higher_dimension(self, vectors, n):
+        # sum_{j in S} r_j c_j (A adj(G(c)) A^T)_ij and det G(c), expanded by sympy
+        cs = series_constraints(vectors)
+        m = len(vectors)
+        syms = sympy.symbols(" ".join(cs.symbols))
+        a = sympy.Matrix([[_sympy_rational(x) for x in v] for v in vectors])
+        g = a.T * sympy.diag(*syms) * a
+        # Berkowitz is division-free, and far faster than sympy's default here
+        adj = g.adjugate(method="berkowitz")
+        assert sympy.expand(_to_sympy(cs.nondegeneracy, syms) - g.det(method="berkowitz")) == 0
+        for i in range(m):
+            rows = [c for c in cs.polynomials if c.base_index == i]
+            members = sorted(j for c in rows for j in c.member_indices)
+            assert members == [j for j in range(m) if any(_wedge(a.row(i), a.row(j)))]
+            for c in rows:
+                w0 = _wedge(a.row(i), a.row(c.member_indices[0]))
+                k = next(k for k, x in enumerate(w0) if x != 0)
+                expected = 0
+                for j in c.member_indices:
+                    r = _wedge(a.row(i), a.row(j))[k] / w0[k]
+                    assert r in (1, -1)
+                    expected += r * syms[j] * (a.row(i) * adj * a.row(j).T)[0]
+                assert sympy.expand(_to_sympy(c.poly, syms) - expected) == 0
 
     def test_consistency_with_exact_check(self, rng):
         # constraints vanish at a nondegenerate point <=> series check passes
@@ -168,6 +242,13 @@ class TestVerifyFamily:
                 {"c1": ca, "c2": cb, "c3": -ca * cb / (ca + cb)},
                 symbols=("c1", "c2", "c3"),
             )
+
+    def test_unknown_parametrization_keys_rejected(self):
+        t = MultiPoly.variable(("cm", "cp", "t"), "t")
+        with pytest.raises(ValueError, match="'C2'"):
+            verify_family(B2_VECTORS, {"c1": t, "C2": t}, symbols=B2_SYMBOLS)
+        with pytest.raises(ValueError, match="'zz'"):
+            verify_family(B2_VECTORS, {"c1": t, "c2": t, "zz": 5}, symbols=B2_SYMBOLS)
 
     def test_deterministic_across_runs(self):
         results = {
