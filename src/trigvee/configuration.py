@@ -27,6 +27,7 @@ from .errors import (
 from .exactnum import (
     RatMatrix,
     as_rational,
+    clear_denominators,
     hnf_basis,
     lattice_coordinates,
     mat_inverse,
@@ -144,14 +145,21 @@ class VConfiguration:
 
 
 def pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> PairingTable:
-    """The symmetric table A . matrix . A^T for the rows A of `covectors`."""
-    duals = [matrix.mat_vec(v) for v in covectors]
-    table = [[Fraction(0)] * len(covectors) for _ in covectors]
-    for i, u in enumerate(covectors):
+    """The symmetric table A . matrix . A^T for the rows A of `covectors`,
+    summed over ints with the common denominator d^2 l_m (d and l_m the lcms
+    of the covector and matrix denominators)."""
+    if any(len(v) != matrix.cols for v in covectors):
+        raise DimensionMismatch("vector length mismatch")
+    vecs, d = clear_denominators(covectors)
+    rows, l_m = clear_denominators(matrix.entries)
+    duals = [[sum(a * x for a, x in zip(row, v)) for row in rows] for v in vecs]
+    den = d * d * l_m
+    table = [[Fraction(0)] * len(vecs) for _ in vecs]
+    for i, u in enumerate(vecs):
         nonzero = [(k, x) for k, x in enumerate(u) if x != 0]
-        for j in range(i, len(covectors)):
+        for j in range(i, len(vecs)):
             dual = duals[j]
-            table[i][j] = table[j][i] = sum((x * dual[k] for k, x in nonzero), Fraction(0))
+            table[i][j] = table[j][i] = Fraction(sum(x * dual[k] for k, x in nonzero), den)
     return tuple(tuple(row) for row in table)
 
 
@@ -165,6 +173,7 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     if dim < 1:
         raise DimensionMismatch("dimension must be at least 1")
     built: list[ConfigEntry] = []
+    seen: dict[Covector, str] = {}
     for k, item in enumerate(entries):
         if len(item) == 3:
             coords, mult, label = item
@@ -179,9 +188,10 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         c = as_rational(mult)
         if c == 0:
             raise ZeroMultiplicity(f"entry {label} has multiplicity 0")
-        for prev in built:
-            if v == prev.covector or v == cov_neg(prev.covector):
-                raise DuplicateCovector(f"entries {prev.label} and {label} coincide up to sign")
+        key = v if next(x for x in v if x != 0) > 0 else cov_neg(v)
+        if key in seen:
+            raise DuplicateCovector(f"entries {seen[key]} and {label} coincide up to sign")
+        seen[key] = label
         built.append(ConfigEntry(v, c, label))
     if not built:
         raise ZeroCovector("configuration needs at least one covector")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .configuration import (
     relative_wedge_signs,
 )
 from .errors import DegenerateParametrization, SpanDeficient, VeeError
-from .exactnum import RatMatrix, as_rational
+from .exactnum import RatMatrix, as_rational, clear_denominators
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -100,8 +99,7 @@ def series_constraints(
         if len(set(symbols)) != m:
             raise ValueError("symbols must be distinct")
 
-    den = lcm(*(x.denominator for v in vecs for x in v))
-    ints = [[int(x * den) for x in v] for v in vecs]
+    ints, den = clear_denominators(vecs)
     minors = []  # (bitmask of T, M[T]) for every T with a nonzero minor
     for t in combinations(range(m), dim - 1):
         cof = _cofactor_row([ints[k] for k in t], dim)

@@ -29,6 +29,12 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer rows and the lcm `den` of every denominator: rows = ints / den."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 class RatMatrix:
     """Immutable dense matrix with Rational entries (row-major)."""
 
@@ -253,11 +259,7 @@ def hnf_basis(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...
     width = len(data[0])
     if any(len(r) != width for r in data):
         raise DimensionMismatch("ragged rows")
-    den = 1
-    for row in data:
-        for x in row:
-            den = lcm(den, x.denominator)
-    imat = [[int(x * den) for x in row] for row in data]
+    imat, den = clear_denominators(data)
     hnf = _integer_hnf(imat)
     basis = tuple(tuple(Fraction(v, den) for v in row) for row in hnf)
     return basis, len(basis)
@@ -281,7 +283,8 @@ def lattice_coordinates(
         if q.denominator != 1:
             return None
         coords.append(int(q))
-        work = [a - q * bb for a, bb in zip(work, b)]
+        if q:
+            work = [a - q * bb for a, bb in zip(work, b)]
     if any(work):
         return None
     return tuple(coords)

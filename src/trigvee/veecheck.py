@@ -25,7 +25,7 @@ from .configuration import (
     wedge_coeffs,
 )
 from .errors import DegenerateForm
-from .exactnum import rref
+from .exactnum import clear_denominators, rref
 
 
 @dataclass(frozen=True)
@@ -228,48 +228,48 @@ def tensor_ratio(
     both over ordered pairs from the signed system, laid out on the basis
     e^i ^ e^j (i < j) of 2-forms; (a,b) is read off the pairing table of the
     unsigned entries.  Returns (status, ratio, witness).
+
+    Both tensors are built over ints: the covectors are scaled by the lcm d
+    of their denominators, the multiplicities by l_c and the table by l_p.
+    Q needs no pair loop, since over ordered pairs it is twice the second
+    compound of the Gram G = sum c_a a a^T:
+    Q[(i,j)][(k,l)] = 2 (G_ik G_jl - G_il G_jk).
     """
     n = cfg.dim
     m = n * (n - 1) // 2
-    if m == 0:
-        return "any_lambda", None, None
     signed = signed_covectors(cfg, psys)
-    mults = cfg.mults()
-    p = [[Fraction(0)] * m for _ in range(m)]
-    q = [[Fraction(0)] * m for _ in range(m)]
-    for k in range(len(signed)):
-        for l in range(k + 1, len(signed)):
-            w = wedge_coeffs(signed[k], signed[l])
-            if not any(w):
+    vecs, d = clear_denominators(signed)
+    (mults,), l_c = clear_denominators([cfg.mults()])
+    pairing_ints, l_p = clear_denominators(pairing)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    gram = [[sum(c * v[i] * v[j] for c, v in zip(mults, vecs)) for j in range(n)] for i in range(n)]
+    q = [[2 * (gram[i][k] * gram[j][l] - gram[i][l] * gram[j][k]) for k, l in pairs] for i, j in pairs]
+    p = [[0] * m for _ in range(m)]
+    for k, (a, ca) in enumerate(zip(vecs, mults)):
+        row_p = pairing_ints[k]
+        for l in range(k + 1, len(vecs)):
+            pw = 2 * ca * mults[l] * psys.signs[k] * psys.signs[l] * row_p[l]
+            if pw == 0:
                 continue
-            cc2 = 2 * mults[k] * mults[l]
-            pw = cc2 * psys.signs[k] * psys.signs[l] * pairing[k][l]
-            for u in range(m):
-                if w[u] == 0:
-                    continue
-                for v in range(m):
-                    if w[v] == 0:
-                        continue
-                    ww = w[u] * w[v]
-                    q[u][v] += cc2 * ww
-                    if pw != 0:
-                        p[u][v] += pw * ww
-    first = next(
-        ((u, v) for u in range(m) for v in range(m) if p[u][v] != 0),
-        None,
-    )
-    if first is None:
-        if any(any(row) for row in q):
-            u, v = next((u, v) for u in range(m) for v in range(m) if q[u][v] != 0)
-            return "no_solution", None, TensorMismatch((u, v), Fraction(0), q[u][v])
-        return "any_lambda", None, None
-    u0, v0 = first
-    ratio = q[u0][v0] / p[u0][v0]
+            b = vecs[l]
+            w = [(u, x) for u, (i, j) in enumerate(pairs) if (x := a[i] * b[j] - a[j] * b[i])]
+            for u, wu in w:
+                row, pwu = p[u], pw * wu
+                for v, wv in w:
+                    row[v] += pwu * wv
+    # compare Q with ratio * P by cross-multiplying; when P vanishes (always
+    # in dimension 1) the test is Q = 0, as if the ratio were 0
+    first = next(((u, v) for u in range(m) for v in range(m) if p[u][v] != 0), None)
+    p0, q0 = (p[first[0]][first[1]], q[first[0]][first[1]]) if first else (1, 0)
+    scale = d**4 * l_c**2
     for u in range(m):
         for v in range(m):
-            if ratio * p[u][v] != q[u][v]:
-                return "no_solution", None, TensorMismatch((u, v), ratio * p[u][v], q[u][v])
-    return "solved", ratio, None
+            if q[u][v] * p0 != q0 * p[u][v]:
+                lhs = Fraction(q0 * p[u][v], p0 * scale)
+                return "no_solution", None, TensorMismatch((u, v), lhs, Fraction(q[u][v], scale))
+    if first is None:
+        return "any_lambda", None, None
+    return "solved", Fraction(q0 * l_p, p0), None
 
 
 def solve_lambda_squared(

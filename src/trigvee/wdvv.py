@@ -91,10 +91,13 @@ def _float_covectors(cfg: VConfiguration) -> np.ndarray:
     return np.array([[float(x) for x in e.covector] for e in cfg.entries])
 
 
-def point_margin(cfg: VConfiguration, x) -> float:
-    a = _float_covectors(cfg)
+def _margin(a: np.ndarray, x) -> float:
     values = a @ np.asarray(x, dtype=complex)
     return float(np.min(np.abs(np.sin(values))))
+
+
+def point_margin(cfg: VConfiguration, x) -> float:
+    return _margin(_float_covectors(cfg), x)
 
 
 def sample_points(
@@ -110,6 +113,7 @@ def sample_points(
     from an independent generator split off the seed, so point k is the same
     regardless of how many points are requested.
     """
+    a = _float_covectors(cfg)
     points = []
     for idx in range(num_points):
         rng = np.random.default_rng([seed, idx])
@@ -119,7 +123,7 @@ def sample_points(
                 for _ in range(cfg.dim)
             )
             y = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, -0.25))
-            margin = point_margin(cfg, x)
+            margin = _margin(a, x)
             if margin > margin_floor:
                 points.append(EvalPoint(y=y, x=x, margin=margin))
                 break

@@ -16,7 +16,7 @@ from trigvee.cms import (
 )
 from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
-from trigvee.errors import CollinearPair, DegenerateForm
+from trigvee.errors import CollinearPair, DegenerateForm, DimensionMismatch
 from trigvee.exactnum import RatMatrix
 from trigvee.veecheck import check_series_condition, solve_lambda_squared
 
@@ -184,6 +184,11 @@ class TestCapitalLambda:
         pair = build_configuration(2, [((1, 0), 1), ((0, 1), 1)])
         for metric in (vee_form_metric(pair), euclidean_metric(2)):
             assert solve_capital_lambda(pair, metric).status == "no_solution"
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_size_metric_rejected(self, size):
+        with pytest.raises(DimensionMismatch):
+            solve_capital_lambda(b2(), Metric(RatMatrix.identity(size)))
 
     def test_metric_homogeneity(self):
         # scaling the metric by t keeps the verdict and scales the constant

@@ -1,0 +1,174 @@
+"""Differential tests: the integer pairing table and coupling tensors against
+straightforward Fraction reference implementations."""
+
+from fractions import Fraction
+
+import pytest
+
+from trigvee.catalog import catalog_get, catalog_list
+from trigvee.cms import euclidean_metric
+from trigvee.configuration import (
+    PairingTable,
+    PositiveSystem,
+    VConfiguration,
+    build_configuration,
+    pairing_table,
+    positive_system,
+    signed_covectors,
+    wedge_coeffs,
+)
+from trigvee.exactnum import RatMatrix
+from trigvee.veecheck import TensorMismatch, tensor_ratio
+
+from conftest import rand_fraction, rand_nonzero_fraction
+
+F = Fraction
+
+
+def reference_pairing_table(covectors, matrix: RatMatrix) -> PairingTable:
+    """A . matrix . A^T, one Fraction product at a time."""
+    duals = [matrix.mat_vec(v) for v in covectors]
+    table = [[Fraction(0)] * len(covectors) for _ in covectors]
+    for i, u in enumerate(covectors):
+        nonzero = [(k, x) for k, x in enumerate(u) if x != 0]
+        for j in range(i, len(covectors)):
+            dual = duals[j]
+            table[i][j] = table[j][i] = sum((x * dual[k] for k, x in nonzero), Fraction(0))
+    return tuple(tuple(row) for row in table)
+
+
+def reference_tensor_ratio(cfg: VConfiguration, psys: PositiveSystem, pairing: PairingTable):
+    """Both 4-tensors accumulated pair by pair in Fractions."""
+    n = cfg.dim
+    m = n * (n - 1) // 2
+    if m == 0:
+        return "any_lambda", None, None
+    signed = signed_covectors(cfg, psys)
+    mults = cfg.mults()
+    p = [[Fraction(0)] * m for _ in range(m)]
+    q = [[Fraction(0)] * m for _ in range(m)]
+    for k in range(len(signed)):
+        for l in range(k + 1, len(signed)):
+            w = wedge_coeffs(signed[k], signed[l])
+            if not any(w):
+                continue
+            cc2 = 2 * mults[k] * mults[l]
+            pw = cc2 * psys.signs[k] * psys.signs[l] * pairing[k][l]
+            for u in range(m):
+                if w[u] == 0:
+                    continue
+                for v in range(m):
+                    if w[v] == 0:
+                        continue
+                    ww = w[u] * w[v]
+                    q[u][v] += cc2 * ww
+                    if pw != 0:
+                        p[u][v] += pw * ww
+    first = next(((u, v) for u in range(m) for v in range(m) if p[u][v] != 0), None)
+    if first is None:
+        if any(any(row) for row in q):
+            u, v = next((u, v) for u in range(m) for v in range(m) if q[u][v] != 0)
+            return "no_solution", None, TensorMismatch((u, v), Fraction(0), q[u][v])
+        return "any_lambda", None, None
+    u0, v0 = first
+    ratio = q[u0][v0] / p[u0][v0]
+    for u in range(m):
+        for v in range(m):
+            if ratio * p[u][v] != q[u][v]:
+                return "no_solution", None, TensorMismatch((u, v), ratio * p[u][v], q[u][v])
+    return "solved", ratio, None
+
+
+def a_roots(n):
+    return [tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)]
+
+
+def b_roots(n):
+    short = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    long_ = [
+        tuple(1 if k == i else s if k == j else 0 for k in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in (1, -1)
+    ]
+    return short + long_
+
+
+def fractional_metric(n):
+    """A symmetric nonsingular matrix with non-integer entries."""
+    return RatMatrix([[F(i + 2, 3) if i == j else F(1, 5 + i + j) for j in range(n)] for i in range(n)])
+
+
+def assert_same(cfg, matrix):
+    table = pairing_table(cfg.covectors(), matrix)
+    assert table == reference_pairing_table(cfg.covectors(), matrix)
+    assert all(isinstance(x, Fraction) for row in table for x in row)
+    psys = positive_system(cfg)
+    assert tensor_ratio(cfg, psys, table) == reference_tensor_ratio(cfg, psys, table)
+
+
+def metrics(cfg):
+    yield euclidean_metric(cfg.dim).matrix
+    yield fractional_metric(cfg.dim)
+    if cfg.gram_det != 0:
+        yield cfg.gram_inverse
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+def test_catalog_entries(name):
+    cfg = catalog_get(name).cfg
+    for matrix in metrics(cfg):
+        assert_same(cfg, matrix)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_root_systems(n):
+    for roots in (a_roots(n), b_roots(n)):
+        cfg = build_configuration(n, [(r, F(3, 2)) for r in roots])
+        assert_same(cfg, cfg.gram_inverse)
+        if n <= 4:
+            assert_same(cfg, fractional_metric(n))
+
+
+def test_mult2_negative():
+    roots = b_roots(4)
+    cfg = build_configuration(4, [(r, 2 if i == 0 else 1) for i, r in enumerate(roots)])
+    assert_same(cfg, cfg.gram_inverse)
+    psys = positive_system(cfg)
+    assert tensor_ratio(cfg, psys, cfg.pairing)[0] == "no_solution"
+
+
+def test_dimension_one_and_orthogonal_pair():
+    line = build_configuration(1, [((2,), 3), ((F(1, 2),), F(-1, 4))])
+    assert_same(line, line.gram_inverse)
+    assert tensor_ratio(line, positive_system(line), line.pairing) == ("any_lambda", None, None)
+    pair = catalog_get("OrthogonalPair").cfg
+    assert_same(pair, pair.gram_inverse)
+    status, ratio, witness = tensor_ratio(pair, positive_system(pair), pair.pairing)
+    assert (status, ratio, witness.lhs) == ("no_solution", None, 0) and witness.rhs != 0
+
+
+def test_random_configurations(rng):
+    """Half-integer covectors, rational multiplicities of both signs, and a
+    covector together with a multiple of it."""
+    statuses = []
+    negative = 0
+    for _ in range(30):
+        dim = rng.randint(2, 4)
+        count = rng.randint(3, 6)
+        vecs = set()
+        while len(vecs) < count:
+            v = tuple(F(rng.randint(-4, 4), 2) for _ in range(dim))
+            if any(v) and tuple(-x for x in v) not in vecs:
+                vecs.add(v)
+        vecs = sorted(vecs)
+        # -5/3 times a half-integer in [-2, 2] is never one again
+        vecs.append(tuple(F(-5, 3) * x for x in vecs[0]))
+        cfg = build_configuration(dim, [(v, rand_nonzero_fraction(rng, -5, 5)) for v in vecs])
+        negative += any(c < 0 for c in cfg.mults())
+        sym = [[rand_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+        assert_same(cfg, RatMatrix([[sym[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]))
+        if cfg.gram_det != 0:
+            assert_same(cfg, cfg.gram_inverse)
+            statuses.append(tensor_ratio(cfg, positive_system(cfg), cfg.pairing)[0])
+    assert negative > 0 and {"solved", "no_solution"} <= set(statuses)
