@@ -26,7 +26,7 @@ from .configuration import (
     relative_wedge_signs,
 )
 from .errors import DegenerateParametrization, SpanDeficient, VeeError
-from .exactnum import RatMatrix, as_rational, clear_denominators
+from .exactnum import as_rational, clear_denominators, integer_det
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -56,12 +56,7 @@ class ConstraintSet:
 
 def _cofactor_row(rows: list[list[int]], dim: int) -> list[int]:
     """Cofactors along the first row of [x; rows], so det[x; rows] = x . cof."""
-    if not rows:
-        return [1]
-    return [
-        (-1) ** k * int(RatMatrix([r[:k] + r[k + 1 :] for r in rows]).det())
-        for k in range(dim)
-    ]
+    return [(-1) ** k * integer_det([r[:k] + r[k + 1 :] for r in rows]) for k in range(dim)]
 
 
 def series_constraints(
@@ -220,6 +215,28 @@ def verify_family(
 _SNAP_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 24, 60, 1000, 10**6)
 
 
+def _compile_polynomials(polys: Sequence[MultiPoly]):
+    """Compile polynomials into one numpy monomial table for float evaluation.
+
+    The polynomials must be squarefree and homogeneous of one common degree
+    d, as series_constraints writes every constraint and det G(c) (d = n):
+    each monomial is then the product of d distinct variables, one row of a
+    terms x d index table.  Returns vals -> array of the polynomials' values.
+    """
+    rows, coefs, idx = [], [], []
+    for p_idx, p in enumerate(polys):
+        for expo, coef in p.terms.items():
+            rows.append(p_idx)
+            coefs.append(float(coef))
+            idx.append([k for k, e in enumerate(expo) if e])
+    rows_a, coefs_a, idx_a = np.array(rows), np.array(coefs), np.array(idx, dtype=np.intp)
+
+    def evaluate(vals: np.ndarray) -> np.ndarray:
+        return np.bincount(rows_a, coefs_a * vals[idx_a].prod(axis=1), minlength=len(polys))
+
+    return evaluate
+
+
 def _exact_solution(
     vectors: Sequence[tuple[Fraction, ...]],
     symbols: Sequence[str],
@@ -272,29 +289,27 @@ def find_multiplicities(
         cand = {s: Fraction(1) for s in syms}
         return [cand] if _exact_solution(cs.vectors, syms, cand) else []
 
-    order = list(syms)
+    # the last value is det G(c), the others the constraint residuals
+    evaluate = _compile_polynomials(polys + [cs.nondegeneracy])
+    position = {s: k for k, s in enumerate(syms)}
 
-    def values_at(free_syms: list[str], fixed: dict[str, float], xs) -> list[float]:
-        values = dict(fixed)
-        values[fix_symbol] = 1.0
-        for s, v in zip(free_syms, xs):
-            values[s] = v
-        return [values[s] for s in order]
-
-    def residual_fn(free_syms: list[str], fixed: dict[str, float]):
-        def fn(xs: np.ndarray) -> np.ndarray:
-            vec = values_at(free_syms, fixed, xs)
-            return np.array([p.evaluate_float(vec) for p in polys])
-
-        return fn
+    def values_at(fixed: dict[str, float]) -> np.ndarray:
+        values = np.ones(len(syms))  # fix_symbol stays 1
+        for s, v in fixed.items():
+            values[position[s]] = v
+        return values
 
     def minimize(free_syms: list[str], fixed: dict[str, float], x0: np.ndarray):
-        fit = least_squares(
-            residual_fn(free_syms, fixed), x0, xtol=1e-15, ftol=1e-15, gtol=1e-15
-        )
-        err = float(np.linalg.norm(fit.fun))
-        det = cs.nondegeneracy.evaluate_float(values_at(free_syms, fixed, fit.x))
-        return fit.x, err, det
+        values = values_at(fixed)
+        free_pos = [position[s] for s in free_syms]
+
+        def residuals(xs: np.ndarray) -> np.ndarray:
+            values[free_pos] = xs
+            return evaluate(values)[:-1]
+
+        fit = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        values[free_pos] = fit.x
+        return fit.x, float(np.linalg.norm(fit.fun)), evaluate(values)[-1]
 
     # the constraint polynomials also vanish wherever det G vanishes becomes
     # easy to reach numerically, so every accepted step must keep the form
@@ -336,9 +351,8 @@ def find_multiplicities(
                         accepted = (q, xs)
                         break
                 else:
-                    vec = values_at([], trial, [])
-                    err = max(abs(p.evaluate_float(vec)) for p in polys)
-                    det = cs.nondegeneracy.evaluate_float(vec)
+                    vals = evaluate(values_at(trial))
+                    err, det = np.abs(vals[:-1]).max(), vals[-1]
                     if err <= residual_tol and abs(det) > det_floor:
                         accepted = (q, np.array([]))
                         break

@@ -245,6 +245,30 @@ def _integer_hnf(mat: list[list[int]]) -> list[list[int]]:
     return work[:r]
 
 
+def integer_det(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss (1968) elimination.
+
+    Fraction-free: every division by the previous pivot is exact.  A zero
+    pivot swaps in a later row; a column with none left means det = 0.
+    """
+    work = [list(r) for r in mat]
+    n = len(work)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if work[c][c] == 0:
+            piv = next((r for r in range(c + 1, n) if work[r][c] != 0), None)
+            if piv is None:
+                return 0
+            work[c], work[piv] = work[piv], work[c]
+            sign = -sign
+        top = work[c]
+        for r in range(c + 1, n):
+            f = work[r][c]
+            work[r] = [(top[c] * a - f * b) // prev for a, b in zip(work[r], top)]
+        prev = top[c]
+    return sign * work[-1][-1] if n else 1
+
+
 def hnf_basis(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...], int]:
     """Basis of the additive group generated by the given rational rows.
 

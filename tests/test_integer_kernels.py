@@ -1,8 +1,11 @@
-"""Differential tests: the integer pairing table and coupling tensors against
-straightforward Fraction reference implementations."""
+"""Differential tests: the integer pairing table, coupling tensors and
+determinant against straightforward Fraction reference implementations, and
+the compiled search residuals against exact polynomial evaluation."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trigvee.catalog import catalog_get, catalog_list
@@ -17,7 +20,8 @@ from trigvee.configuration import (
     signed_covectors,
     wedge_coeffs,
 )
-from trigvee.exactnum import RatMatrix
+from trigvee.constraints import _compile_polynomials, series_constraints
+from trigvee.exactnum import RatMatrix, integer_det
 from trigvee.veecheck import TensorMismatch, tensor_ratio
 
 from conftest import rand_fraction, rand_nonzero_fraction
@@ -172,3 +176,51 @@ def test_random_configurations(rng):
             assert_same(cfg, cfg.gram_inverse)
             statuses.append(tensor_ratio(cfg, positive_system(cfg), cfg.pairing)[0])
     assert negative > 0 and {"solved", "no_solution"} <= set(statuses)
+
+
+@pytest.mark.parametrize("name", ["TenVector", "G2timesScaledA2", "B3", "Prop5", "A4", "B4"])
+def test_compiled_polynomials_match_exact_evaluation(name):
+    """Every distinct constraint and det G(c), at dyadic points (exact in
+    floats), within round-off of the exact value."""
+    cs = series_constraints(catalog_get(name).cfg.covectors())
+    polys = cs.distinct_polynomials() + [cs.nondegeneracy]
+    evaluate = _compile_polynomials(polys)
+    dim = len(cs.vectors[0])
+    rng = random.Random(name)
+    # exact evaluation of all 156 B4 polynomials takes 0.5 s a point: sample
+    checked = range(len(polys)) if dim < 4 else rng.sample(range(len(polys) - 1), 40) + [-1]
+    for _ in range(1 if dim > 3 else 3):
+        point = [F(rng.choice([-1, 1]) * rng.randint(1, 24), 8) for _ in cs.symbols]
+        values = evaluate(np.array([float(x) for x in point]))
+        assert values.shape == (len(polys),)
+        assignment = dict(zip(cs.symbols, point))
+        scale = max(abs(x) for x in point) ** dim
+        for k in checked:
+            p = polys[k]
+            bound = 1e-12 * float(sum(abs(c) for c in p.terms.values()) * scale)
+            assert abs(values[k] - float(p.evaluate(assignment))) <= bound
+
+
+def test_integer_det_matches_fraction_det():
+    rng = random.Random(1968)
+    swaps = singular = 0
+    for n in range(1, 6):
+        for trial in range(30):
+            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 1:
+                mat[0][0] = 0  # a row swap at the first pivot
+                swaps += any(row[0] for row in mat)
+            elif trial % 3 == 2 and n > 1:
+                k = rng.randrange(1, n)  # row k a combination of two earlier rows
+                mat[k] = [2 * a - 3 * b for a, b in zip(mat[0], mat[k - 1])]
+            det = integer_det(mat)
+            assert det == RatMatrix(mat).det()
+            singular += det == 0
+    assert swaps > 30 and singular > 30
+    # a zero pivot that appears only after the first elimination step
+    assert integer_det([[1, 2, 3], [2, 4, 5], [1, 0, 7]]) == RatMatrix(
+        [[1, 2, 3], [2, 4, 5], [1, 0, 7]]
+    ).det() == -2
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 5], [0, 3]]) == 0
+    assert integer_det([]) == 1
