@@ -43,7 +43,7 @@ from .constraints import (
     verify_family,
 )
 from .errors import VeeError
-from .exactnum import RatMatrix, Rational, hnf_basis, mat_adjugate_det, mat_inverse
+from .exactnum import RatMatrix, Rational, hnf_basis, mat_inverse
 from .multipoly import MultiPoly, RatFunc, parse_expression
 from .veecheck import (
     FullCheckReport,

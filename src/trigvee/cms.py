@@ -20,10 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .configuration import (
+    IntPairing,
     PairingTable,
     PositiveSystem,
     VConfiguration,
-    pairing_table,
+    fraction_table,
+    integer_pairing_table,
     positive_system,
 )
 from .errors import CollinearPair, DegenerateForm, NonScalarAction
@@ -32,8 +34,8 @@ from .veecheck import (
     SeriesCheckReport,
     TensorMismatch,
     check_series_condition,
+    integer_tensor_ratio,
     series_residuals,
-    tensor_ratio,
 )
 from .wdvv import EvalPoint, sample_points
 
@@ -49,11 +51,16 @@ class Metric:
         if not self.matrix.is_symmetric():
             raise DegenerateForm("metric matrix must be symmetric")
 
-    def covector_pairing(self, cfg: VConfiguration) -> PairingTable:
-        """The table (a_i, a_j) = a_i . matrix . a_j^T over the entries of cfg."""
+    def integer_pairing(self, cfg: VConfiguration) -> IntPairing:
+        """The table (a_i, a_j) = a_i . matrix . a_j^T over the entries of cfg,
+        as integer numerators over one denominator."""
         if self.is_vee_form and cfg.gram_det != 0 and self.matrix == cfg.gram_inverse:
-            return cfg.pairing
-        return pairing_table(cfg.covectors(), self.matrix)
+            return cfg.integer_pairing
+        return integer_pairing_table(cfg.covectors(), self.matrix)
+
+    def covector_pairing(self, cfg: VConfiguration) -> PairingTable:
+        """The same table as Fractions."""
+        return fraction_table(*self.integer_pairing(cfg))
 
     def scaled(self, t) -> "Metric":
         return Metric(self.matrix.scale(t), is_vee_form=False)
@@ -115,7 +122,9 @@ def cms_identity_residual(
 
     a = np.array([[float(x) for x in e.covector] for e in cfg.entries])
     c = np.array([float(e.mult) for e in cfg.entries])
-    pair = np.array(metric.covector_pairing(cfg), dtype=float)
+    table, den = metric.integer_pairing(cfg)
+    # int / int rounds once, exactly as float(Fraction(x, den)) does
+    pair = np.array([[x / den for x in row] for row in table])
     pair_offdiag = pair - np.diag(np.diag(pair))
     metric_f = np.array([[float(v) for v in row] for row in metric.matrix.entries])
     norms = np.diag(pair)  # (a,a) per entry
@@ -129,7 +138,10 @@ def cms_identity_residual(
         cot = np.cos(values) / sin
         csc2 = 1.0 / sin**2
         cc = c * cot
-        identity = cc @ pair_offdiag @ cc  # sum over ordered pairs i != j
+        # sum over ordered pairs i != j; the table stays real, since a
+        # complex copy of it sends the product through a zgemv that can
+        # stall on some sizes
+        identity = cc @ (pair_offdiag @ cc.real + 1j * (pair_offdiag @ cc.imag))
         identity_values.append(complex(identity))
 
         # (L psi)/psi through log derivatives:
@@ -183,7 +195,7 @@ def check_series_with_metric(cfg: VConfiguration, metric: Metric) -> SeriesCheck
         raise DegenerateForm("metric size does not match the configuration dimension")
     if metric.matrix.det() == 0:
         raise DegenerateForm("metric is degenerate")
-    return series_residuals(cfg, metric.covector_pairing(cfg))
+    return series_residuals(cfg, metric.integer_pairing(cfg))
 
 
 @dataclass(frozen=True)
@@ -261,7 +273,7 @@ def solve_capital_lambda(
         raise DegenerateForm("metric is degenerate")
     if psys is None:
         psys = positive_system(cfg)
-    status, ratio, witness = tensor_ratio(cfg, psys, metric.covector_pairing(cfg))
+    status, ratio, witness = integer_tensor_ratio(cfg, psys, metric.integer_pairing(cfg))
     return CapitalLambdaSolution(
         status=status,
         value=ratio if status == "solved" else None,

@@ -5,7 +5,8 @@ rational multiplicities.  Building one caches the bilinear form
 G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
 covectors.  The form identifies vectors and covectors; all pairings of
 covectors below go through its inverse (the "vee product"), tabulated once
-per configuration as the matrix `pairing`.
+per configuration over ints as `integer_pairing`, and the split of the
+covectors into series around each base is cached as `series`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .exactnum import (
 
 Covector = tuple[Fraction, ...]
 PairingTable = tuple[tuple[Fraction, ...], ...]
+# A pairing table as integer numerators over one common denominator.
+IntPairing = tuple[tuple[tuple[int, ...], ...], int]
 
 
 def covector(coords: Iterable) -> Covector:
@@ -99,7 +102,7 @@ class AlphaSeries:
     members: tuple[SeriesMember, ...]
 
     def entry_indices(self) -> tuple[int, ...]:
-        return tuple(m.entry_index for m in self.members)
+        return tuple([m.entry_index for m in self.members])
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,19 @@ class VConfiguration:
         return mat_inverse(self.gram)
 
     @cached_property
+    def integer_pairing(self) -> IntPairing:
+        """The vee products (a_i, a_j) = a_i G^-1 a_j^T as (numerators, den)."""
+        return integer_pairing_table(self.covectors(), self.gram_inverse)
+
+    @cached_property
     def pairing(self) -> PairingTable:
-        """The symmetric m x m table of vee products (a_i, a_j) = a_i G^-1 a_j^T."""
-        return pairing_table(self.covectors(), self.gram_inverse)
+        """The symmetric m x m table of vee products as Fractions."""
+        return fraction_table(*self.integer_pairing)
+
+    @cached_property
+    def series(self) -> tuple[tuple[AlphaSeries, ...], ...]:
+        """The series split around every base: series[i] = alpha_series(self, i)."""
+        return tuple(alpha_series(self, i) for i in range(len(self.entries)))
 
     @cached_property
     def directions(self) -> tuple[tuple[int, ...], ...]:
@@ -144,23 +157,36 @@ class VConfiguration:
         return len(self.entries)
 
 
-def pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> PairingTable:
-    """The symmetric table A . matrix . A^T for the rows A of `covectors`,
-    summed over ints with the common denominator d^2 l_m (d and l_m the lcms
-    of the covector and matrix denominators)."""
+def integer_pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> IntPairing:
+    """The symmetric table A . matrix . A^T for the rows A of `covectors`, as
+    integer numerators over the common denominator d^2 l_m (d and l_m the
+    lcms of the covector and matrix denominators)."""
     if any(len(v) != matrix.cols for v in covectors):
         raise DimensionMismatch("vector length mismatch")
     vecs, d = clear_denominators(covectors)
     rows, l_m = clear_denominators(matrix.entries)
     duals = [[sum(a * x for a, x in zip(row, v)) for row in rows] for v in vecs]
-    den = d * d * l_m
-    table = [[Fraction(0)] * len(vecs) for _ in vecs]
+    table = [[0] * len(vecs) for _ in vecs]
     for i, u in enumerate(vecs):
         nonzero = [(k, x) for k, x in enumerate(u) if x != 0]
         for j in range(i, len(vecs)):
             dual = duals[j]
-            table[i][j] = table[j][i] = Fraction(sum(x * dual[k] for k, x in nonzero), den)
-    return tuple(tuple(row) for row in table)
+            table[i][j] = table[j][i] = sum(x * dual[k] for k, x in nonzero)
+    return tuple(tuple(row) for row in table), d * d * l_m
+
+
+def fraction_table(table: Sequence[Sequence[int]], den: int) -> PairingTable:
+    """A symmetric integer table over `den` as Fractions, one per entry pair."""
+    rows = [list(row) for row in table]
+    for i, row in enumerate(rows):
+        for j in range(i, len(row)):
+            row[j] = rows[j][i] = Fraction(row[j], den)
+    return tuple(tuple(row) for row in rows)
+
+
+def pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> PairingTable:
+    """The symmetric table A . matrix . A^T for the rows A of `covectors`."""
+    return fraction_table(*integer_pairing_table(covectors, matrix))
 
 
 def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
@@ -269,16 +295,6 @@ def signed_covectors(cfg: VConfiguration, psys: PositiveSystem) -> tuple[Covecto
     )
 
 
-def _coset_rep(b: tuple[int, ...], a: tuple[int, ...], pivot: int) -> tuple[tuple[int, ...], int]:
-    """Reduce b modulo integer multiples of a; returns (representative, step).
-
-    `a[pivot]` must be positive; the representative has its pivot coordinate
-    in [0, a[pivot]), which pins down the step uniquely.
-    """
-    k = b[pivot] // a[pivot]
-    return tuple(x - k * y for x, y in zip(b, a)), -k
-
-
 def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...]:
     """Partition the entries non-parallel to the base covector into series.
 
@@ -295,26 +311,34 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
     else:
         flipped = False
 
+    a_p = a[pivot]
     groups: dict[tuple[int, ...], list[SeriesMember]] = {}
     for j, (b, d) in enumerate(zip(cfg.lattice_coords, cfg.directions)):
         if d == direction:
             continue
-        rep_pos, step_pos = _coset_rep(b, a, pivot)
-        rep_neg, step_neg = _coset_rep(tuple(-x for x in b), a, pivot)
-        if rep_pos <= rep_neg:
-            key, sign, step = rep_pos, 1, step_pos
+        # b + step * a for the step putting the pivot coordinate in [0, a_p)
+        k = b[pivot] // a_p
+        rep = tuple([x - k * y for x, y in zip(b, a)]) if k else b
+        # -b - step * a = -rep, whose pivot coordinate lies in (-a_p, 0];
+        # unless it is 0, one more step of a brings it into range
+        if rep[pivot]:
+            neg, step_neg = tuple([y - x for x, y in zip(rep, a)]), k + 1
         else:
-            key, sign, step = rep_neg, -1, step_neg
+            neg, step_neg = tuple([-x for x in rep]), k
+        if rep <= neg:
+            key, sign, step = rep, 1, -k
+        else:
+            key, sign, step = neg, -1, step_neg
         if flipped:
             step = -step
         groups.setdefault(key, []).append(SeriesMember(j, sign, step))
 
-    series = [
-        AlphaSeries(base_index=base_index, residue=key, members=tuple(sorted(ms, key=lambda m: m.entry_index)))
+    # members are appended in index order, and each series is created by its
+    # first member, so both come out sorted by entry index
+    return tuple(
+        AlphaSeries(base_index=base_index, residue=key, members=tuple(ms))
         for key, ms in groups.items()
-    ]
-    series.sort(key=lambda s: s.members[0].entry_index)
-    return tuple(series)
+    )
 
 
 def relative_wedge_signs(series: AlphaSeries) -> tuple[int, ...]:
@@ -324,7 +348,7 @@ def relative_wedge_signs(series: AlphaSeries) -> tuple[int, ...]:
     so these signs turn the series 2-form condition into a scalar sum.
     """
     s0 = series.members[0].sign
-    return tuple(m.sign * s0 for m in series.members)
+    return tuple([m.sign * s0 for m in series.members])
 
 
 def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
@@ -346,9 +370,10 @@ def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
             i = parent[i]
         return i
 
+    table, _den = cfg.integer_pairing
     for i in range(n):
         for j in range(i + 1, n):
-            if cfg.pairing[i][j] != 0:
+            if table[i][j] != 0:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj

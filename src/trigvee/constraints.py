@@ -20,7 +20,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .configuration import (
-    alpha_series,
     build_configuration,
     covector,
     relative_wedge_signs,
@@ -102,20 +101,21 @@ def series_constraints(
         if any(row):
             minors.append((sum(1 << k for k in t), row))
     scale = den ** (2 * dim)
+    exponents: dict[int, tuple[int, ...]] = {}  # squarefree exponent tuple per mask
 
     def poly(acc: dict[int, int]) -> MultiPoly:
-        return MultiPoly(
-            symbols,
-            {
-                tuple((mask >> k) & 1 for k in range(m)): Fraction(v, scale)
-                for mask, v in acc.items()
-            },
-        )
+        terms = {}
+        for mask, v in acc.items():
+            expo = exponents.get(mask)
+            if expo is None:
+                expo = exponents[mask] = tuple((mask >> k) & 1 for k in range(m))
+            terms[expo] = Fraction(v, scale)
+        return MultiPoly(symbols, terms)
 
     out = []
     for i in range(m):
         with_i = [(mask, row) for mask, row in minors if row[i]]
-        for s_idx, series in enumerate(alpha_series(cfg, i)):
+        for s_idx, series in enumerate(cfg.series[i]):
             acc: dict[int, int] = {}
             for member, r in zip(series.members, relative_wedge_signs(series)):
                 j = member.entry_index

@@ -142,36 +142,6 @@ def mat_inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([row[n:] for row in work])
 
 
-def mat_adjugate_det(m: RatMatrix) -> tuple[RatMatrix, Fraction]:
-    """Adjugate and determinant, defined for every square matrix.
-
-    Satisfies m @ adj = adj @ m = det * identity exactly, including in the
-    singular case (where the cofactor definition is used directly).
-    """
-    if not m.is_square():
-        raise DimensionMismatch("adjugate of non-square matrix")
-    n = m.rows
-    d = m.det()
-    if n == 1:
-        return RatMatrix([[Fraction(1)]]), d
-    if d != 0:
-        return mat_inverse(m).scale(d), d
-    # Singular: adj[j][i] = (-1)^(i+j) * minor(i, j)
-    adj = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = RatMatrix(
-                [
-                    [m.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-            )
-            sign = -1 if (i + j) % 2 else 1
-            adj[j][i] = sign * minor.det()
-    return RatMatrix(adj), d
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     work = [[as_rational(x) for x in row] for row in rows]

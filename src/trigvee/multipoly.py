@@ -179,18 +179,6 @@ class MultiPoly:
             total += term
         return total
 
-    def partial(self, name: str) -> "MultiPoly":
-        idx = self.vars.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coef in self.terms.items():
-            if expo[idx] == 0:
-                continue
-            new = list(expo)
-            new[idx] -= 1
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + coef * expo[idx]
-        return MultiPoly(self.vars, terms)
-
     def substitute(self, mapping: Mapping[str, "RatFunc"]) -> "RatFunc":
         """Substitute a rational function for every variable, exactly.
 

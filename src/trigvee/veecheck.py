@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .configuration import (
     Covector,
+    IntPairing,
     PairingTable,
     PositiveSystem,
     VConfiguration,
-    alpha_series,
     decompose_components,
     positive_system,
     relative_wedge_signs,
@@ -53,29 +53,33 @@ class SeriesCheckReport:
         return tuple(r for r in self.residuals if not r.passed)
 
 
-def series_residuals(cfg: VConfiguration, pairing: PairingTable) -> SeriesCheckReport:
-    """Series condition residuals with an arbitrary covector pairing table
-    (pairing[i][j] is the product of entries i and j).
+def series_residuals(cfg: VConfiguration, pairing: IntPairing) -> SeriesCheckReport:
+    """Series condition residuals with an arbitrary covector pairing, given
+    as integer numerators over one denominator (table[i][j] / den is the
+    product of entries i and j).
 
     For base a and series with representative b0, the 2-form condition
     sum_b c_b (a,b) a^b = 0 reduces to sum_b c_b (a,b) r_b = 0 where
-    r_b = +-1 relates a^b to a^b0.
+    r_b = +-1 relates a^b to a^b0.  With the multiplicities cleared to
+    c_b = c'_b / l_c, each residual is one integer sum over l_c * den.
     """
+    table, den = pairing
+    (mults,), l_c = clear_denominators([cfg.mults()])
+    scale = l_c * den
     residuals = []
-    for i in range(len(cfg.entries)):
-        for s_idx, series in enumerate(alpha_series(cfg, i)):
-            signs = relative_wedge_signs(series)
-            total = Fraction(0)
-            for member, r in zip(series.members, signs):
-                j = member.entry_index
-                total += cfg.entries[j].mult * pairing[i][j] * r
+    for i, row in enumerate(table):
+        for s_idx, series in enumerate(cfg.series[i]):
+            members = series.entry_indices()
+            total = sum(
+                r * mults[j] * row[j] for j, r in zip(members, relative_wedge_signs(series))
+            )
             residuals.append(
                 SeriesResidual(
                     base_index=i,
                     series_index=s_idx,
                     residue=series.residue,
-                    member_indices=series.entry_indices(),
-                    residual=total,
+                    member_indices=members,
+                    residual=Fraction(total, scale),
                 )
             )
     return SeriesCheckReport(residuals=tuple(residuals))
@@ -85,7 +89,7 @@ def check_series_condition(cfg: VConfiguration) -> SeriesCheckReport:
     """Definition check: every series residual vanishes under the vee product."""
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
-    return series_residuals(cfg, cfg.pairing)
+    return series_residuals(cfg, cfg.integer_pairing)
 
 
 @dataclass(frozen=True)
@@ -222,25 +226,33 @@ class LambdaSolution:
 def tensor_ratio(
     cfg: VConfiguration, psys: PositiveSystem, pairing: PairingTable
 ) -> tuple[str, Fraction | None, TensorMismatch | None]:
+    """integer_tensor_ratio with (a,b) read off a table of Fractions."""
+    return integer_tensor_ratio(cfg, psys, clear_denominators(pairing))
+
+
+def integer_tensor_ratio(
+    cfg: VConfiguration, psys: PositiveSystem, pairing: IntPairing
+) -> tuple[str, Fraction | None, TensorMismatch | None]:
     """Solve r * P = Q for the two 4-tensors over a positive system.
 
     P = sum c_a c_b (a,b) (a^b) x (a^b) and Q = sum c_a c_b (a^b) x (a^b),
     both over ordered pairs from the signed system, laid out on the basis
-    e^i ^ e^j (i < j) of 2-forms; (a,b) is read off the pairing table of the
-    unsigned entries.  Returns (status, ratio, witness).
+    e^i ^ e^j (i < j) of 2-forms; (a,b) is read off the pairing of the
+    unsigned entries, integer numerators over one denominator l_p.
+    Returns (status, ratio, witness).
 
     Both tensors are built over ints: the covectors are scaled by the lcm d
-    of their denominators, the multiplicities by l_c and the table by l_p.
+    of their denominators and the multiplicities by l_c.
     Q needs no pair loop, since over ordered pairs it is twice the second
     compound of the Gram G = sum c_a a a^T:
     Q[(i,j)][(k,l)] = 2 (G_ik G_jl - G_il G_jk).
     """
+    pairing_ints, l_p = pairing
     n = cfg.dim
     m = n * (n - 1) // 2
     signed = signed_covectors(cfg, psys)
     vecs, d = clear_denominators(signed)
     (mults,), l_c = clear_denominators([cfg.mults()])
-    pairing_ints, l_p = clear_denominators(pairing)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     gram = [[sum(c * v[i] * v[j] for c, v in zip(mults, vecs)) for j in range(n)] for i in range(n)]
     q = [[2 * (gram[i][k] * gram[j][l] - gram[i][l] * gram[j][k]) for k, l in pairs] for i, j in pairs]
@@ -280,7 +292,7 @@ def solve_lambda_squared(
         raise DegenerateForm("the form G is degenerate")
     if psys is None:
         psys = positive_system(cfg)
-    status, ratio, witness = tensor_ratio(cfg, psys, cfg.pairing)
+    status, ratio, witness = integer_tensor_ratio(cfg, psys, cfg.integer_pairing)
     lambda2 = 4 * ratio if status == "solved" else None
     return LambdaSolution(status=status, lambda2=lambda2, psys=psys, witness=witness)
 

@@ -189,20 +189,16 @@ def wdvv_residual(
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
     points = sample_points(cfg, num_points, seed, margin_floor)
-    n = cfg.dim
     f0_inv = None
     per_point = []
     for p in points:
-        mats = third_derivative_matrices(cfg, lambda_squared, p)
+        mats = np.array(third_derivative_matrices(cfg, lambda_squared, p))
         if f0_inv is None:
             f0_inv = np.linalg.inv(mats[0])
-        worst = 0.0
-        for i in range(n + 1):
-            left_i = mats[i] @ f0_inv
-            for j in range(i + 1, n + 1):
-                res = left_i @ mats[j] - mats[j] @ f0_inv @ mats[i]
-                worst = max(worst, float(np.max(np.abs(res))))
-        per_point.append(worst)
+        # prod[i, j] = (F_i F0^-1) F_j; the commutator for (i, j) is
+        # prod[i, j] - prod[j, i], and its negative for (j, i)
+        prod = (mats @ f0_inv)[:, None] @ mats[None, :]
+        per_point.append(float(np.max(np.abs(prod - prod.transpose(1, 0, 2, 3)))))
     return ResidualReport(
         per_point=tuple(per_point),
         aggregate=max(per_point),

@@ -9,11 +9,10 @@ from trigvee.exactnum import (
     RatMatrix,
     hnf_basis,
     lattice_coordinates,
-    mat_adjugate_det,
     mat_inverse,
 )
 
-from conftest import rand_matrix, rand_nonsingular
+from conftest import rand_nonsingular
 
 
 def F(a, b=1):
@@ -39,36 +38,6 @@ class TestInverse:
                 m = rand_nonsingular(rng, n)
                 assert m @ mat_inverse(m) == RatMatrix.identity(n)
                 assert mat_inverse(m) @ m == RatMatrix.identity(n)
-
-
-class TestAdjugate:
-    def test_examples(self):
-        adj, det = mat_adjugate_det(RatMatrix([[2, 1], [1, 2]]))
-        assert (adj, det) == (RatMatrix([[2, -1], [-1, 2]]), 3)
-        adj, det = mat_adjugate_det(RatMatrix([[3, 0], [0, 3]]))
-        assert (adj, det) == (RatMatrix([[3, 0], [0, 3]]), 9)
-
-    def test_singular_still_defined(self):
-        adj, det = mat_adjugate_det(RatMatrix([[1, 1], [1, 1]]))
-        assert det == 0
-        assert adj == RatMatrix([[1, -1], [-1, 1]])
-
-    def test_consistency_including_singular(self, rng):
-        for n in range(1, 6):
-            for k in range(8):
-                m = rand_matrix(rng, n)
-                if n >= 2 and k % 2 == 0:
-                    # force rank deficiency: last row = sum of the others
-                    rows = [list(r) for r in m.entries[:-1]]
-                    rows.append([sum(col) for col in zip(*rows)] if rows else [F(0)] * n)
-                    if n == 1:
-                        rows = [[F(0)]]
-                    m = RatMatrix(rows)
-                adj, det = mat_adjugate_det(m)
-                scaled = RatMatrix.identity(n).scale(det)
-                assert m @ adj == scaled
-                assert adj @ m == scaled
-                assert det == m.det()
 
 
 class TestHnfBasis:

@@ -42,12 +42,6 @@ def test_evaluate_exact():
     assert value == 3 * F(1, 3) * 3 - F(1, 4) + F(1, 2)
 
 
-def test_partial_derivative():
-    a, b = var("a"), var("b")
-    p = a ** 3 * b + 2 * a
-    assert p.partial("a") == 3 * a ** 2 * b + MultiPoly.const(VARS, 2)
-
-
 def test_string_form_graded_lex():
     a, b = var("a"), var("b")
     assert str(a * a + b - 1) == "a^2 + b - 1"

@@ -1,0 +1,220 @@
+"""Differential tests: the cached series split, the integer series residuals
+and the batched WDVV commutators against straightforward reference
+implementations."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trigvee.catalog import catalog_get, catalog_list
+from trigvee.cms import Metric, check_series_with_metric, vee_form_metric
+from trigvee.configuration import (
+    AlphaSeries,
+    SeriesMember,
+    VConfiguration,
+    alpha_series,
+    build_configuration,
+    cov_dot,
+    relative_wedge_signs,
+    vee_product,
+)
+from trigvee.exactnum import RatMatrix
+from trigvee.veecheck import check_series_condition, solve_lambda_squared
+from trigvee.wdvv import sample_points, third_derivative_matrices, wdvv_residual
+
+from conftest import rand_fraction, rand_nonzero_fraction
+from test_integer_kernels import a_roots, b_roots
+
+F = Fraction
+
+
+def reference_alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...]:
+    """Each entry's coset of b and of -b reduced separately, then sorted."""
+
+    def coset_rep(b, a, pivot):
+        k = b[pivot] // a[pivot]
+        return tuple(x - k * y for x, y in zip(b, a)), -k
+
+    direction = cfg.directions[base_index]
+    a = cfg.lattice_coords[base_index]
+    pivot = next(j for j, x in enumerate(a) if x != 0)
+    flipped = a[pivot] < 0
+    if flipped:
+        a = tuple(-x for x in a)
+    groups = {}
+    for j, (b, d) in enumerate(zip(cfg.lattice_coords, cfg.directions)):
+        if d == direction:
+            continue
+        rep_pos, step_pos = coset_rep(b, a, pivot)
+        rep_neg, step_neg = coset_rep(tuple(-x for x in b), a, pivot)
+        if rep_pos <= rep_neg:
+            key, sign, step = rep_pos, 1, step_pos
+        else:
+            key, sign, step = rep_neg, -1, step_neg
+        if flipped:
+            step = -step
+        groups.setdefault(key, []).append(SeriesMember(j, sign, step))
+    series = [
+        AlphaSeries(base_index, key, tuple(sorted(ms, key=lambda m: m.entry_index)))
+        for key, ms in groups.items()
+    ]
+    series.sort(key=lambda s: s.members[0].entry_index)
+    return tuple(series)
+
+
+def is_integer_multiple(v, a) -> bool:
+    """v = k * a for an integer k (a nonzero)."""
+    p = next(t for t, x in enumerate(a) if x != 0)
+    return v[p] % a[p] == 0 and all(x * a[p] == y * v[p] for x, y in zip(v, a))
+
+
+coordinates = st.integers(-3, 3).map(lambda x: F(x, 2)) | st.integers(-4, 4).map(F)
+
+
+@st.composite
+def configurations(draw):
+    dim = draw(st.integers(1, 3))
+    vectors = draw(
+        st.lists(
+            st.tuples(*[coordinates] * dim).filter(any), min_size=1, max_size=8, unique=True
+        )
+    )
+    entries = []
+    seen = set()
+    for v in vectors:
+        if tuple(-x for x in v) not in seen:
+            seen.add(v)
+            entries.append((v, 1))
+    return build_configuration(dim, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations())
+def test_split_is_the_coset_partition(cfg):
+    coords = cfg.lattice_coords
+    for i, series in enumerate(cfg.series):
+        assert series == alpha_series(cfg, i) == reference_alpha_series(cfg, i)
+        label = {j: s for s, ser in enumerate(series) for j in ser.entry_indices()}
+        a = coords[i]
+        for j1, b1 in enumerate(coords):
+            parallel = cfg.directions[j1] == cfg.directions[i]
+            assert (j1 in label) != parallel
+            for j2 in range(j1 + 1, len(coords)):
+                if parallel or j2 not in label:
+                    continue
+                b2 = coords[j2]
+                related = is_integer_multiple(
+                    tuple(x - y for x, y in zip(b1, b2)), a
+                ) or is_integer_multiple(tuple(x + y for x, y in zip(b1, b2)), a)
+                assert (label[j1] == label[j2]) == related
+
+
+def test_split_reference_on_negative_and_non_unit_bases():
+    """Bases with a negative leading lattice coordinate and with a pivot
+    coordinate above 1 both occur, so both branches of the -b coset run."""
+    cfg = build_configuration(
+        2, [((2, 0), 1), ((0, 1), 1), ((1, 1), 1), ((-1, 2), 1), ((3, -1), 1), ((-2, -3), 1)]
+    )
+    pivots = [next(x for x in c if x) for c in cfg.lattice_coords]
+    assert any(p < 0 for p in pivots) and any(abs(p) > 1 for p in pivots)
+    for i in range(len(cfg.entries)):
+        assert cfg.series[i] == reference_alpha_series(cfg, i)
+
+
+def reference_residuals(cfg: VConfiguration, product):
+    """(base, series, residue, members, residual) with one Fraction product
+    per member."""
+    out = []
+    for i, a in enumerate(cfg.covectors()):
+        for s_idx, series in enumerate(reference_alpha_series(cfg, i)):
+            total = Fraction(0)
+            for member, r in zip(series.members, relative_wedge_signs(series)):
+                e = cfg.entries[member.entry_index]
+                total += e.mult * product(a, e.covector) * r
+            out.append((i, s_idx, series.residue, series.entry_indices(), total))
+    return out
+
+
+def as_tuples(report):
+    return [
+        (r.base_index, r.series_index, r.residue, r.member_indices, r.residual)
+        for r in report.residuals
+    ]
+
+
+def random_rational_metric(rng, dim):
+    while True:
+        rows = [[rand_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+        matrix = RatMatrix([[rows[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)])
+        if matrix.det() != 0:
+            return matrix
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+def test_residuals_match_fraction_reference(name):
+    """At random rational multiplicities, so most residuals are nonzero."""
+    rng = random.Random(name)
+    base = catalog_get(name).cfg
+    while True:
+        cfg = build_configuration(
+            base.dim, [(e.covector, rand_nonzero_fraction(rng, -6, 6), e.label) for e in base.entries]
+        )
+        if cfg.gram_det != 0:
+            break
+    report = check_series_condition(cfg)
+    expected = reference_residuals(cfg, lambda u, v: vee_product(cfg, u, v))
+    assert as_tuples(report) == expected
+    if name not in ("A1", "A2", "OrthogonalPair"):  # these pass at any multiplicities
+        assert any(r.residual != 0 for r in report.residuals)
+    assert check_series_with_metric(cfg, vee_form_metric(cfg)) == report
+
+    matrix = random_rational_metric(rng, cfg.dim)
+    metric_report = check_series_with_metric(cfg, Metric(matrix))
+    assert as_tuples(metric_report) == reference_residuals(
+        cfg, lambda u, v: cov_dot(u, matrix.mat_vec(v))
+    )
+
+
+def reference_wdvv_per_point(cfg, lambda_squared, seed):
+    """The commutators pair by pair, as a double loop over i < j."""
+    n = cfg.dim
+    f0_inv = None
+    per_point = []
+    for p in sample_points(cfg, 10, seed):
+        mats = third_derivative_matrices(cfg, lambda_squared, p)
+        if f0_inv is None:
+            f0_inv = np.linalg.inv(mats[0])
+        worst = 0.0
+        for i in range(n + 1):
+            left_i = mats[i] @ f0_inv
+            for j in range(i + 1, n + 1):
+                res = left_i @ mats[j] - mats[j] @ f0_inv @ mats[i]
+                worst = max(worst, float(np.max(np.abs(res))))
+        per_point.append(worst)
+    return tuple(per_point)
+
+
+def wdvv_configuration(name):
+    if name in ("A5", "B5", "A6"):
+        n = int(name[1])
+        return build_configuration(n, [(r, 1) for r in (a_roots if name[0] == "A" else b_roots)(n)])
+    return catalog_get(name).cfg
+
+
+# every catalog entry with a solved coupling, and three larger root systems
+WDVV_CASES = [name for name, _ in catalog_list() if name not in ("OrthogonalPair", "A1")]
+
+
+@pytest.mark.parametrize("name", WDVV_CASES + ["A5", "B5", "A6"])
+def test_batched_wdvv_matches_pairwise_loop(name):
+    """Bit for bit, at the solved and at a 1%-perturbed coupling."""
+    cfg = wdvv_configuration(name)
+    lambda2 = solve_lambda_squared(cfg).lambda2
+    for coupling in (lambda2, lambda2 * F(101, 100)):
+        for seed in (0, 7):
+            got = wdvv_residual(cfg, coupling, seed=seed).per_point
+            assert got == reference_wdvv_per_point(cfg, coupling, seed)
