@@ -37,7 +37,8 @@ from .veecheck import (
     integer_tensor_ratio,
     series_residuals,
 )
-from .wdvv import EvalPoint, sample_points
+from . import wdvv
+from .wdvv import EvalPoint
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,9 @@ def cms_identity_residual(
     computed through the logarithmic-derivative expansion of psi.
     """
     _require_cms_hypotheses(cfg, metric)
-    points = sample_points(cfg, num_points, seed, margin_floor)
+    points = wdvv.sample_points(cfg, num_points, seed, margin_floor)
 
-    a = np.array([[float(x) for x in e.covector] for e in cfg.entries])
-    c = np.array([float(e.mult) for e in cfg.entries])
+    a, c = cfg.floats.covectors, cfg.floats.mults
     table, den = metric.integer_pairing(cfg)
     # int / int rounds once, exactly as float(Fraction(x, den)) does
     pair = np.array([[x / den for x in row] for row in table])
@@ -129,29 +129,29 @@ def cms_identity_residual(
     metric_f = np.array([[float(v) for v in row] for row in metric.matrix.entries])
     norms = np.diag(pair)  # (a,a) per entry
 
-    identity_values = []
-    eigen_values = []
-    for p in points:
-        x = np.asarray(p.x, dtype=complex)
-        values = a @ x
-        sin = np.sin(values)
-        cot = np.cos(values) / sin
-        csc2 = 1.0 / sin**2
-        cc = c * cot
-        # sum over ordered pairs i != j; the table stays real, since a
-        # complex copy of it sends the product through a zgemv that can
-        # stall on some sizes
-        identity = cc @ (pair_offdiag @ cc.real + 1j * (pair_offdiag @ cc.imag))
-        identity_values.append(complex(identity))
+    # every array below has one row per point; each product is one
+    # matrix-vector product per point, as for a single point
+    values = wdvv.covector_values(cfg, points)
+    sin = np.sin(values)
+    cot = np.cos(values) / sin
+    csc2 = 1.0 / sin**2
+    cc = c * cot
+    column, row = cc[:, :, None], cc[:, None, :]
+    # sum over ordered pairs i != j; the table stays real, since a complex
+    # copy of it sends the product through a zgemv that can stall on some
+    # sizes
+    paired = pair_offdiag @ column.real + 1j * (pair_offdiag @ column.imag)
+    identity = (row @ paired)[:, 0, 0]
 
-        # (L psi)/psi through log derivatives:
-        #   d_i psi/psi = -sum c a_i cot a(x)
-        #   d_i d_j psi/psi = (d_i psi/psi)(d_j psi/psi) + sum c a_i a_j csc^2
-        grad = -(cc @ a)
-        hess = np.outer(grad, grad) + (a.T * (c * csc2)) @ a
-        laplacian = float(0) + np.sum(metric_f * hess)
-        potential = np.sum(c * (c + 1) * norms * csc2)
-        eigen_values.append(complex(-laplacian + potential))
+    # (L psi)/psi through log derivatives:
+    #   d_i psi/psi = -sum c a_i cot a(x)
+    #   d_i d_j psi/psi = (d_i psi/psi)(d_j psi/psi) + sum c a_i a_j csc^2
+    grad = -(row @ a)[:, 0]
+    hess = grad[:, :, None] * grad[:, None, :] + (a.T * (c * csc2)[:, None, :]) @ a
+    laplacian = float(0) + np.sum((metric_f * hess).reshape(len(points), cfg.dim**2), axis=1)
+    potential = np.sum(c * (c + 1) * norms * csc2, axis=1)
+    identity_values = identity.tolist()
+    eigen_values = (-laplacian + potential).tolist()
 
     mean = sum(identity_values) / len(identity_values)
     max_dev = max(abs(v - mean) for v in identity_values)

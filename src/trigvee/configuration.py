@@ -6,16 +6,17 @@ G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
 covectors.  The form identifies vectors and covectors; all pairings of
 covectors below go through its inverse (the "vee product"), tabulated once
 per configuration over ints as `integer_pairing`, and the split of the
-covectors into series around each base is cached as `series`.
+covectors into series around each base is cached as `series`.  The numeric
+checks read the float view `floats`, also cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DegenerateForm,
@@ -30,10 +31,13 @@ from .exactnum import (
     as_rational,
     clear_denominators,
     hnf_basis,
-    lattice_coordinates,
+    integer_lattice_coordinates,
     mat_inverse,
     rref,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Covector = tuple[Fraction, ...]
 PairingTable = tuple[tuple[Fraction, ...], ...]
@@ -105,6 +109,21 @@ class AlphaSeries:
         return tuple([m.entry_index for m in self.members])
 
 
+@dataclass(frozen=True, eq=False)
+class FloatView:
+    """A configuration's covectors (one per row), multiplicities and form G
+    as float arrays, each entry rounded once from its Fraction.
+
+    `samples` holds the sample points drawn for the configuration, keyed by
+    the arguments of `wdvv.sample_points`.
+    """
+
+    covectors: np.ndarray
+    mults: np.ndarray
+    gram: np.ndarray
+    samples: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class VConfiguration:
     dim: int
@@ -134,6 +153,23 @@ class VConfiguration:
     def series(self) -> tuple[tuple[AlphaSeries, ...], ...]:
         """The series split around every base: series[i] = alpha_series(self, i)."""
         return tuple(alpha_series(self, i) for i in range(len(self.entries)))
+
+    @cached_property
+    def floats(self) -> FloatView:
+        """The float view the numeric checks read; numpy is imported here,
+        on first use, so that building a configuration does not load it."""
+        import numpy as np
+
+        def frozen(values) -> np.ndarray:
+            out = np.array(values, dtype=float)
+            out.flags.writeable = False
+            return out
+
+        return FloatView(
+            covectors=frozen(self.covectors()),
+            mults=frozen(self.mults()),
+            gram=frozen(self.gram.entries),
+        )
 
     @cached_property
     def directions(self) -> tuple[tuple[int, ...], ...]:
@@ -232,10 +268,14 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
                 gram_rows[i][j] += ci * e.covector[j]
     gram = RatMatrix(gram_rows)
 
-    basis, _rank = hnf_basis([e.covector for e in built])
+    covectors = [e.covector for e in built]
+    basis, _rank = hnf_basis(covectors)
+    # one common denominator for the basis and the covectors
+    rows, _den = clear_denominators([*basis, *covectors])
+    int_basis = rows[: len(basis)]
     coords_list = []
-    for e in built:
-        coords = lattice_coordinates(basis, e.covector)
+    for v in rows[len(basis) :]:
+        coords = integer_lattice_coordinates(int_basis, v)
         # always succeeds: the basis generates the Z-span of these covectors
         assert coords is not None
         coords_list.append(coords)
@@ -269,22 +309,27 @@ def positive_system(cfg: VConfiguration, functional: Sequence | None = None) -> 
     the smallest positive integer that vanishes on no covector, which keeps
     the result deterministic.
     """
+    # the sign of f . a is that of F . A, with F and A the integer rows of f
+    # and a over their (positive) common denominators
+    vecs, _den = clear_denominators(cfg.covectors())
     if functional is not None:
         f = covector(functional)
         if len(f) != cfg.dim:
             raise DimensionMismatch("functional has wrong length")
-        values = [cov_dot(f, e.covector) for e in cfg.entries]
+        (row,), _fden = clear_denominators([f])
+        values = [sum(x * y for x, y in zip(row, v)) for v in vecs]
         if any(val == 0 for val in values):
             bad = next(e.label for e, val in zip(cfg.entries, values) if val == 0)
             raise FunctionalVanishes(f"functional vanishes on covector {bad}")
     else:
         t = 1
         while True:
-            f = covector([Fraction(t) ** k for k in range(cfg.dim)])
-            values = [cov_dot(f, e.covector) for e in cfg.entries]
+            row = [t**k for k in range(cfg.dim)]
+            values = [sum(x * y for x, y in zip(row, v)) for v in vecs]
             if all(val != 0 for val in values):
                 break
             t += 1
+        f = covector(row)
     signs = tuple(1 if val > 0 else -1 for val in values)
     return PositiveSystem(signs=signs, functional=f)
 

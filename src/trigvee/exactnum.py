@@ -265,18 +265,27 @@ def lattice_coordinates(
     """Integer coordinates of v in an echelon basis, or None if v is outside.
 
     The basis must be in echelon form with strictly increasing pivot columns
-    (as produced by hnf_basis).
+    (as produced by hnf_basis).  Basis and v are scaled to integers over one
+    common denominator, which leaves the coordinates unchanged.
     """
-    work = [as_rational(x) for x in v]
+    rows, _den = clear_denominators([*basis, [as_rational(x) for x in v]])
+    return integer_lattice_coordinates(rows[:-1], rows[-1])
+
+
+def integer_lattice_coordinates(
+    basis: Sequence[Sequence[int]], v: Sequence[int]
+) -> tuple[int, ...] | None:
+    """lattice_coordinates for an integer echelon basis and an integer v."""
+    work = list(v)
     coords: list[int] = []
     for b in basis:
         p = next((j for j, x in enumerate(b) if x != 0), None)
         if p is None:
             return None
-        q = work[p] / b[p]
-        if q.denominator != 1:
+        q, r = divmod(work[p], b[p])
+        if r:
             return None
-        coords.append(int(q))
+        coords.append(q)
         if q:
             work = [a - q * bb for a, bb in zip(work, b)]
     if any(work):

@@ -4,14 +4,18 @@ equations.
 Checks are done in the coordinates (x0 = y, x1..xn): the constant matrix F0
 and the point-dependent matrices F1..Fn of third derivatives are assembled,
 and the commutator residuals Fi F0^-1 Fj - Fj F0^-1 Fi are maximized over
-seeded random sample points.  The prepotential itself is evaluated through a
-direct trilogarithm series.
+seeded random sample points.  The points are sampled once per configuration
+and seed, and the WDVV and CMS checks at that seed share them; the matrices
+(and, in `cms`, the pair identity values) are computed for all points at
+once from the configuration's cached float view.  The prepotential itself is
+evaluated through a direct trilogarithm series.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,17 +91,13 @@ def check_f_derivative(samples, h: float) -> float:
     return worst
 
 
-def _float_covectors(cfg: VConfiguration) -> np.ndarray:
-    return np.array([[float(x) for x in e.covector] for e in cfg.entries])
-
-
 def _margin(a: np.ndarray, x) -> float:
     values = a @ np.asarray(x, dtype=complex)
     return float(np.min(np.abs(np.sin(values))))
 
 
 def point_margin(cfg: VConfiguration, x) -> float:
-    return _margin(_float_covectors(cfg), x)
+    return _margin(cfg.floats.covectors, x)
 
 
 def sample_points(
@@ -111,27 +111,80 @@ def sample_points(
 
     Coordinates are uniform in [-2, 2] + i [-1, -1/4]; each point index draws
     from an independent generator split off the seed, so point k is the same
-    regardless of how many points are requested.
+    regardless of how many points are requested.  The points are drawn once
+    per configuration and set of arguments: a repeated call returns the same
+    tuple.
     """
-    a = _float_covectors(cfg)
+    key = (num_points, seed, margin_floor, max_tries)
+    view = cfg.floats
+    if key in view.samples:
+        return view.samples[key]
+    n = cfg.dim
+    # one try draws Re x_1, Im x_1, ..., Re x_n, Im x_n, Re y, Im y, each
+    # as low + (high - low) * random(), just as rng.uniform(low, high) does
+    low = np.tile((-2.0, -1.0), n + 1)
+    span = np.tile((4.0, 0.75), n + 1)
     points = []
     for idx in range(num_points):
         rng = np.random.default_rng([seed, idx])
         for _ in range(max_tries):
-            x = tuple(
-                complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, -0.25))
-                for _ in range(cfg.dim)
-            )
-            y = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, -0.25))
-            margin = _margin(a, x)
+            z = (low + span * rng.random(2 * n + 2)).view(complex)
+            margin = _margin(view.covectors, z[:n])
             if margin > margin_floor:
-                points.append(EvalPoint(y=y, x=x, margin=margin))
+                *x, y = z.tolist()
+                points.append(EvalPoint(y=y, x=tuple(x), margin=margin))
                 break
         else:
             raise SamplingExhausted(
                 f"no point with margin > {margin_floor} found in {max_tries} tries"
             )
-    return tuple(points)
+    view.samples[key] = points = tuple(points)
+    return points
+
+
+def covector_values(cfg: VConfiguration, points: Sequence[EvalPoint]) -> np.ndarray:
+    """The values a(x) of every covector at every point, shape (points, m)."""
+    x = np.array([p.x for p in points], dtype=complex).reshape(len(points), cfg.dim, 1)
+    # one matrix-vector product per point, as a @ x for a single point
+    return np.matmul(cfg.floats.covectors, x)[..., 0]
+
+
+def _third_derivatives(
+    cfg: VConfiguration, lambda_squared, points: Sequence[EvalPoint]
+) -> np.ndarray:
+    """F0..Fn at every point, shape (points, n+1, n+1, n+1); see
+    third_derivative_matrices."""
+    if cfg.gram_det == 0:
+        raise DegenerateForm("the form G is degenerate")
+    lam2 = complex(lambda_squared)
+    if lam2 == 0:
+        raise ZeroLambda("lambda must be nonzero")
+    lam = cmath.sqrt(lam2)
+    n = cfg.dim
+    view = cfg.floats
+    a, c = view.covectors, view.mults
+    values = covector_values(cfg, points)
+    sins = np.sin(values)
+    margins = np.min(np.abs(sins), axis=1)
+    for margin in margins:
+        if margin < 1e-12:
+            raise SingularPoint(f"point margin {float(margin)} too small")
+    cots = np.cos(values) / sins
+
+    f = np.zeros((len(points), n + 1, n + 1, n + 1), dtype=complex)
+    f[:, 0, 0, 0] = 2.0
+    f[:, 0, 1:, 1:] = 2.0 * view.gram
+    # ca[i] = c * a[:, i]; the n rows 2 sum_a c_a a_i a do not depend on
+    # the point
+    ca = [c * a[:, i] for i in range(n)]
+    top = [2.0 * ca_i @ a for ca_i in ca]
+    f[:, 1:, 0, 1:] = top
+    f[:, 1:, 1:, 0] = top
+    # weights[p, i] = c * a[:, i] * cot(a(x_p)), and block (p, i) is
+    # (lam * (a^T * weights[p, i])) @ a, one matrix product per block
+    weights = np.array(ca) * cots[:, None, :]
+    f[:, 1:, 1:, 1:] = (lam * (a.T * weights[:, :, None, :])) @ a
+    return f
 
 
 def third_derivative_matrices(
@@ -144,38 +197,7 @@ def third_derivative_matrices(
     lambda sum_a c_a a_i cot(a(x)) a x a, with lambda the principal square
     root of lambda_squared.
     """
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
-    lam2 = complex(lambda_squared)
-    if lam2 == 0:
-        raise ZeroLambda("lambda must be nonzero")
-    lam = cmath.sqrt(lam2)
-    n = cfg.dim
-    a = _float_covectors(cfg)
-    c = np.array([float(e.mult) for e in cfg.entries])
-    x = np.asarray(point.x, dtype=complex)
-    values = a @ x
-    sins = np.sin(values)
-    margin = float(np.min(np.abs(sins)))
-    if margin < 1e-12:
-        raise SingularPoint(f"point margin {margin} too small")
-    cots = np.cos(values) / sins
-
-    gram = np.array([[float(v) for v in row] for row in cfg.gram.entries])
-    f0 = np.zeros((n + 1, n + 1), dtype=complex)
-    f0[0, 0] = 2.0
-    f0[1:, 1:] = 2.0 * gram
-
-    matrices = [f0]
-    for i in range(n):
-        fi = np.zeros((n + 1, n + 1), dtype=complex)
-        top = 2.0 * (c * a[:, i]) @ a
-        fi[0, 1:] = top
-        fi[1:, 0] = top
-        weights = c * a[:, i] * cots
-        fi[1:, 1:] = lam * (a.T * weights) @ a
-        matrices.append(fi)
-    return matrices
+    return list(_third_derivatives(cfg, lambda_squared, (point,))[0])
 
 
 def wdvv_residual(
@@ -189,15 +211,13 @@ def wdvv_residual(
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
     points = sample_points(cfg, num_points, seed, margin_floor)
-    f0_inv = None
+    mats = _third_derivatives(cfg, lambda_squared, points)
+    f0_inv = np.linalg.inv(mats[0, 0]) if len(points) else None
     per_point = []
-    for p in points:
-        mats = np.array(third_derivative_matrices(cfg, lambda_squared, p))
-        if f0_inv is None:
-            f0_inv = np.linalg.inv(mats[0])
+    for fs in mats:
         # prod[i, j] = (F_i F0^-1) F_j; the commutator for (i, j) is
         # prod[i, j] - prod[j, i], and its negative for (j, i)
-        prod = (mats @ f0_inv)[:, None] @ mats[None, :]
+        prod = (fs @ f0_inv)[:, None] @ fs[None, :]
         per_point.append(float(np.max(np.abs(prod - prod.transpose(1, 0, 2, 3)))))
     return ResidualReport(
         per_point=tuple(per_point),

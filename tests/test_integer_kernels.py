@@ -1,6 +1,7 @@
-"""Differential tests: the integer pairing table, coupling tensors and
-determinant against straightforward Fraction reference implementations, and
-the compiled search residuals against exact polynomial evaluation."""
+"""Differential tests: the integer pairing table, coupling tensors,
+determinant, lattice coordinates and positive-system signs against
+straightforward Fraction reference implementations, and the compiled search
+residuals against exact polynomial evaluation."""
 
 import random
 from fractions import Fraction
@@ -21,7 +22,8 @@ from trigvee.configuration import (
     wedge_coeffs,
 )
 from trigvee.constraints import _compile_polynomials, series_constraints
-from trigvee.exactnum import RatMatrix, integer_det
+from trigvee.errors import FunctionalVanishes
+from trigvee.exactnum import RatMatrix, hnf_basis, integer_det, lattice_coordinates
 from trigvee.veecheck import TensorMismatch, tensor_ratio
 
 from conftest import rand_fraction, rand_nonzero_fraction
@@ -224,3 +226,85 @@ def test_integer_det_matches_fraction_det():
     assert integer_det([[0, 1], [1, 0]]) == -1
     assert integer_det([[0, 5], [0, 3]]) == 0
     assert integer_det([]) == 1
+
+
+def reference_lattice_coordinates(basis, v):
+    """Elimination in Fractions, one basis row at a time."""
+    work = [F(x) for x in v]
+    coords = []
+    for b in basis:
+        p = next((j for j, x in enumerate(b) if x != 0), None)
+        if p is None:
+            return None
+        q = work[p] / b[p]
+        if q.denominator != 1:
+            return None
+        coords.append(int(q))
+        work = [a - q * bb for a, bb in zip(work, b)]
+    return None if any(work) else tuple(coords)
+
+
+def test_lattice_coordinates_match_fraction_elimination():
+    rng = random.Random(2009)
+    outside = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [
+            tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5])) for _ in range(n))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if not any(any(r) for r in rows):
+            continue
+        basis, _ = hnf_basis(rows)
+        probes = rows + [
+            tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6])) for _ in range(n))
+            for _ in range(4)
+        ]
+        for v in probes:
+            expected = reference_lattice_coordinates(basis, v)
+            assert lattice_coordinates(basis, v) == expected
+            outside += expected is None
+    assert outside > 20
+
+
+def reference_positive_system(cfg, functional=None):
+    """Each value f . a summed in Fractions."""
+    if functional is not None:
+        f = tuple(F(x) for x in functional)
+    else:
+        t = 1
+        while True:
+            f = tuple(F(t) ** k for k in range(cfg.dim))
+            if all(sum(x * y for x, y in zip(f, e.covector)) != 0 for e in cfg.entries):
+                break
+            t += 1
+    values = [sum((x * y for x, y in zip(f, e.covector)), F(0)) for e in cfg.entries]
+    return PositiveSystem(tuple(1 if val > 0 else -1 for val in values), f)
+
+
+def test_positive_system_matches_fraction_values():
+    """Fractional covectors and functionals, some vanishing on a covector."""
+    rng = random.Random(88)
+    for name, _ in catalog_list():
+        cfg = catalog_get(name).cfg
+        assert positive_system(cfg) == reference_positive_system(cfg)
+    vanishing = 0
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        vecs = {}
+        for _ in range(rng.randint(1, 5)):
+            v = tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(dim))
+            if any(v):
+                vecs.setdefault(v if next(x for x in v if x) > 0 else tuple(-x for x in v), v)
+        if not vecs:
+            continue
+        cfg = build_configuration(dim, [(v, 1) for v in vecs.values()])
+        assert positive_system(cfg) == reference_positive_system(cfg)
+        f = [F(rng.randint(-2, 2), rng.choice([1, 2, 7])) for _ in range(dim)]
+        if any(sum(x * y for x, y in zip(f, v)) == 0 for v in vecs.values()):
+            vanishing += 1
+            with pytest.raises(FunctionalVanishes):
+                positive_system(cfg, f)
+        else:
+            assert positive_system(cfg, f) == reference_positive_system(cfg, f)
+    assert vanishing > 5

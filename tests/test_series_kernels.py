@@ -24,10 +24,11 @@ from trigvee.configuration import (
 )
 from trigvee.exactnum import RatMatrix
 from trigvee.veecheck import check_series_condition, solve_lambda_squared
-from trigvee.wdvv import sample_points, third_derivative_matrices, wdvv_residual
+from trigvee.wdvv import wdvv_residual
 
 from conftest import rand_fraction, rand_nonzero_fraction
 from test_integer_kernels import a_roots, b_roots
+from test_numeric_reference import reference_sample_points, reference_third_derivative_matrices
 
 F = Fraction
 
@@ -180,12 +181,13 @@ def test_residuals_match_fraction_reference(name):
 
 
 def reference_wdvv_per_point(cfg, lambda_squared, seed):
-    """The commutators pair by pair, as a double loop over i < j."""
+    """The commutators pair by pair, as a double loop over i < j, at the
+    frozen per-point sample points and matrices."""
     n = cfg.dim
     f0_inv = None
     per_point = []
-    for p in sample_points(cfg, 10, seed):
-        mats = third_derivative_matrices(cfg, lambda_squared, p)
+    for p in reference_sample_points(cfg, 10, seed):
+        mats = reference_third_derivative_matrices(cfg, lambda_squared, p)
         if f0_inv is None:
             f0_inv = np.linalg.inv(mats[0])
         worst = 0.0

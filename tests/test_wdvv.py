@@ -125,6 +125,38 @@ class TestResiduals:
             sample_points(a2(), 1, seed=0, margin_floor=1e6, max_tries=50)
 
 
+class TestSampleCache:
+    def test_repeated_call_returns_cached_tuple(self):
+        cfg = a2()
+        points = sample_points(cfg, 5, seed=4)
+        assert sample_points(cfg, 5, seed=4) is points
+        assert sample_points(cfg, 5, 4, 0.1, 1000) is points
+        # the WDVV and CMS checks at one seed share the points
+        assert wdvv_residual(cfg, 36, num_points=5, seed=4).points is points
+
+    def test_other_arguments_are_not_served_from_cache(self):
+        cfg = a2()
+        points = sample_points(cfg, 5, seed=4)
+        more = sample_points(cfg, 6, seed=4)
+        assert more is not points and more[:5] == points
+        assert sample_points(cfg, 5, seed=5) != points
+        floor = sample_points(cfg, 5, seed=4, margin_floor=0.2)
+        assert floor is not points and all(p.margin > 0.2 for p in floor)
+        tries = sample_points(cfg, 5, seed=4, max_tries=999)
+        assert tries is not points and tries == points
+
+    def test_max_tries_is_part_of_the_key(self):
+        # at seed 1 and floor 0.3 the first point needs a second try
+        cfg = a2()
+        assert len(sample_points(cfg, 3, 1, margin_floor=0.3)) == 3
+        with pytest.raises(SamplingExhausted):
+            sample_points(cfg, 3, 1, margin_floor=0.3, max_tries=1)
+
+    def test_cache_is_per_configuration(self):
+        assert sample_points(a2(), 3, seed=2) is not sample_points(a2(), 3, seed=2)
+        assert sample_points(a2(), 3, seed=2) == sample_points(a2(), 3, seed=2)
+
+
 class TestTrilog:
     def test_small_z_partial_sums(self):
         # independent oracle: explicit first terms of sum z^k / k^3
