@@ -99,7 +99,15 @@ def _load_metric(spec: str, cfg: VConfiguration) -> Metric:
             rows.append([_rational_arg(tok, "metric file") for tok in line])
     if len(rows) != cfg.dim or any(len(r) != cfg.dim for r in rows):
         raise InvalidParams(f"metric file must hold a {cfg.dim}x{cfg.dim} rational matrix")
-    return Metric(RatMatrix(rows))
+    matrix = RatMatrix(rows)
+    if not matrix.is_symmetric():
+        raise InvalidParams("metric file must hold a symmetric matrix")
+    return Metric(matrix)
+
+
+def _check_points(args) -> None:
+    if args.points < 1:
+        raise InvalidParams(f"--points must be at least 1, got {args.points}")
 
 
 def _entry_name(cfg: VConfiguration, index: int) -> str:
@@ -198,6 +206,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_wdvv(args) -> int:
     report = Report(args.report_kv)
+    _check_points(args)
     cf, cfg = _load_numeric(args.file)
     if cf.lambda2 is not None:
         lam2 = cf.lambda2
@@ -228,6 +237,7 @@ def cmd_wdvv(args) -> int:
 
 def cmd_cms(args) -> int:
     report = Report(args.report_kv)
+    _check_points(args)
     _, cfg = _load_numeric(args.file)
     metric = _load_metric(args.metric, cfg)
     series = check_series_with_metric(cfg, metric)

@@ -20,11 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .configuration import (
+    Covector,
     IntPairing,
-    PairingTable,
     PositiveSystem,
     VConfiguration,
-    fraction_table,
     integer_pairing_table,
     positive_system,
 )
@@ -33,7 +32,6 @@ from .exactnum import RatMatrix, rank
 from .veecheck import (
     SeriesCheckReport,
     TensorMismatch,
-    check_series_condition,
     integer_tensor_ratio,
     series_residuals,
 )
@@ -46,7 +44,6 @@ class Metric:
     """Symmetric inner product on covectors: (a,b) = a . matrix . b^T."""
 
     matrix: RatMatrix
-    is_vee_form: bool = False
 
     def __post_init__(self):
         if not self.matrix.is_symmetric():
@@ -54,22 +51,19 @@ class Metric:
 
     def integer_pairing(self, cfg: VConfiguration) -> IntPairing:
         """The table (a_i, a_j) = a_i . matrix . a_j^T over the entries of cfg,
-        as integer numerators over one denominator."""
-        if self.is_vee_form and cfg.gram_det != 0 and self.matrix == cfg.gram_inverse:
+        as integer numerators over one denominator; the configuration's own
+        cached table when the matrix is its G^-1."""
+        if cfg.gram_det != 0 and self.matrix == cfg.gram_inverse:
             return cfg.integer_pairing
         return integer_pairing_table(cfg.covectors(), self.matrix)
 
-    def covector_pairing(self, cfg: VConfiguration) -> PairingTable:
-        """The same table as Fractions."""
-        return fraction_table(*self.integer_pairing(cfg))
-
     def scaled(self, t) -> "Metric":
-        return Metric(self.matrix.scale(t), is_vee_form=False)
+        return Metric(self.matrix.scale(t))
 
 
 def vee_form_metric(cfg: VConfiguration) -> Metric:
     """The metric induced by the configuration's own form (matrix G^-1)."""
-    return Metric(cfg.gram_inverse, is_vee_form=True)
+    return Metric(cfg.gram_inverse)
 
 
 def euclidean_metric(dim: int) -> Metric:
@@ -206,45 +200,57 @@ class CmsToVeeResult:
     vee_series: SeriesCheckReport
 
 
+def _scalar_blocks(cfg: VConfiguration, metric: Metric) -> dict[Fraction, list[Covector]]:
+    """The covectors grouped by the scalar mu_i with M a_i^T = mu_i G^-1 a_i^T.
+
+    As the covectors span, that equation holds exactly when row i of the
+    metric's pairing table is mu_i times row i of the vee table: one integer
+    cross-multiplication per entry, with mu_i read at the first nonzero
+    entry of the vee row.  NonScalarAction names the first covector with no
+    such scalar.
+    """
+    (m_table, m_den), (v_table, v_den) = metric.integer_pairing(cfg), cfg.integer_pairing
+    blocks: dict[Fraction, list[Covector]] = {}
+    for e, mrow, vrow in zip(cfg.entries, m_table, v_table):
+        # exists: G^-1 a^T is nonzero and the covectors span
+        k = next(k for k, x in enumerate(vrow) if x != 0)
+        if any(mx * vrow[k] != mrow[k] * vx for mx, vx in zip(mrow, vrow)):
+            raise NonScalarAction(
+                f"dual of covector {e.label} does not lie in a single scalar block"
+            )
+        blocks.setdefault(Fraction(mrow[k] * v_den, vrow[k] * m_den), []).append(e.covector)
+    return blocks
+
+
 def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     """Recover the vee-system structure from a metric whose series check holds.
 
     Splits the space into eigenspaces of the exact rational operator
     T = M G (M the metric matrix, G the form), on each of which the form is
     the scalar multiple mu_i of the metric's inner product on vectors.  Each
-    covector dual M a^T must be an eigenvector of T, otherwise NonScalarAction
-    is raised.  The duals span the space (G is nondegenerate), so their
-    scalars are all the eigenvalues, T is diagonalizable, and each
-    eigenspace's dimension is the rank of the duals carrying its scalar.
-    The final verdict re-runs the intrinsic series check exactly.
+    covector dual M a_i^T must be an eigenvector of T, that is (M and G being
+    invertible) M a_i^T = mu_i G^-1 a_i^T, which `_scalar_blocks` reads off
+    the two integer pairing tables; otherwise NonScalarAction is raised.  The
+    scalars are all the eigenvalues of T, and each eigenspace's dimension is
+    the rank of the covectors carrying its scalar (that of their duals).  A
+    passing metric check already implies it, through the 2-form identity
+    sum_b c_b (a,b) a^b = a ^ (G M a^T) = 0 for every covector a.
+
+    Each vee residual is the metric residual divided by mu_i, so all vanish
+    with the metric ones: the metric report is the intrinsic report.
     """
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
     metric_report = check_series_with_metric(cfg, metric)
     if not metric_report.passed:
         raise ValueError("metric series condition fails; nothing to recover")
-
-    t = metric.matrix @ cfg.gram
-    duals_by_scalar: dict[Fraction, list[tuple[Fraction, ...]]] = {}
-    for e in cfg.entries:
-        # nonzero: M is nondegenerate (checked with the metric series)
-        dual = metric.matrix.mat_vec(e.covector)
-        image = t.mat_vec(dual)
-        k = next(k for k, x in enumerate(dual) if x != 0)
-        mu = image[k] / dual[k]
-        if any(iv != mu * dv for iv, dv in zip(image, dual)):
-            raise NonScalarAction(
-                f"dual of covector {e.label} does not lie in a single scalar block"
-            )
-        duals_by_scalar.setdefault(mu, []).append(dual)
-
-    scalars = tuple(sorted(duals_by_scalar))
-    vee_series = check_series_condition(cfg)
+    blocks = _scalar_blocks(cfg, metric)
+    scalars = tuple(sorted(blocks))
     return CmsToVeeResult(
-        is_trig_vee=vee_series.passed,
+        is_trig_vee=metric_report.passed,
         component_scalars=scalars,
-        component_dims=tuple(rank(duals_by_scalar[mu]) for mu in scalars),
-        vee_series=vee_series,
+        component_dims=tuple(rank(blocks[mu]) for mu in scalars),
+        vee_series=metric_report,
     )
 
 

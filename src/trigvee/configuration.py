@@ -5,9 +5,11 @@ rational multiplicities.  Building one caches the bilinear form
 G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
 covectors.  The form identifies vectors and covectors; all pairings of
 covectors below go through its inverse (the "vee product"), tabulated once
-per configuration over ints as `integer_pairing`, and the split of the
-covectors into series around each base is cached as `series`.  The numeric
-checks read the float view `floats`, also cached.
+per configuration as `integer_pairing`: integer numerators over one
+denominator, the only form of the table that the checks read.  A pairing
+under any other matrix is tabulated the same way by `integer_pairing_table`.
+The split of the covectors into series around each base is cached as
+`series`, and the numeric checks read the float view `floats`, also cached.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 Covector = tuple[Fraction, ...]
-PairingTable = tuple[tuple[Fraction, ...], ...]
 # A pairing table as integer numerators over one common denominator.
 IntPairing = tuple[tuple[tuple[int, ...], ...], int]
 
@@ -57,10 +58,20 @@ def cov_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((as_rational(a) * as_rational(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def wedge_coeffs(u: Covector, v: Covector) -> tuple[Fraction, ...]:
-    """Coefficients of u ^ v in the ordered basis e^i ^ e^j, i < j."""
+def wedge_coeffs(u: Sequence, v: Sequence) -> tuple:
+    """Coefficients of u ^ v in the ordered basis e^i ^ e^j, i < j (ints for
+    integer u and v)."""
     n = len(u)
     return tuple(u[i] * v[j] - u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector over the gcd of its entries, with its first
+    nonzero entry made positive: the same for all nonzero multiples of v."""
+    g = gcd(*v)
+    if next(x for x in v if x != 0) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def is_parallel(u: Covector, v: Covector) -> bool:
@@ -145,11 +156,6 @@ class VConfiguration:
         return integer_pairing_table(self.covectors(), self.gram_inverse)
 
     @cached_property
-    def pairing(self) -> PairingTable:
-        """The symmetric m x m table of vee products as Fractions."""
-        return fraction_table(*self.integer_pairing)
-
-    @cached_property
     def series(self) -> tuple[tuple[AlphaSeries, ...], ...]:
         """The series split around every base: series[i] = alpha_series(self, i)."""
         return tuple(alpha_series(self, i) for i in range(len(self.entries)))
@@ -175,13 +181,7 @@ class VConfiguration:
     def directions(self) -> tuple[tuple[int, ...], ...]:
         """Each covector's primitive lattice direction, first nonzero entry
         positive: two covectors are parallel exactly when these are equal."""
-        out = []
-        for coords in self.lattice_coords:
-            g = gcd(*coords)
-            if next(x for x in coords if x != 0) < 0:
-                g = -g
-            out.append(tuple(x // g for x in coords))
-        return tuple(out)
+        return tuple(primitive(coords) for coords in self.lattice_coords)
 
     def covectors(self) -> tuple[Covector, ...]:
         return tuple(e.covector for e in self.entries)
@@ -209,20 +209,6 @@ def integer_pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> I
             dual = duals[j]
             table[i][j] = table[j][i] = sum(x * dual[k] for k, x in nonzero)
     return tuple(tuple(row) for row in table), d * d * l_m
-
-
-def fraction_table(table: Sequence[Sequence[int]], den: int) -> PairingTable:
-    """A symmetric integer table over `den` as Fractions, one per entry pair."""
-    rows = [list(row) for row in table]
-    for i, row in enumerate(rows):
-        for j in range(i, len(row)):
-            row[j] = rows[j][i] = Fraction(row[j], den)
-    return tuple(tuple(row) for row in rows)
-
-
-def pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> PairingTable:
-    """The symmetric table A . matrix . A^T for the rows A of `covectors`."""
-    return fraction_table(*integer_pairing_table(covectors, matrix))
 
 
 def build_configuration(dim: int, entries: Iterable) -> VConfiguration:

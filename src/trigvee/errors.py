@@ -70,7 +70,7 @@ class UnknownName(VeeError):
 
 
 class InvalidParams(VeeError):
-    """Catalog parameters violate the entry's declared constraints."""
+    """A parameter is out of range: catalog parameters, sample counts, inputs."""
 
 
 class ParseError(VeeError):

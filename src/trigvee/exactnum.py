@@ -3,7 +3,8 @@
 Everything in this module works over arbitrary-precision rationals
 (`fractions.Fraction`); no operation ever rounds.  Matrices are small
 (a dozen rows at most in practice), so plain Gaussian elimination with
-exact pivoting is used throughout.
+exact pivoting is used for inverses and echelon forms; determinants are
+taken over ints by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -100,27 +101,13 @@ class RatMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def det(self) -> Fraction:
-        """Determinant by exact Gaussian elimination."""
+        """Determinant: the Bareiss determinant of the entries cleared to one
+        denominator, divided by that denominator to the n-th power."""
         if not self.is_square():
             raise DimensionMismatch("determinant of non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] == 0:
-                    continue
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return det
+        ints, den = clear_denominators(self.entries)
+        return Fraction(integer_det(ints), den**self.rows)
+
 
 def mat_inverse(m: RatMatrix) -> RatMatrix:
     """Exact inverse via Gauss-Jordan; raises SingularMatrix when det = 0."""

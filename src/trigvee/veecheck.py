@@ -13,19 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import (
-    Covector,
     IntPairing,
-    PairingTable,
     PositiveSystem,
     VConfiguration,
     decompose_components,
     positive_system,
+    primitive,
     relative_wedge_signs,
     signed_covectors,
     wedge_coeffs,
 )
 from .errors import DegenerateForm
-from .exactnum import clear_denominators, rref
+from .exactnum import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -107,28 +106,35 @@ class V3Report:
         return not self.witnesses
 
 
+def _cleared(cfg: VConfiguration) -> tuple[list[list[int]], list[int], int]:
+    """The covectors and multiplicities as ints, and the denominator
+    d^2 l_c den of a 2-form coefficient sum_b c_b (a,b) a^b over the vee
+    pairing table (d, l_c and den the denominators of the three factors)."""
+    vecs, d = clear_denominators(cfg.covectors())
+    (mults,), l_c = clear_denominators([cfg.mults()])
+    return vecs, mults, d * d * l_c * cfg.integer_pairing[1]
+
+
 def check_v3_identity(cfg: VConfiguration) -> V3Report:
     """For each base a, the full 2-form sum_b c_b (a,b) a^b must vanish.
 
-    This follows from the series conditions whenever they hold, so it serves
-    as an internal consistency check rather than an independent criterion.
+    Under the vee product the sum is a ^ (G G^-1 a^T) = a ^ a, so this holds
+    for every nondegenerate configuration: an internal consistency check,
+    not a criterion.  Each coefficient is summed over ints and becomes one
+    Fraction.
     """
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
-    n = cfg.dim
-    m = n * (n - 1) // 2
+    vecs, mults, scale = _cleared(cfg)
     witnesses = []
-    for i, entry in enumerate(cfg.entries):
-        acc = [Fraction(0)] * m
-        for other, p in zip(cfg.entries, cfg.pairing[i]):
-            if p == 0:
-                continue
-            w = wedge_coeffs(entry.covector, other.covector)
-            cp = other.mult * p
-            for k in range(m):
-                acc[k] += cp * w[k]
+    for i, (a, row) in enumerate(zip(vecs, cfg.integer_pairing[0])):
+        acc = [0] * (cfg.dim * (cfg.dim - 1) // 2)
+        for b, c, p in zip(vecs, mults, row):
+            if p:
+                acc = [x + c * p * w for x, w in zip(acc, wedge_coeffs(a, b))]
         if any(acc):
-            witnesses.append(TwoFormWitness(base_index=i, coefficients=tuple(acc)))
+            coefficients = tuple(Fraction(x, scale) for x in acc)
+            witnesses.append(TwoFormWitness(base_index=i, coefficients=coefficients))
     return V3Report(witnesses=tuple(witnesses))
 
 
@@ -149,46 +155,40 @@ class RationalVeeReport:
         return not self.witnesses
 
 
-def _plane_key(u: Covector, v: Covector) -> tuple:
-    reduced, _ = rref([u, v])
-    return tuple(tuple(row) for row in reduced)
-
-
 def check_rational_vee(cfg: VConfiguration) -> RationalVeeReport:
     """Per 2-plane proportionality: sum of c_b (a,b) b over the plane is ~ a.
 
     For every base covector and every plane it spans with another entry, the
     weighted sum over all entries lying in that plane (parallel ones
-    included) must be a rational multiple of the base.
+    included) must be a rational multiple of the base.  The planes through a
+    are told apart by the primitive 2-form a ^ b, and each deviation
+    coefficient is summed over ints and becomes one Fraction.
     """
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
+    vecs, mults, scale = _cleared(cfg)
     witnesses = []
     planes_checked = 0
-    for i, entry in enumerate(cfg.entries):
-        a = entry.covector
+    for i, (a, row) in enumerate(zip(vecs, cfg.integer_pairing[0])):
         # entries parallel to the base (itself included) lie in every plane
         parallel = {j for j, d in enumerate(cfg.directions) if d == cfg.directions[i]}
-        planes: dict[tuple, list[int]] = {}
-        for j, other in enumerate(cfg.entries):
+        planes: dict[tuple[int, ...], list[int]] = {}
+        for j, b in enumerate(vecs):
             if j not in parallel:
-                planes.setdefault(_plane_key(a, other.covector), []).append(j)
+                planes.setdefault(primitive(wedge_coeffs(a, b)), []).append(j)
         for key in sorted(planes, key=lambda k: planes[k][0]):
             member_idx = sorted(set(planes[key]) | parallel)
-            total = [Fraction(0)] * cfg.dim
+            total = [0] * cfg.dim
             for j in member_idx:
-                e = cfg.entries[j]
-                cp = e.mult * cfg.pairing[i][j]
-                for k in range(cfg.dim):
-                    total[k] += cp * e.covector[k]
-            deviation = wedge_coeffs(tuple(total), a)
+                total = [t + mults[j] * row[j] * x for t, x in zip(total, vecs[j])]
+            deviation = wedge_coeffs(total, a)
             planes_checked += 1
             if any(deviation):
                 witnesses.append(
                     PlaneWitness(
                         base_index=i,
                         plane_indices=tuple(member_idx),
-                        deviation=deviation,
+                        deviation=tuple(Fraction(x, scale) for x in deviation),
                     )
                 )
     return RationalVeeReport(witnesses=tuple(witnesses), planes_checked=planes_checked)
@@ -221,13 +221,6 @@ class LambdaSolution:
     @property
     def solved(self) -> bool:
         return self.status == "solved"
-
-
-def tensor_ratio(
-    cfg: VConfiguration, psys: PositiveSystem, pairing: PairingTable
-) -> tuple[str, Fraction | None, TensorMismatch | None]:
-    """integer_tensor_ratio with (a,b) read off a table of Fractions."""
-    return integer_tensor_ratio(cfg, psys, clear_denominators(pairing))
 
 
 def integer_tensor_ratio(

@@ -22,6 +22,7 @@ import numpy as np
 from .configuration import PositiveSystem, VConfiguration, signed_covectors
 from .errors import (
     DegenerateForm,
+    InvalidParams,
     OutOfDomain,
     SamplingExhausted,
     SingularPoint,
@@ -115,6 +116,8 @@ def sample_points(
     per configuration and set of arguments: a repeated call returns the same
     tuple.
     """
+    if num_points < 1:
+        raise InvalidParams(f"num_points must be at least 1, got {num_points}")
     key = (num_points, seed, margin_floor, max_tries)
     view = cfg.floats
     if key in view.samples:
@@ -212,7 +215,7 @@ def wdvv_residual(
         raise DegenerateForm("the form G is degenerate")
     points = sample_points(cfg, num_points, seed, margin_floor)
     mats = _third_derivatives(cfg, lambda_squared, points)
-    f0_inv = np.linalg.inv(mats[0, 0]) if len(points) else None
+    f0_inv = np.linalg.inv(mats[0, 0])
     per_point = []
     for fs in mats:
         # prod[i, j] = (F_i F0^-1) F_j; the commutator for (i, j) is

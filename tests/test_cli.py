@@ -7,12 +7,14 @@ import pytest
 
 from trigvee.catalog import catalog_get
 from trigvee.cli import main
-from trigvee.errors import DimensionMismatch, ParseError
+from trigvee.cms import cms_identity_residual, vee_form_metric
+from trigvee.errors import DimensionMismatch, InvalidParams, ParseError
 from trigvee.veefile import (
     config_file_from_configuration,
     parse_config_file,
     render_config_file,
 )
+from trigvee.wdvv import wdvv_residual
 
 F = Fraction
 
@@ -145,6 +147,30 @@ class TestCli:
         assert main(["cms", a2_file, "--metric", str(metric)]) == 1
         out = capsys.readouterr().out
         assert "metric series condition: FAIL" in out
+
+    @pytest.mark.parametrize("command", ["wdvv", "cms"])
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_exit_2(self, a2_file, capsys, command, points):
+        assert main([command, a2_file, "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --points must be at least 1, got {points}\n"
+
+    @pytest.mark.parametrize("num_points", [0, -1])
+    def test_library_rejects_points_below_one(self, num_points):
+        cfg = catalog_get("A2").cfg
+        with pytest.raises(InvalidParams, match="num_points must be at least 1"):
+            wdvv_residual(cfg, 36, num_points=num_points)
+        with pytest.raises(InvalidParams, match="num_points must be at least 1"):
+            cms_identity_residual(cfg, vee_form_metric(cfg), num_points=num_points)
+
+    def test_non_symmetric_metric_file_exit_2(self, a2_file, tmp_path, capsys):
+        metric = tmp_path / "metric.txt"
+        metric.write_text("1 2\n0 1\n")
+        assert main(["cms", a2_file, "--metric", str(metric)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: metric file must hold a symmetric matrix\n"
 
     def test_constraints_and_family(self, b2sym_file, capsys):
         assert main(["constraints", b2sym_file]) == 0

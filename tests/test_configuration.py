@@ -161,12 +161,13 @@ class TestPairingTables:
             c = sympy.diag(*[sympy.Rational(m.numerator, m.denominator) for m in cfg.mults()])
             expected = a * (a.T * c * a).inv() * a.T
             m = len(cfg.entries)
-            assert len(cfg.pairing) == m
+            table, den = cfg.integer_pairing
+            assert len(table) == m
             for i, u in enumerate(cfg.covectors()):
                 for j, v in enumerate(cfg.covectors()):
                     x = expected[i, j]
-                    assert cfg.pairing[i][j] == F(int(x.p), int(x.q))
-                    assert cfg.pairing[i][j] == vee_product(cfg, u, v)
+                    assert F(table[i][j], den) == F(int(x.p), int(x.q))
+                    assert F(table[i][j], den) == vee_product(cfg, u, v)
 
     def test_metric_pairing_matches_sympy(self):
         rng = random.Random(11)
@@ -175,11 +176,11 @@ class TestPairingTables:
             sym = RatMatrix([[rows[i][j] + rows[j][i] for j in range(cfg.dim)] for i in range(cfg.dim)])
             a = _sympy_rows(cfg.covectors())
             expected = a * _sympy_rows(sym.entries) * a.T
-            table = Metric(sym).covector_pairing(cfg)
+            table, den = Metric(sym).integer_pairing(cfg)
             for i in range(len(cfg.entries)):
                 for j in range(len(cfg.entries)):
                     x = expected[i, j]
-                    assert table[i][j] == F(int(x.p), int(x.q))
+                    assert F(table[i][j], den) == F(int(x.p), int(x.q))
 
     def test_directions_partition_matches_is_parallel(self):
         for cfg in _oracle_configurations():

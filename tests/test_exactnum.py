@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from trigvee.errors import SingularMatrix
+from trigvee.errors import DimensionMismatch, SingularMatrix
 from trigvee.exactnum import (
     RatMatrix,
     hnf_basis,
@@ -12,7 +13,7 @@ from trigvee.exactnum import (
     mat_inverse,
 )
 
-from conftest import rand_nonsingular
+from conftest import rand_fraction, rand_nonsingular
 
 
 def F(a, b=1):
@@ -38,6 +39,41 @@ class TestInverse:
                 m = rand_nonsingular(rng, n)
                 assert m @ mat_inverse(m) == RatMatrix.identity(n)
                 assert mat_inverse(m) @ m == RatMatrix.identity(n)
+
+
+class TestDeterminant:
+    """RatMatrix.det, a Bareiss determinant over cleared denominators,
+    against sympy."""
+
+    def test_matches_sympy(self, rng):
+        singular = 0
+        for n in range(1, 7):
+            for trial in range(25):
+                rows = [[rand_fraction(rng, -5, 5, max_den=7) for _ in range(n)] for _ in range(n)]
+                if trial % 3 == 1 and n > 1:
+                    # row k a rational combination of two others
+                    k = rng.randrange(1, n)
+                    rows[k] = [F(2, 3) * a - F(5, 2) * b for a, b in zip(rows[0], rows[k - 1])]
+                elif trial % 3 == 2:
+                    rows[rng.randrange(n)] = [F(0)] * n
+                expected = sympy.Matrix(
+                    [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+                ).det()
+                got = RatMatrix(rows).det()
+                assert isinstance(got, Fraction)
+                assert got == F(int(expected.p), int(expected.q))
+                singular += got == 0
+        assert singular > 40
+
+    def test_one_by_one_and_small_cases(self):
+        assert RatMatrix([[F(-3, 7)]]).det() == F(-3, 7)
+        assert RatMatrix([[0]]).det() == 0
+        assert RatMatrix([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]]).det() == 0
+        assert RatMatrix([[0, F(1, 2)], [F(2, 3), 5]]).det() == F(-1, 3)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            RatMatrix([[1, 2, 3], [4, 5, 6]]).det()
 
 
 class TestHnfBasis:

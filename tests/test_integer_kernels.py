@@ -12,11 +12,10 @@ import pytest
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import euclidean_metric
 from trigvee.configuration import (
-    PairingTable,
     PositiveSystem,
     VConfiguration,
     build_configuration,
-    pairing_table,
+    integer_pairing_table,
     positive_system,
     signed_covectors,
     wedge_coeffs,
@@ -24,11 +23,13 @@ from trigvee.configuration import (
 from trigvee.constraints import _compile_polynomials, series_constraints
 from trigvee.errors import FunctionalVanishes
 from trigvee.exactnum import RatMatrix, hnf_basis, integer_det, lattice_coordinates
-from trigvee.veecheck import TensorMismatch, tensor_ratio
+from trigvee.veecheck import TensorMismatch, integer_tensor_ratio
 
 from conftest import rand_fraction, rand_nonzero_fraction
 
 F = Fraction
+# a symmetric table of Fractions
+PairingTable = tuple[tuple[Fraction, ...], ...]
 
 
 def reference_pairing_table(covectors, matrix: RatMatrix) -> PairingTable:
@@ -106,11 +107,13 @@ def fractional_metric(n):
 
 
 def assert_same(cfg, matrix):
-    table = pairing_table(cfg.covectors(), matrix)
+    pairing = integer_pairing_table(cfg.covectors(), matrix)
+    ints, den = pairing
+    table = tuple(tuple(F(x, den) for x in row) for row in ints)
     assert table == reference_pairing_table(cfg.covectors(), matrix)
-    assert all(isinstance(x, Fraction) for row in table for x in row)
+    assert all(isinstance(x, int) for row in ints for x in row) and isinstance(den, int)
     psys = positive_system(cfg)
-    assert tensor_ratio(cfg, psys, table) == reference_tensor_ratio(cfg, psys, table)
+    assert integer_tensor_ratio(cfg, psys, pairing) == reference_tensor_ratio(cfg, psys, table)
 
 
 def metrics(cfg):
@@ -141,16 +144,16 @@ def test_mult2_negative():
     cfg = build_configuration(4, [(r, 2 if i == 0 else 1) for i, r in enumerate(roots)])
     assert_same(cfg, cfg.gram_inverse)
     psys = positive_system(cfg)
-    assert tensor_ratio(cfg, psys, cfg.pairing)[0] == "no_solution"
+    assert integer_tensor_ratio(cfg, psys, cfg.integer_pairing)[0] == "no_solution"
 
 
 def test_dimension_one_and_orthogonal_pair():
     line = build_configuration(1, [((2,), 3), ((F(1, 2),), F(-1, 4))])
     assert_same(line, line.gram_inverse)
-    assert tensor_ratio(line, positive_system(line), line.pairing) == ("any_lambda", None, None)
+    assert integer_tensor_ratio(line, positive_system(line), line.integer_pairing) == ("any_lambda", None, None)
     pair = catalog_get("OrthogonalPair").cfg
     assert_same(pair, pair.gram_inverse)
-    status, ratio, witness = tensor_ratio(pair, positive_system(pair), pair.pairing)
+    status, ratio, witness = integer_tensor_ratio(pair, positive_system(pair), pair.integer_pairing)
     assert (status, ratio, witness.lhs) == ("no_solution", None, 0) and witness.rhs != 0
 
 
@@ -176,7 +179,7 @@ def test_random_configurations(rng):
         assert_same(cfg, RatMatrix([[sym[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]))
         if cfg.gram_det != 0:
             assert_same(cfg, cfg.gram_inverse)
-            statuses.append(tensor_ratio(cfg, positive_system(cfg), cfg.pairing)[0])
+            statuses.append(integer_tensor_ratio(cfg, positive_system(cfg), cfg.integer_pairing)[0])
     assert negative > 0 and {"solved", "no_solution"} <= set(statuses)
 
 
@@ -203,6 +206,25 @@ def test_compiled_polynomials_match_exact_evaluation(name):
             assert abs(values[k] - float(p.evaluate(assignment))) <= bound
 
 
+def reference_det(mat) -> Fraction:
+    """Gaussian elimination in Fractions."""
+    n = len(mat)
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
 def test_integer_det_matches_fraction_det():
     rng = random.Random(1968)
     swaps = singular = 0
@@ -216,7 +238,7 @@ def test_integer_det_matches_fraction_det():
                 k = rng.randrange(1, n)  # row k a combination of two earlier rows
                 mat[k] = [2 * a - 3 * b for a, b in zip(mat[0], mat[k - 1])]
             det = integer_det(mat)
-            assert det == RatMatrix(mat).det()
+            assert det == RatMatrix(mat).det() == reference_det(mat)
             singular += det == 0
     assert swaps > 30 and singular > 30
     # a zero pivot that appears only after the first elimination step
