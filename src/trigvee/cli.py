@@ -105,9 +105,9 @@ def _load_metric(spec: str, cfg: VConfiguration) -> Metric:
     return Metric(matrix)
 
 
-def _check_points(args) -> None:
-    if args.points < 1:
-        raise InvalidParams(f"--points must be at least 1, got {args.points}")
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise InvalidParams(f"{flag} must be at least 1, got {value}")
 
 
 def _entry_name(cfg: VConfiguration, index: int) -> str:
@@ -206,7 +206,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_wdvv(args) -> int:
     report = Report(args.report_kv)
-    _check_points(args)
+    _check_count("--points", args.points)
     cf, cfg = _load_numeric(args.file)
     if cf.lambda2 is not None:
         lam2 = cf.lambda2
@@ -237,7 +237,7 @@ def cmd_wdvv(args) -> int:
 
 def cmd_cms(args) -> int:
     report = Report(args.report_kv)
-    _check_points(args)
+    _check_count("--points", args.points)
     _, cfg = _load_numeric(args.file)
     metric = _load_metric(args.metric, cfg)
     series = check_series_with_metric(cfg, metric)
@@ -319,6 +319,7 @@ def cmd_family(args) -> int:
 
 def cmd_search(args) -> int:
     report = Report(args.report_kv)
+    _check_count("--starts", args.starts)
     cf = _load_symbolic(args.file)
     fix = args.fix or cf.symbols()[0]
     if fix not in cf.symbols():

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .configuration import (
-    Covector,
     IntPairing,
     PositiveSystem,
     VConfiguration,
@@ -28,7 +27,7 @@ from .configuration import (
     positive_system,
 )
 from .errors import CollinearPair, DegenerateForm, NonScalarAction
-from .exactnum import RatMatrix, rank
+from .exactnum import RatMatrix, integer_rank
 from .veecheck import (
     SeriesCheckReport,
     TensorMismatch,
@@ -93,6 +92,10 @@ def _require_cms_hypotheses(cfg: VConfiguration, metric: Metric) -> None:
                 raise CollinearPair(
                     f"covectors {cfg.entries[i].label} and {cfg.entries[j].label} are collinear"
                 )
+    _require_metric(cfg, metric)
+
+
+def _require_metric(cfg: VConfiguration, metric: Metric) -> None:
     if metric.matrix.rows != cfg.dim:
         raise DegenerateForm("metric size does not match the configuration dimension")
     if metric.matrix.det() == 0:
@@ -185,10 +188,7 @@ def check_series_with_metric(cfg: VConfiguration, metric: Metric) -> SeriesCheck
     With the vee-form metric this coincides exactly with the intrinsic
     series check.
     """
-    if metric.matrix.rows != cfg.dim:
-        raise DegenerateForm("metric size does not match the configuration dimension")
-    if metric.matrix.det() == 0:
-        raise DegenerateForm("metric is degenerate")
+    _require_metric(cfg, metric)
     return series_residuals(cfg, metric.integer_pairing(cfg))
 
 
@@ -200,8 +200,9 @@ class CmsToVeeResult:
     vee_series: SeriesCheckReport
 
 
-def _scalar_blocks(cfg: VConfiguration, metric: Metric) -> dict[Fraction, list[Covector]]:
-    """The covectors grouped by the scalar mu_i with M a_i^T = mu_i G^-1 a_i^T.
+def _scalar_blocks(cfg: VConfiguration, table: IntPairing) -> dict[Fraction, list[tuple[int, ...]]]:
+    """The covectors' lattice coordinates grouped by the scalar mu_i with
+    M a_i^T = mu_i G^-1 a_i^T, given the metric's pairing table.
 
     As the covectors span, that equation holds exactly when row i of the
     metric's pairing table is mu_i times row i of the vee table: one integer
@@ -209,16 +210,16 @@ def _scalar_blocks(cfg: VConfiguration, metric: Metric) -> dict[Fraction, list[C
     entry of the vee row.  NonScalarAction names the first covector with no
     such scalar.
     """
-    (m_table, m_den), (v_table, v_den) = metric.integer_pairing(cfg), cfg.integer_pairing
-    blocks: dict[Fraction, list[Covector]] = {}
-    for e, mrow, vrow in zip(cfg.entries, m_table, v_table):
+    (m_table, m_den), (v_table, v_den) = table, cfg.integer_pairing
+    blocks: dict[Fraction, list[tuple[int, ...]]] = {}
+    for e, coords, mrow, vrow in zip(cfg.entries, cfg.lattice_coords, m_table, v_table):
         # exists: G^-1 a^T is nonzero and the covectors span
         k = next(k for k, x in enumerate(vrow) if x != 0)
         if any(mx * vrow[k] != mrow[k] * vx for mx, vx in zip(mrow, vrow)):
             raise NonScalarAction(
                 f"dual of covector {e.label} does not lie in a single scalar block"
             )
-        blocks.setdefault(Fraction(mrow[k] * v_den, vrow[k] * m_den), []).append(e.covector)
+        blocks.setdefault(Fraction(mrow[k] * v_den, vrow[k] * m_den), []).append(coords)
     return blocks
 
 
@@ -232,7 +233,7 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     invertible) M a_i^T = mu_i G^-1 a_i^T, which `_scalar_blocks` reads off
     the two integer pairing tables; otherwise NonScalarAction is raised.  The
     scalars are all the eigenvalues of T, and each eigenspace's dimension is
-    the rank of the covectors carrying its scalar (that of their duals).  A
+    the rank of the lattice coordinates of the covectors with its scalar.  A
     passing metric check already implies it, through the 2-form identity
     sum_b c_b (a,b) a^b = a ^ (G M a^T) = 0 for every covector a.
 
@@ -241,15 +242,17 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     """
     if cfg.gram_det == 0:
         raise DegenerateForm("the form G is degenerate")
-    metric_report = check_series_with_metric(cfg, metric)
+    _require_metric(cfg, metric)
+    table = metric.integer_pairing(cfg)
+    metric_report = series_residuals(cfg, table)
     if not metric_report.passed:
         raise ValueError("metric series condition fails; nothing to recover")
-    blocks = _scalar_blocks(cfg, metric)
+    blocks = _scalar_blocks(cfg, table)
     scalars = tuple(sorted(blocks))
     return CmsToVeeResult(
         is_trig_vee=metric_report.passed,
         component_scalars=scalars,
-        component_dims=tuple(rank(blocks[mu]) for mu in scalars),
+        component_dims=tuple(integer_rank(blocks[mu]) for mu in scalars),
         vee_series=metric_report,
     )
 

@@ -6,14 +6,18 @@ cleared through the adjugate, det(G) * (a,b) = a . adj(G) . b^T.  A rational
 assignment is a trigonometric vee-system exactly when all constraint
 polynomials vanish and the nondegeneracy polynomial det G does not.  By
 Cauchy-Binet both are written in closed form, as sums of squarefree
-monomials whose coefficients are products of integer covector minors.
+monomials whose coefficients are products of integer covector minors, all
+from one Laplace recursion over covector subsets: C(m, r) C(n, r) r integer
+multiplications at each level r < n, not C(m, n-1) n separate determinants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,8 +28,8 @@ from .configuration import (
     covector,
     relative_wedge_signs,
 )
-from .errors import DegenerateParametrization, SpanDeficient, VeeError
-from .exactnum import as_rational, clear_denominators, integer_det
+from .errors import DegenerateParametrization, InvalidParams, SpanDeficient, VeeError
+from .exactnum import as_rational, clear_denominators
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -46,16 +50,41 @@ class ConstraintSet:
     nondegeneracy: MultiPoly
 
     def distinct_polynomials(self) -> list[MultiPoly]:
-        seen: list[MultiPoly] = []
+        """The nonzero polynomials up to sign, each first occurrence in order.
+        Each is compared only with kept ones on its monomial set, which p and
+        -p share; hashing Fraction coefficients would cost more than it saves."""
+        kept: dict[frozenset, list[dict]] = {}
+        distinct = []
         for c in self.polynomials:
-            if not c.poly.is_zero() and c.poly not in seen and (-c.poly) not in seen:
-                seen.append(c.poly)
-        return seen
+            terms = c.poly.terms
+            same = kept.setdefault(frozenset(terms), [])
+            if terms and not any(
+                t == terms or all(terms[e] == -v for e, v in t.items()) for t in same
+            ):
+                same.append(terms)
+                distinct.append(c.poly)
+        return distinct
 
 
-def _cofactor_row(rows: list[list[int]], dim: int) -> list[int]:
-    """Cofactors along the first row of [x; rows], so det[x; rows] = x . cof."""
-    return [(-1) ** k * integer_det([r[:k] + r[k + 1 :] for r in rows]) for k in range(dim)]
+def _cofactor_rows(ints: list[list[int]], dim: int) -> dict[tuple[int, ...], list[int]]:
+    """Cofactors along the first row of [x; A_T], det[x; A_T] = x . cof, for
+    every (dim-1)-subset T of the rows in combinations order.  Laplace
+    recursion: the minors of rows S, one per column subset, expand along the
+    last row of S over the minors of its prefix, so each is computed once."""
+    level = {(): [1]}
+    for r in range(1, dim):
+        index = {cols: k for k, cols in enumerate(combinations(range(dim), r - 1))}
+        expand = [
+            [((-1) ** (r - 1 + p), c, index[cols[:p] + cols[p + 1 :]]) for p, c in enumerate(cols)]
+            for cols in combinations(range(dim), r)
+        ]
+        level = {
+            s + (k,): [sum(sg * ints[k][c] * minors[i] for sg, c, i in terms) for terms in expand]
+            for s, minors in level.items()
+            for k in range(s[-1] + 1 if s else 0, len(ints))
+        }
+    # the (dim-1)-subsets of the columns omit column dim-1, ..., 0 in turn
+    return {t: [(-1) ** k * x for k, x in enumerate(reversed(minors))] for t, minors in level.items()}
 
 
 def series_constraints(
@@ -73,7 +102,11 @@ def series_constraints(
         D^2n * a_i . adj(G(c)) . a_j^T = sum_T c_T M[T][i] M[T][j],
         D^2n * det G(c) = sum_T sum_{j > max T} c_T c_j M[T][j]^2.
 
-    M[T][j] = 0 for j in T, so every monomial is squarefree.
+    M[T][j] = 0 for j in T, so every monomial is squarefree.  `_cofactor_rows`
+    reads all M[T] off one Laplace recursion over the covector subsets, at
+    C(m, r) * C(n, r) * r multiplications per level r, where one Bareiss
+    determinant per cofactor costs C(m, n-1) * n determinants.  Coefficients
+    are summed as ints, one shared Fraction over D^2n per distinct sum.
     """
     vecs = [covector(v) for v in vectors]
     if not vecs:
@@ -95,22 +128,18 @@ def series_constraints(
 
     ints, den = clear_denominators(vecs)
     minors = []  # (bitmask of T, M[T]) for every T with a nonzero minor
-    for t in combinations(range(m), dim - 1):
-        cof = _cofactor_row([ints[k] for k in t], dim)
-        row = [sum(x * y for x, y in zip(cof, v)) for v in ints]
+    for t, cof in _cofactor_rows(ints, dim).items():
+        row = [sum(map(mul, cof, v)) for v in ints]
         if any(row):
             minors.append((sum(1 << k for k in t), row))
     scale = den ** (2 * dim)
-    exponents: dict[int, tuple[int, ...]] = {}  # squarefree exponent tuple per mask
+    # one squarefree exponent tuple per mask, one Fraction per distinct sum
+    exponent = cache(lambda mask: tuple((mask >> k) & 1 for k in range(m)))
+    coefficient = cache(lambda v: Fraction(v, scale))
 
     def poly(acc: dict[int, int]) -> MultiPoly:
-        terms = {}
-        for mask, v in acc.items():
-            expo = exponents.get(mask)
-            if expo is None:
-                expo = exponents[mask] = tuple((mask >> k) & 1 for k in range(m))
-            terms[expo] = Fraction(v, scale)
-        return MultiPoly(symbols, terms)
+        terms = {exponent(mask): coefficient(v) for mask, v in acc.items() if v}
+        return MultiPoly._clean(symbols, terms)
 
     out = []
     for i in range(m):
@@ -172,9 +201,7 @@ def verify_family(
         val = parametrization.get(sym)
         if val is None:
             param_vars.add(sym)
-        elif isinstance(val, RatFunc):
-            param_vars.update(val.vars)
-        elif isinstance(val, MultiPoly):
+        elif isinstance(val, (RatFunc, MultiPoly)):
             param_vars.update(val.vars)
     variables = tuple(sorted(param_vars)) or ("_t",)
 
@@ -274,6 +301,8 @@ def find_multiplicities(
     the exact series check with a nondegenerate form are returned; an empty
     result means "not found", never "nonexistent".
     """
+    if starts < 1:
+        raise InvalidParams(f"starts must be at least 1, got {starts}")
     cs = series_constraints(vectors, symbols)
     syms = cs.symbols
     if fix_symbol is None:

@@ -155,8 +155,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return work[:r], pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(_integer_hnf(rows))
 
 
 def _integer_hnf(mat: list[list[int]]) -> list[list[int]]:

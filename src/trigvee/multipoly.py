@@ -34,6 +34,14 @@ class MultiPoly:
                     clean[tuple(expo)] = coef
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _clean(cls, variables: tuple[str, ...], terms: dict) -> "MultiPoly":
+        """Wrap clean terms (nonzero Fractions by exponent tuple), unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -197,16 +205,23 @@ class MultiPoly:
         # precompute powers of numerators and denominators
         num_pows = [_pow_table(img.num, d) for img, d in zip(images, max_deg)]
         den_pows = [_pow_table(img.den, d) for img, d in zip(images, max_deg)]
+        # skip num^0, den^0 and powers of a denominator 1: a product with the
+        # constant 1 keeps every term and its order
+        one = MultiPoly.const(param_vars, 1)
+        has_den = [img.den != one for img in images]
         total_num = MultiPoly.zero(param_vars)
         for expo, coef in self.terms.items():
             piece = MultiPoly.const(param_vars, coef)
             for i, e in enumerate(expo):
-                piece = piece * num_pows[i][e]
-                piece = piece * den_pows[i][max_deg[i] - e]
+                if e:
+                    piece = piece * num_pows[i][e]
+                if has_den[i] and e != max_deg[i]:
+                    piece = piece * den_pows[i][max_deg[i] - e]
             total_num = total_num + piece
-        total_den = MultiPoly.const(param_vars, 1)
+        total_den = one
         for i, d in enumerate(max_deg):
-            total_den = total_den * den_pows[i][d]
+            if has_den[i] and d:
+                total_den = total_den * den_pows[i][d]
         return RatFunc(total_num, total_den)
 
     def __str__(self) -> str:

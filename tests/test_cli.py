@@ -8,6 +8,7 @@ import pytest
 from trigvee.catalog import catalog_get
 from trigvee.cli import main
 from trigvee.cms import cms_identity_residual, vee_form_metric
+from trigvee.constraints import find_multiplicities
 from trigvee.errors import DimensionMismatch, InvalidParams, ParseError
 from trigvee.veefile import (
     config_file_from_configuration,
@@ -183,6 +184,18 @@ class TestCli:
         assert main(["search", b2sym_file, "--fix", "cp", "--seed", "3", "--starts", "4"]) == 0
         out = capsys.readouterr().out
         assert "exactly-verified" in out
+
+    @pytest.mark.parametrize("starts", ["0", "-2"])
+    def test_starts_below_one_exit_2(self, b2sym_file, capsys, starts):
+        assert main(["search", b2sym_file, "--starts", starts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --starts must be at least 1, got {starts}\n"
+
+    @pytest.mark.parametrize("starts", [0, -2])
+    def test_library_rejects_starts_below_one(self, starts):
+        with pytest.raises(InvalidParams, match=f"starts must be at least 1, got {starts}"):
+            find_multiplicities([(1, 0), (0, 1), (1, 1), (1, -1)], starts=starts)
 
     def test_catalog_list_show_export(self, capsys):
         assert main(["catalog", "list"]) == 0

@@ -1,17 +1,27 @@
-"""The integer CMS recovery and implied-identity checks against frozen
-Fraction routines.
+"""The integer CMS recovery, the implied-identity checks and constraint
+extraction against frozen reference routines.
 
 `reference_cms_to_vee` is a fixed copy of the recovery that the integer
 pairing tables replaced: the operator T = M G built in Fractions, two
-matrix-vector products per covector, the eigenvector test on each dual, and
-a second, intrinsic series check for the verdict.  `reference_v3_identity`
-and `reference_rational_vee` accumulate the implied 2-form identities one
-Fraction vee product at a time.  None of them reads an integer pairing
-table, and the integer code must reproduce their reports exactly.
+matrix-vector products per covector, the eigenvector test on each dual, a
+second, intrinsic series check for the verdict, and a Fraction rank.
+`reference_v3_identity` and `reference_rational_vee` accumulate the implied
+2-form identities one Fraction vee product at a time.  None of them reads an
+integer pairing table, and the integer code must reproduce their reports
+exactly.
+
+`reference_series_constraints` is a fixed copy of constraint extraction with
+one Bareiss determinant per cofactor and every polynomial built through
+`MultiPoly.__init__`; `reference_substitute` multiplies by every power table
+entry, identity factors included; `reference_distinct` is the quadratic
+sign-deduplication.  The shared-minor extraction, the substitution and the
+keyed deduplication must reproduce them term for term, in insertion order:
+the multiplicity search sums terms in that order.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,9 +35,18 @@ from trigvee.cms import (
     euclidean_metric,
     vee_form_metric,
 )
-from trigvee.configuration import build_configuration, direct_sum, vee_product, wedge_coeffs
+from trigvee.configuration import (
+    build_configuration,
+    covector,
+    direct_sum,
+    relative_wedge_signs,
+    vee_product,
+    wedge_coeffs,
+)
+from trigvee.constraints import ConstraintPoly, ConstraintSet, _cofactor_rows, series_constraints
 from trigvee.errors import DegenerateForm, NonScalarAction
-from trigvee.exactnum import RatMatrix, rank, rref
+from trigvee.exactnum import RatMatrix, clear_denominators, integer_det, rref
+from trigvee.multipoly import MultiPoly, RatFunc
 from trigvee.veecheck import (
     PlaneWitness,
     RationalVeeReport,
@@ -42,6 +61,10 @@ from conftest import rand_configuration, rand_fraction, rand_nonzero_fraction
 
 F = Fraction
 CATALOG = [name for name, _ in catalog_list()]
+
+
+def rank(rows):
+    return len(rref(rows)[0])
 
 
 def reference_scalar_duals(cfg, metric):
@@ -236,11 +259,11 @@ def test_scalar_blocks_match_frozen_eigenvector_test():
                 duals = reference_scalar_duals(cfg, metric)
             except NonScalarAction as exc:
                 with pytest.raises(NonScalarAction) as got:
-                    _scalar_blocks(cfg, metric)
+                    _scalar_blocks(cfg, metric.integer_pairing(cfg))
                 assert str(got.value) == str(exc)
                 counts["NonScalarAction"] += 1
                 continue
-            blocks = _scalar_blocks(cfg, metric)
+            blocks = _scalar_blocks(cfg, metric.integer_pairing(cfg))
             assert sorted(blocks) == sorted(duals)
             assert [rank(blocks[mu]) for mu in sorted(blocks)] == [
                 rank(duals[mu]) for mu in sorted(duals)
@@ -286,3 +309,254 @@ def test_implied_identities_match_frozen():
             assert not check_series_condition(cfg).passed
             planes_failing += 1
     assert planes_failing > 10
+
+
+# ---------------------------------------------------------------------------
+# Constraint extraction, substitution and deduplication
+# ---------------------------------------------------------------------------
+
+
+def reference_cofactor_row(rows, dim):
+    """Cofactors along the first row of [x; rows], so det[x; rows] = x . cof."""
+    return [(-1) ** k * integer_det([r[:k] + r[k + 1 :] for r in rows]) for k in range(dim)]
+
+
+def reference_series_constraints(vectors):
+    vecs = [covector(v) for v in vectors]
+    dim = len(vecs[0])
+    cfg = build_configuration(dim, [(v, 1) for v in vecs])
+    m = len(vecs)
+    symbols = tuple(f"c{i + 1}" for i in range(m))
+    ints, den = clear_denominators(vecs)
+    minors = []
+    for t in combinations(range(m), dim - 1):
+        cof = reference_cofactor_row([ints[k] for k in t], dim)
+        row = [sum(x * y for x, y in zip(cof, v)) for v in ints]
+        if any(row):
+            minors.append((sum(1 << k for k in t), row))
+    scale = den ** (2 * dim)
+
+    def poly(acc):
+        terms = {}
+        for mask, v in acc.items():
+            terms[tuple((mask >> k) & 1 for k in range(m))] = Fraction(v, scale)
+        return MultiPoly(symbols, terms)
+
+    out = []
+    for i in range(m):
+        with_i = [(mask, row) for mask, row in minors if row[i]]
+        for s_idx, series in enumerate(cfg.series[i]):
+            acc = {}
+            for member, r in zip(series.members, relative_wedge_signs(series)):
+                j = member.entry_index
+                for mask, row in with_i:
+                    if row[j]:
+                        key = mask | 1 << j
+                        acc[key] = acc.get(key, 0) + r * row[i] * row[j]
+            out.append(ConstraintPoly(i, s_idx, series.entry_indices(), poly(acc)))
+    det = {}
+    for mask, row in minors:
+        for j in range(mask.bit_length(), m):
+            if row[j]:
+                det[mask | 1 << j] = row[j] ** 2
+    return ConstraintSet(symbols, tuple(vecs), tuple(out), poly(det))
+
+
+def reference_substitute(p, mapping):
+    if not p.terms:
+        return RatFunc.constant(next(iter(mapping.values())).vars, 0)
+    images = [mapping[v] for v in p.vars]
+    param_vars = images[0].vars
+    max_deg = [max(e[i] for e in p.terms) for i in range(len(p.vars))]
+
+    def powers(q, up_to):
+        table = [MultiPoly.const(q.vars, 1)]
+        for _ in range(up_to):
+            table.append(table[-1] * q)
+        return table
+
+    num_pows = [powers(img.num, d) for img, d in zip(images, max_deg)]
+    den_pows = [powers(img.den, d) for img, d in zip(images, max_deg)]
+    total_num = MultiPoly.zero(param_vars)
+    for expo, coef in p.terms.items():
+        piece = MultiPoly.const(param_vars, coef)
+        for i, e in enumerate(expo):
+            piece = piece * num_pows[i][e]
+            piece = piece * den_pows[i][max_deg[i] - e]
+        total_num = total_num + piece
+    total_den = MultiPoly.const(param_vars, 1)
+    for i, d in enumerate(max_deg):
+        total_den = total_den * den_pows[i][d]
+    return RatFunc(total_num, total_den)
+
+
+def reference_distinct(cs):
+    seen = []
+    for c in cs.polynomials:
+        if not c.poly.is_zero() and c.poly not in seen and (-c.poly) not in seen:
+            seen.append(c.poly)
+    return seen
+
+
+def items(p):
+    """The terms in insertion order, each coefficient with its type."""
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def assert_same_extraction(vectors):
+    got, ref = series_constraints(vectors), reference_series_constraints(vectors)
+    assert got.symbols == ref.symbols and got.vectors == ref.vectors
+    assert len(got.polynomials) == len(ref.polynomials)
+    for g, r in zip(got.polynomials, ref.polynomials):
+        assert (g.base_index, g.series_index, g.member_indices) == (
+            r.base_index,
+            r.series_index,
+            r.member_indices,
+        )
+        assert g.poly.vars == r.poly.vars
+        assert items(g.poly) == items(r.poly)
+    assert items(got.nondegeneracy) == items(ref.nondegeneracy)
+    assert [items(p) for p in got.distinct_polynomials()] == [
+        items(p) for p in reference_distinct(ref)
+    ]
+    return got
+
+
+def a_roots(n):
+    return [tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)]
+
+
+def b_roots(n):
+    short = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return short + [
+        tuple(1 if k == i else (s if k == j else 0) for k in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_extraction_matches_frozen_on_catalog(name):
+    assert_same_extraction(list(catalog_get(name).cfg.covectors()))
+
+
+ROOT_SYSTEMS = {f"A{n}": a_roots(n) for n in range(2, 6)} | {f"B{n}": b_roots(n) for n in range(2, 6)}
+
+
+@pytest.mark.parametrize("name", [name for name in ROOT_SYSTEMS if name != "B5"])
+def test_extraction_matches_frozen_on_root_systems(name):
+    cs = assert_same_extraction(ROOT_SYSTEMS[name])
+    assert any(not c.poly.is_zero() for c in cs.polynomials) or name in ("A2", "B2")
+
+
+def random_vector_set(rng, dim):
+    """Integer and half-integer covectors spanning the space, with one of
+    them doubled and one scaled by -5/3: parallel pairs that are separate
+    entries, as in Prop4's (1, 0) and (2, 0)."""
+    while True:
+        vecs = [
+            tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(dim))
+            for _ in range(rng.randint(dim, dim + 3))
+        ]
+        vecs = [v for v in vecs if any(v)]
+        if len(vecs) < dim:
+            continue
+        vecs += [tuple(2 * x for x in vecs[0]), tuple(F(-5, 3) * x for x in vecs[1])]
+        signed = {v for v in vecs} | {tuple(-x for x in v) for v in vecs}
+        if len(signed) == 2 * len(vecs) and rank(vecs) == dim:
+            return vecs
+
+
+def test_extraction_matches_frozen_on_random_configurations():
+    rng = random.Random(23)
+    nonzero = 0
+    for trial in range(40):
+        cs = assert_same_extraction(random_vector_set(rng, 2 + trial % 4))
+        nonzero += any(not c.poly.is_zero() for c in cs.polynomials)
+    assert nonzero > 30
+
+
+@pytest.mark.parametrize("name", ["A5", "B5"])
+def test_cofactor_rows_match_frozen_determinants(name):
+    """Every (n-1)-subset's cofactors, one Bareiss determinant each, also on
+    B5, whose whole frozen extraction is too slow to repeat here."""
+    ints, _den = clear_denominators([covector(v) for v in ROOT_SYSTEMS[name]])
+    dim = len(ints[0])
+    got = list(_cofactor_rows(ints, dim).items())
+    subsets = list(combinations(range(len(ints)), dim - 1))
+    assert [t for t, _cof in got] == subsets
+    for t, cof in got:
+        assert cof == reference_cofactor_row([ints[k] for k in t], dim)
+
+
+def test_cofactor_rows_on_random_rows():
+    rng = random.Random(29)
+    for trial in range(60):
+        dim = 1 + trial % 6
+        ints = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 3))]
+        got = list(_cofactor_rows(ints, dim).items())
+        assert [t for t, _cof in got] == list(combinations(range(len(ints)), dim - 1))
+        for t, cof in got:
+            assert cof == reference_cofactor_row([ints[k] for k in t], dim)
+
+
+def random_ratfunc(rng, variables):
+    """A random rational function with a nonconstant denominator half the time."""
+
+    def poly(max_terms):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            terms[tuple(rng.randint(0, 2) for _ in variables)] = rand_nonzero_fraction(rng)
+        return MultiPoly(variables, terms)
+
+    num = poly(3)
+    if rng.random() < 0.5:
+        return RatFunc.from_poly(num)
+    den = poly(2)
+    return RatFunc(num, den if not den.is_zero() else MultiPoly.const(variables, 2))
+
+
+def random_poly(rng, variables, squarefree):
+    terms = {}
+    top = 1 if squarefree else 3
+    for _ in range(rng.randint(1, 8)):
+        terms[tuple(rng.randint(0, top) for _ in variables)] = rand_nonzero_fraction(rng)
+    return MultiPoly(variables, terms)
+
+
+def assert_same_substitution(p, mapping):
+    got, ref = p.substitute(mapping), reference_substitute(p, mapping)
+    assert items(got.num) == items(ref.num)
+    assert items(got.den) == items(ref.den)
+    return got
+
+
+def test_substitute_matches_frozen_on_random_images():
+    rng = random.Random(31)
+    params = ("s", "t")
+    with_denominator = 0
+    for trial in range(120):
+        variables = tuple(f"c{k}" for k in range(1 + trial % 4))
+        p = random_poly(rng, variables, squarefree=trial % 2 == 0)
+        mapping = {v: random_ratfunc(rng, params) for v in variables}
+        if trial % 5 == 0:
+            mapping[variables[0]] = RatFunc.constant(params, rng.choice((0, 1, F(-2, 3))))
+        got = assert_same_substitution(p, mapping)
+        with_denominator += got.den != MultiPoly.const(params, 1)
+    assert with_denominator > 40
+
+
+def test_substitute_matches_frozen_on_family_constraints():
+    """The Prop4 family of the catalog: every constraint, the nondegeneracy
+    polynomial, and the wrong relation whose residuals are nonzero."""
+    pv = ("c1", "c2", "u")
+    c1, c2, u = (RatFunc.variable(pv, v) for v in pv)
+    cs = series_constraints([(1, 0), (2, 0), (0, 1), (1, 1), (1, -1)], ("m1", "m2", "m3", "m4", "m5"))
+    nonzero = 0
+    for m2 in (u * (c1 - c2) / (2 * c2), u * (c1 - c2) / c2):
+        mapping = {"m1": c1, "m2": m2, "m3": c2, "m4": u, "m5": u}
+        assert_same_substitution(cs.nondegeneracy, mapping)
+        for c in cs.polynomials:
+            nonzero += not assert_same_substitution(c.poly, mapping).is_zero()
+    assert nonzero > 0
