@@ -55,10 +55,17 @@ class Report:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """A file's text, or stdin's for '-', decoded as strict UTF-8 either way."""
+    try:
+        if path == "-":
+            # the raw bytes: a C or POSIX locale reads stdin with surrogateescape
+            raw = getattr(sys.stdin, "buffer", None)
+            return raw.read().decode("utf-8") if raw else sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise InvalidParams(f"{name} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_file(path: str) -> ConfigFile:
@@ -102,6 +109,8 @@ def _load_metric(spec: str, cfg: VConfiguration) -> Metric:
     matrix = RatMatrix(rows)
     if not matrix.is_symmetric():
         raise InvalidParams("metric file must hold a symmetric matrix")
+    if matrix.det() == 0:
+        raise InvalidParams("metric file must hold a nonsingular matrix")
     return Metric(matrix)
 
 

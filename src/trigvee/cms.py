@@ -54,7 +54,7 @@ class Metric:
         cached table when the matrix is its G^-1."""
         if cfg.gram_det != 0 and self.matrix == cfg.gram_inverse:
             return cfg.integer_pairing
-        return integer_pairing_table(cfg.covectors(), self.matrix)
+        return integer_pairing_table(cfg.integer_covectors, self.matrix)
 
     def scaled(self, t) -> "Metric":
         return Metric(self.matrix.scale(t))
@@ -79,9 +79,6 @@ class CmsReport:
     eigenvalue_deviation: float
     points: tuple[EvalPoint, ...]
     seed: int
-
-    def constant(self) -> complex:
-        return self.mean
 
 
 def _require_cms_hypotheses(cfg: VConfiguration, metric: Metric) -> None:
@@ -263,10 +260,6 @@ class CapitalLambdaSolution:
     value: Fraction | None
     psys: PositiveSystem
     witness: TensorMismatch | None = None
-
-    @property
-    def solved(self) -> bool:
-        return self.status == "solved"
 
 
 def solve_capital_lambda(

@@ -8,6 +8,8 @@ covectors below go through its inverse (the "vee product"), tabulated once
 per configuration as `integer_pairing`: integer numerators over one
 denominator, the only form of the table that the checks read.  A pairing
 under any other matrix is tabulated the same way by `integer_pairing_table`.
+Every exact kernel reads the covectors and multiplicities cleared to integers
+once, as `integer_covectors` and `integer_mults`, and keeps its own scale.
 The split of the covectors into series around each base is cached as
 `series`, and the numeric checks read the float view `floats`, also cached.
 """
@@ -42,8 +44,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 Covector = tuple[Fraction, ...]
-# A pairing table as integer numerators over one common denominator.
-IntPairing = tuple[tuple[tuple[int, ...], ...], int]
+# Integer rows over one common denominator: cleared covectors or a pairing table.
+IntRows = tuple[tuple[tuple[int, ...], ...], int]
+IntPairing = IntRows
 
 
 def covector(coords: Iterable) -> Covector:
@@ -151,9 +154,21 @@ class VConfiguration:
         return mat_inverse(self.gram)
 
     @cached_property
+    def integer_covectors(self) -> IntRows:
+        """The covectors as integer rows over the lcm d of their denominators."""
+        rows, d = clear_denominators(self.covectors())
+        return tuple(map(tuple, rows)), d
+
+    @cached_property
+    def integer_mults(self) -> tuple[tuple[int, ...], int]:
+        """The multiplicities as integers over the lcm l_c of their denominators."""
+        (mults,), l_c = clear_denominators([self.mults()])
+        return tuple(mults), l_c
+
+    @cached_property
     def integer_pairing(self) -> IntPairing:
         """The vee products (a_i, a_j) = a_i G^-1 a_j^T as (numerators, den)."""
-        return integer_pairing_table(self.covectors(), self.gram_inverse)
+        return integer_pairing_table(self.integer_covectors, self.gram_inverse)
 
     @cached_property
     def series(self) -> tuple[tuple[AlphaSeries, ...], ...]:
@@ -193,13 +208,13 @@ class VConfiguration:
         return len(self.entries)
 
 
-def integer_pairing_table(covectors: Sequence[Covector], matrix: RatMatrix) -> IntPairing:
-    """The symmetric table A . matrix . A^T for the rows A of `covectors`, as
-    integer numerators over the common denominator d^2 l_m (d and l_m the
-    lcms of the covector and matrix denominators)."""
-    if any(len(v) != matrix.cols for v in covectors):
+def integer_pairing_table(covectors: IntRows, matrix: RatMatrix) -> IntPairing:
+    """The symmetric table A . matrix . A^T for the covectors A = A'/d given
+    as (A', d), like `integer_covectors`, as integer numerators over the
+    common denominator d^2 l_m (l_m the lcm of the matrix denominators)."""
+    vecs, d = covectors
+    if any(len(v) != matrix.cols for v in vecs):
         raise DimensionMismatch("vector length mismatch")
-    vecs, d = clear_denominators(covectors)
     rows, l_m = clear_denominators(matrix.entries)
     duals = [[sum(a * x for a, x in zip(row, v)) for row in rows] for v in vecs]
     table = [[0] * len(vecs) for _ in vecs]
@@ -297,7 +312,7 @@ def positive_system(cfg: VConfiguration, functional: Sequence | None = None) -> 
     """
     # the sign of f . a is that of F . A, with F and A the integer rows of f
     # and a over their (positive) common denominators
-    vecs, _den = clear_denominators(cfg.covectors())
+    vecs, _den = cfg.integer_covectors
     if functional is not None:
         f = covector(functional)
         if len(f) != cfg.dim:

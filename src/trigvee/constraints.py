@@ -29,7 +29,7 @@ from .configuration import (
     relative_wedge_signs,
 )
 from .errors import DegenerateParametrization, InvalidParams, SpanDeficient, VeeError
-from .exactnum import as_rational, clear_denominators
+from .exactnum import as_rational
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -126,7 +126,7 @@ def series_constraints(
         if len(set(symbols)) != m:
             raise ValueError("symbols must be distinct")
 
-    ints, den = clear_denominators(vecs)
+    ints, den = cfg.integer_covectors
     minors = []  # (bitmask of T, M[T]) for every T with a nonzero minor
     for t, cof in _cofactor_rows(ints, dim).items():
         row = [sum(map(mul, cof, v)) for v in ints]
@@ -240,6 +240,7 @@ def verify_family(
 # ---------------------------------------------------------------------------
 
 _SNAP_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 24, 60, 1000, 10**6)
+_RESIDUAL_TOL = 1e-10  # largest constraint residual accepted after a snap
 
 
 def _compile_polynomials(polys: Sequence[MultiPoly]):
@@ -290,7 +291,6 @@ def find_multiplicities(
     seed: int = 0,
     symbols: Sequence[str] | None = None,
     starts: int = 12,
-    residual_tol: float = 1e-10,
 ) -> list[dict[str, Fraction]]:
     """Search for exactly-verified multiplicity assignments.
 
@@ -374,7 +374,7 @@ def find_multiplicities(
                 trial[sym] = float(q)
                 if rest:
                     xs, err, det = minimize(rest, trial, x[1:])
-                    if err <= residual_tol and abs(det) > det_floor and np.all(
+                    if err <= _RESIDUAL_TOL and abs(det) > det_floor and np.all(
                         np.abs(xs) > 1e-4
                     ):
                         accepted = (q, xs)
@@ -382,7 +382,7 @@ def find_multiplicities(
                 else:
                     vals = evaluate(values_at(trial))
                     err, det = np.abs(vals[:-1]).max(), vals[-1]
-                    if err <= residual_tol and abs(det) > det_floor:
+                    if err <= _RESIDUAL_TOL and abs(det) > det_floor:
                         accepted = (q, np.array([]))
                         break
             if accepted is None:

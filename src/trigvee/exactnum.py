@@ -110,22 +110,15 @@ class RatMatrix:
 
 
 def mat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrix when det = 0."""
+    """Exact inverse, the right half of rref([M | I]); raises SingularMatrix
+    when det = 0, that is when the pivots are not the n columns of M."""
     if not m.is_square():
         raise DimensionMismatch("inverse of non-square matrix")
     n = m.rows
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[c])]
+    unit = RatMatrix.identity(n).entries
+    work, pivots = rref([row + e for row, e in zip(m.entries, unit)])
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
     return RatMatrix([row[n:] for row in work])
 
 

@@ -416,6 +416,8 @@ def parse_expression(text: str, variables: Sequence[str]) -> RatFunc:
         while peek() in ("*", "/"):
             op = advance()
             rhs = parse_unary()
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero in expression")
             node = node * rhs if op == "*" else node / rhs
         return node
 

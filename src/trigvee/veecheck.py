@@ -20,11 +20,9 @@ from .configuration import (
     positive_system,
     primitive,
     relative_wedge_signs,
-    signed_covectors,
     wedge_coeffs,
 )
 from .errors import DegenerateForm
-from .exactnum import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ def series_residuals(cfg: VConfiguration, pairing: IntPairing) -> SeriesCheckRep
     c_b = c'_b / l_c, each residual is one integer sum over l_c * den.
     """
     table, den = pairing
-    (mults,), l_c = clear_denominators([cfg.mults()])
+    mults, l_c = cfg.integer_mults
     scale = l_c * den
     residuals = []
     for i, row in enumerate(table):
@@ -106,12 +104,10 @@ class V3Report:
         return not self.witnesses
 
 
-def _cleared(cfg: VConfiguration) -> tuple[list[list[int]], list[int], int]:
-    """The covectors and multiplicities as ints, and the denominator
-    d^2 l_c den of a 2-form coefficient sum_b c_b (a,b) a^b over the vee
-    pairing table (d, l_c and den the denominators of the three factors)."""
-    vecs, d = clear_denominators(cfg.covectors())
-    (mults,), l_c = clear_denominators([cfg.mults()])
+def _cleared(cfg: VConfiguration) -> tuple[tuple, tuple[int, ...], int]:
+    """The integer covectors and multiplicities, and the denominator d^2 l_c den
+    of a 2-form coefficient sum_b c_b (a,b) a^b over the vee pairing table."""
+    (vecs, d), (mults, l_c) = cfg.integer_covectors, cfg.integer_mults
     return vecs, mults, d * d * l_c * cfg.integer_pairing[1]
 
 
@@ -218,10 +214,6 @@ class LambdaSolution:
     psys: PositiveSystem
     witness: TensorMismatch | None = None
 
-    @property
-    def solved(self) -> bool:
-        return self.status == "solved"
-
 
 def integer_tensor_ratio(
     cfg: VConfiguration, psys: PositiveSystem, pairing: IntPairing
@@ -234,8 +226,10 @@ def integer_tensor_ratio(
     unsigned entries, integer numerators over one denominator l_p.
     Returns (status, ratio, witness).
 
-    Both tensors are built over ints: the covectors are scaled by the lcm d
-    of their denominators and the multiplicities by l_c.
+    Both tensors are built over ints, from the cached integer covectors (over
+    d) and multiplicities (over l_c).  Each is even in every covector, so the
+    signs enter only through the pairing factor s_a s_b: the unsigned rows
+    give the same integers as the signed ones.
     Q needs no pair loop, since over ordered pairs it is twice the second
     compound of the Gram G = sum c_a a a^T:
     Q[(i,j)][(k,l)] = 2 (G_ik G_jl - G_il G_jk).
@@ -243,9 +237,8 @@ def integer_tensor_ratio(
     pairing_ints, l_p = pairing
     n = cfg.dim
     m = n * (n - 1) // 2
-    signed = signed_covectors(cfg, psys)
-    vecs, d = clear_denominators(signed)
-    (mults,), l_c = clear_denominators([cfg.mults()])
+    vecs, d = cfg.integer_covectors
+    mults, l_c = cfg.integer_mults
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     gram = [[sum(c * v[i] * v[j] for c, v in zip(mults, vecs)) for j in range(n)] for i in range(n)]
     q = [[2 * (gram[i][k] * gram[j][l] - gram[i][l] * gram[j][k]) for k, l in pairs] for i, j in pairs]

@@ -7,8 +7,8 @@ Grammar (whitespace separated tokens, '#' starts a comment):
     lambda2 <q>                              optional
 
 where <q> is a rational literal: optional minus, digits, optional /digits.
-Multiplicities may be symbolic ('?name'); symbolic files feed the constraint
-and search tools instead of the exact checks.
+Multiplicities may be symbolic ('?name', each name used once); symbolic files
+feed the constraint and search tools instead of the exact checks.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def parse_config_file(text: str) -> ConfigFile:
                 raise ParseError("zero covector", lineno, 2)
             mtok = tokens[-1]
             if _SYMBOL_RE.match(mtok):
+                if any(e.symbol == mtok[1:] for e in entries):
+                    raise ParseError(f"repeated multiplicity symbol {mtok!r}", lineno, dim + 3)
                 entries.append(FileEntry(coords, None, mtok[1:], lineno))
             else:
                 mult = _parse_rational(mtok, lineno, dim + 3)

@@ -92,15 +92,6 @@ def check_f_derivative(samples, h: float) -> float:
     return worst
 
 
-def _margin(a: np.ndarray, x) -> float:
-    values = a @ np.asarray(x, dtype=complex)
-    return float(np.min(np.abs(np.sin(values))))
-
-
-def point_margin(cfg: VConfiguration, x) -> float:
-    return _margin(cfg.floats.covectors, x)
-
-
 def sample_points(
     cfg: VConfiguration,
     num_points: int,
@@ -132,7 +123,7 @@ def sample_points(
         rng = np.random.default_rng([seed, idx])
         for _ in range(max_tries):
             z = (low + span * rng.random(2 * n + 2)).view(complex)
-            margin = _margin(view.covectors, z[:n])
+            margin = float(np.min(np.abs(np.sin(view.covectors @ z[:n]))))
             if margin > margin_floor:
                 *x, y = z.tolist()
                 points.append(EvalPoint(y=y, x=tuple(x), margin=margin))

@@ -10,6 +10,7 @@ from trigvee.cli import main
 from trigvee.cms import cms_identity_residual, vee_form_metric
 from trigvee.constraints import find_multiplicities
 from trigvee.errors import DimensionMismatch, InvalidParams, ParseError
+from trigvee.multipoly import parse_expression
 from trigvee.veefile import (
     config_file_from_configuration,
     parse_config_file,
@@ -73,6 +74,14 @@ class TestFileFormat:
             parse_config_file("dim 2\nvector 1 1/0 mult 1\n")
         with pytest.raises(DimensionMismatch):
             parse_config_file("dim 2\nvector 1 0 1 mult 1\n")
+        with pytest.raises(ParseError) as err:
+            parse_config_file("dim 1\nvector 1 mult ?a\n\nvector 2 mult ?a\n")
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("expr", ["1/0", "t/(t-t)", "t/(1-1)^2"])
+    def test_division_by_zero_expression(self, expr):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_expression(expr, ["t"])
 
 
 @pytest.fixture
@@ -172,6 +181,47 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: metric file must hold a symmetric matrix\n"
+
+    def test_singular_metric_file_exit_2(self, a2_file, tmp_path, capsys):
+        metric = tmp_path / "metric.txt"
+        metric.write_text("1 2\n2 4\n")
+        assert main(["cms", a2_file, "--metric", str(metric)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: metric file must hold a nonsingular matrix\n"
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, monkeypatch):
+        data = A2_TEXT.encode() + b"# \xff\n"
+        path = tmp_path / "latin.vee"
+        path.write_bytes(data)
+        reason = f"is not UTF-8 text (invalid start byte at byte {len(A2_TEXT) + 2})"
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} {reason}\n"
+        # stdin is decoded strictly even where the locale escapes bad bytes
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["check", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: stdin {reason}\n"
+
+    @pytest.mark.parametrize("command", ["constraints", "family", "search"])
+    def test_repeated_symbol_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "repeated.vee"
+        path.write_text("dim 2\nvector 1 0 mult ?c\nvector 0 1 mult ?c\nvector 1 1 mult ?d\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repeated multiplicity symbol '?c' (line 3, column 5)\n"
+
+    @pytest.mark.parametrize("expr", ["1/0", "t/(t-t)", "(t+1)/(2-2)*t"])
+    def test_division_by_zero_exit_2(self, b2sym_file, capsys, expr):
+        assert main(["family", b2sym_file, "--set", f"c1={expr}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: division by zero in expression\n"
 
     def test_constraints_and_family(self, b2sym_file, capsys):
         assert main(["constraints", b2sym_file]) == 0

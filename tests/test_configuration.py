@@ -2,13 +2,23 @@
 
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from trigvee import configuration
 from trigvee.catalog import catalog_get, catalog_list
-from trigvee.cms import Metric
+from trigvee.cms import (
+    Metric,
+    check_series_with_metric,
+    cms_to_vee,
+    euclidean_metric,
+    solve_capital_lambda,
+    vee_form_metric,
+)
 from trigvee.configuration import (
     alpha_series,
     build_configuration,
@@ -28,9 +38,10 @@ from trigvee.errors import (
     ZeroCovector,
     ZeroMultiplicity,
 )
-from trigvee.exactnum import RatMatrix
+from trigvee.exactnum import RatMatrix, clear_denominators
+from trigvee.veecheck import check_rational_vee, check_v3_identity, full_check
 
-from conftest import rand_configuration, rand_fraction
+from conftest import rand_configuration, rand_fraction, rand_nonzero_fraction
 
 F = Fraction
 
@@ -192,6 +203,62 @@ class TestPairingTables:
                 for j in range(len(covs)):
                     same = cfg.directions[i] == cfg.directions[j]
                     assert same == is_parallel(covs[i], covs[j])
+
+
+def _fractional_configurations():
+    """Nondegenerate random configurations in dims 1-4 with fractional
+    covectors and multiplicities of both signs, one of them -5/3."""
+    rng = random.Random(23)
+    cfgs = []
+    for dim in (1, 2, 2, 3, 3, 4):
+        while True:
+            entries = {}
+            while len(entries) < dim + 3:
+                v = tuple(rand_fraction(rng, -3, 3, 4) for _ in range(dim))
+                if any(v) and tuple(-x for x in v) not in entries:
+                    entries[v] = rand_nonzero_fraction(rng, -4, 4) if entries else F(-5, 3)
+            cfg = build_configuration(dim, entries.items())
+            if cfg.gram_det != 0:
+                cfgs.append(cfg)
+                break
+    return cfgs
+
+
+class TestIntegerView:
+    """The covectors and multiplicities cleared to integers once per
+    configuration, the rows every exact kernel reads."""
+
+    def test_matches_clear_denominators(self):
+        cfgs = [*_oracle_configurations(), *_fractional_configurations()]
+        assert any(c.denominator > 1 for cfg in cfgs for v in cfg.covectors() for c in v)
+        assert any(c < 0 and c.denominator > 1 for cfg in cfgs for c in cfg.mults())
+        for cfg in cfgs:
+            rows, d = clear_denominators(cfg.covectors())
+            assert cfg.integer_covectors == (tuple(map(tuple, rows)), d)
+            (mults,), l_c = clear_denominators([cfg.mults()])
+            assert cfg.integer_mults == (tuple(mults), l_c)
+
+    def test_cleared_once_per_configuration(self, monkeypatch):
+        calls = Counter()
+
+        def spy(rows):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return clear_denominators(rows)
+
+        monkeypatch.setattr(configuration, "clear_denominators", spy)
+        for cfg in [*_oracle_configurations(), *_fractional_configurations()]:
+            calls.clear()
+            positive_system(cfg)
+            report = full_check(cfg)
+            check_v3_identity(cfg)
+            check_rational_vee(cfg)
+            metric = euclidean_metric(cfg.dim)
+            check_series_with_metric(cfg, metric)
+            solve_capital_lambda(cfg, metric)
+            if report.is_trig_vee:
+                cms_to_vee(cfg, vee_form_metric(cfg))
+            assert calls["integer_covectors"] == 1
+            assert calls["integer_mults"] == 1
 
 
 class TestPositiveSystem:

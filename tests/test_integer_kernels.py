@@ -107,7 +107,7 @@ def fractional_metric(n):
 
 
 def assert_same(cfg, matrix):
-    pairing = integer_pairing_table(cfg.covectors(), matrix)
+    pairing = integer_pairing_table(cfg.integer_covectors, matrix)
     ints, den = pairing
     table = tuple(tuple(F(x, den) for x in row) for row in ints)
     assert table == reference_pairing_table(cfg.covectors(), matrix)
