@@ -51,7 +51,6 @@ from .veecheck import (
     SeriesCheckReport,
     check_rational_vee,
     check_series_condition,
-    check_v3_identity,
     full_check,
     solve_lambda_squared,
 )

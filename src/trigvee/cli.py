@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     UnknownName,
     VeeError,
+    ZeroMultiplicity,
 )
 from .exactnum import RatMatrix
 from .multipoly import expression_variables, parse_expression
@@ -29,7 +30,7 @@ from .veecheck import check_series_condition, full_check, solve_lambda_squared
 from .veefile import ConfigFile, config_file_from_configuration, parse_config_file, render_config_file
 from .wdvv import wdvv_residual
 
-_INPUT_ERRORS = (ParseError, UnknownName, InvalidParams, DimensionMismatch)
+_INPUT_ERRORS = (ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity)
 
 
 class Report:

@@ -26,7 +26,7 @@ from .configuration import (
     integer_pairing_table,
     positive_system,
 )
-from .errors import CollinearPair, DegenerateForm, NonScalarAction
+from .errors import CollinearPair, DegenerateForm, DimensionMismatch
 from .exactnum import RatMatrix, integer_rank
 from .veecheck import (
     SeriesCheckReport,
@@ -93,8 +93,9 @@ def _require_cms_hypotheses(cfg: VConfiguration, metric: Metric) -> None:
 
 
 def _require_metric(cfg: VConfiguration, metric: Metric) -> None:
+    """The one metric gate: a nonsingular dim x dim matrix."""
     if metric.matrix.rows != cfg.dim:
-        raise DegenerateForm("metric size does not match the configuration dimension")
+        raise DimensionMismatch("metric size does not match the configuration dimension")
     if metric.matrix.det() == 0:
         raise DegenerateForm("metric is degenerate")
 
@@ -201,21 +202,16 @@ def _scalar_blocks(cfg: VConfiguration, table: IntPairing) -> dict[Fraction, lis
     """The covectors' lattice coordinates grouped by the scalar mu_i with
     M a_i^T = mu_i G^-1 a_i^T, given the metric's pairing table.
 
-    As the covectors span, that equation holds exactly when row i of the
-    metric's pairing table is mu_i times row i of the vee table: one integer
-    cross-multiplication per entry, with mu_i read at the first nonzero
-    entry of the vee row.  NonScalarAction names the first covector with no
-    such scalar.
+    As the covectors span, row i of the metric's pairing table is then mu_i
+    times row i of the vee table, and mu_i is read at the first nonzero entry
+    of the vee row.  The caller's passing metric series check guarantees the
+    scalar (see `cms_to_vee`), so the rest of the row is not compared.
     """
     (m_table, m_den), (v_table, v_den) = table, cfg.integer_pairing
     blocks: dict[Fraction, list[tuple[int, ...]]] = {}
-    for e, coords, mrow, vrow in zip(cfg.entries, cfg.lattice_coords, m_table, v_table):
+    for coords, mrow, vrow in zip(cfg.lattice_coords, m_table, v_table):
         # exists: G^-1 a^T is nonzero and the covectors span
         k = next(k for k, x in enumerate(vrow) if x != 0)
-        if any(mx * vrow[k] != mrow[k] * vx for mx, vx in zip(mrow, vrow)):
-            raise NonScalarAction(
-                f"dual of covector {e.label} does not lie in a single scalar block"
-            )
         blocks.setdefault(Fraction(mrow[k] * v_den, vrow[k] * m_den), []).append(coords)
     return blocks
 
@@ -226,13 +222,13 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     Splits the space into eigenspaces of the exact rational operator
     T = M G (M the metric matrix, G the form), on each of which the form is
     the scalar multiple mu_i of the metric's inner product on vectors.  Each
-    covector dual M a_i^T must be an eigenvector of T, that is (M and G being
+    covector dual M a_i^T is an eigenvector of T, that is (M and G being
     invertible) M a_i^T = mu_i G^-1 a_i^T, which `_scalar_blocks` reads off
-    the two integer pairing tables; otherwise NonScalarAction is raised.  The
+    the two integer pairing tables.  The passing metric check implies it:
+    summed over the series of a, it is the 2-form identity
+    sum_b c_b (a,b) a^b = a ^ (G M a^T) = 0 for every covector a.  The
     scalars are all the eigenvalues of T, and each eigenspace's dimension is
-    the rank of the lattice coordinates of the covectors with its scalar.  A
-    passing metric check already implies it, through the 2-form identity
-    sum_b c_b (a,b) a^b = a ^ (G M a^T) = 0 for every covector a.
+    the rank of the lattice coordinates of the covectors with its scalar.
 
     Each vee residual is the metric residual divided by mu_i, so all vanish
     with the metric ones: the metric report is the intrinsic report.
@@ -271,8 +267,7 @@ def solve_capital_lambda(
     from the supplied metric; with the vee-form metric the value equals
     lambda^2 / 4 exactly.
     """
-    if metric.matrix.det() == 0:
-        raise DegenerateForm("metric is degenerate")
+    _require_metric(cfg, metric)
     if psys is None:
         psys = positive_system(cfg)
     status, ratio, witness = integer_tensor_ratio(cfg, psys, metric.integer_pairing(cfg))

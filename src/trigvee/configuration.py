@@ -10,6 +10,8 @@ denominator, the only form of the table that the checks read.  A pairing
 under any other matrix is tabulated the same way by `integer_pairing_table`.
 Every exact kernel reads the covectors and multiplicities cleared to integers
 once, as `integer_covectors` and `integer_mults`, and keeps its own scale.
+`gram_inverse` is the one place that refuses a degenerate form: every
+check that needs the vee product reaches it before doing anything else.
 The split of the covectors into series around each base is cached as
 `series`, and the numeric checks read the float view `floats`, also cached.
 """
@@ -293,8 +295,6 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
 
 def dual_vector(cfg: VConfiguration, v: Sequence) -> tuple[Fraction, ...]:
     """The vector dual to covector v under the form: gram . result = v^T."""
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
     return cfg.gram_inverse.mat_vec(v)
 
 
@@ -405,8 +405,7 @@ def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
     Returns a single-element list exactly when the configuration is
     irreducible.
     """
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
+    table, _den = cfg.integer_pairing
     n = len(cfg.entries)
     parent = list(range(n))
 
@@ -416,7 +415,6 @@ def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
             i = parent[i]
         return i
 
-    table, _den = cfg.integer_pairing
     for i in range(n):
         for j in range(i + 1, n):
             if table[i][j] != 0:
@@ -433,20 +431,11 @@ def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
 
     result = []
     for idx_list in components:
-        rows = [cfg.entries[i].covector for i in idx_list]
-        basis, pivots = rref(rows)
-        sub_entries = []
-        for i in idx_list:
-            v = cfg.entries[i].covector
-            coords = tuple(v[p] for p in pivots)
-            # rref basis rows carry an identity pattern on pivot columns,
-            # so coordinates read off there must reconstruct v exactly
-            recon = [Fraction(0)] * cfg.dim
-            for c, brow in zip(coords, basis):
-                for k in range(cfg.dim):
-                    recon[k] += c * brow[k]
-            assert tuple(recon) == v
-            sub_entries.append((coords, cfg.entries[i].mult, cfg.entries[i].label))
+        members = [cfg.entries[i] for i in idx_list]
+        basis, pivots = rref([e.covector for e in members])
+        # the rref rows carry the identity on the pivot columns, so the
+        # entries there are each covector's coordinates in the basis
+        sub_entries = [(tuple(e.covector[p] for p in pivots), e.mult, e.label) for e in members]
         result.append(build_configuration(len(basis), sub_entries))
     return result
 

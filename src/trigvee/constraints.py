@@ -28,7 +28,13 @@ from .configuration import (
     covector,
     relative_wedge_signs,
 )
-from .errors import DegenerateParametrization, InvalidParams, SpanDeficient, VeeError
+from .errors import (
+    DegenerateParametrization,
+    InvalidParams,
+    SpanDeficient,
+    VeeError,
+    ZeroMultiplicity,
+)
 from .exactnum import as_rational
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
@@ -188,8 +194,9 @@ def verify_family(
     values, rationals, or expression results; unmapped symbols stay free
     parameters.  Substitution is fully expanded over a common denominator, so
     a constraint passes iff its substituted numerator is the zero polynomial.
-    The nondegeneracy polynomial must NOT vanish identically after
-    substitution, otherwise DegenerateParametrization is raised.
+    No multiplicity may be identically 0 (ZeroMultiplicity names the first
+    that is), and the nondegeneracy polynomial must NOT vanish identically
+    after substitution, otherwise DegenerateParametrization is raised.
     """
     cs = series_constraints(vectors, symbols)
     unknown = sorted(set(parametrization) - set(cs.symbols))
@@ -216,6 +223,8 @@ def verify_family(
             images[sym] = RatFunc.from_poly(val.with_vars(variables))
         else:
             images[sym] = RatFunc.constant(variables, as_rational(val))
+        if images[sym].is_zero():
+            raise ZeroMultiplicity(f"multiplicity {sym} is identically 0")
 
     nondeg = cs.nondegeneracy.substitute(images)
     if nondeg.is_zero():
@@ -271,18 +280,14 @@ def _exact_solution(
     assignment: dict[str, Fraction],
 ) -> bool:
     """True when the assignment builds a nondegenerate passing configuration."""
-    if any(v == 0 for v in assignment.values()):
-        return False
     dim = len(vectors[0])
     try:
         cfg = build_configuration(
             dim, [(v, assignment[sym]) for v, sym in zip(vectors, symbols)]
         )
-    except VeeError:
+    except VeeError:  # a zero multiplicity among them
         return False
-    if cfg.gram_det == 0:
-        return False
-    return check_series_condition(cfg).passed
+    return cfg.gram_det != 0 and check_series_condition(cfg).passed
 
 
 def find_multiplicities(

@@ -9,6 +9,7 @@ package have a handful of variables and total degree a few units.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ParseError
@@ -357,6 +358,19 @@ class RatFunc:
 # + - * / ^ and parentheses; '^' takes a nonnegative integer exponent.
 # ---------------------------------------------------------------------------
 
+# largest power the parser computes, in bits of its coefficients: about 3000
+# decimal digits, within the 4300 that int converts to and from str by default
+_MAX_POWER_BITS = 10_000
+
+
+def _height_bits(p: MultiPoly) -> int:
+    """Bits b such that p^k's coefficients are ratios of integers below 2^(k b):
+    p = q / L with L the lcm of the denominators, and q^k's coefficients stay
+    below the k-th power of the sum of q's |coefficients|."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return max(total.bit_length(), den.bit_length())
+
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
@@ -369,6 +383,10 @@ def _tokenize(text: str) -> list[str]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # more digits than int converts from str
+                raise ParseError(f"integer too long ({j - i} digits)", column=i + 1) from None
             tokens.append(text[i:j])
             i = j
         elif ch.isalpha() or ch == "_":
@@ -439,8 +457,10 @@ def parse_expression(text: str, variables: Sequence[str]) -> RatFunc:
             tok = peek()
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
-            advance()
-            return base ** int(tok)
+            k = int(advance())
+            if k * max(_height_bits(base.num), _height_bits(base.den)) > _MAX_POWER_BITS:
+                raise ParseError(f"power too large (over {_MAX_POWER_BITS} bits)")
+            return base**k
         return base
 
     def parse_atom() -> RatFunc:

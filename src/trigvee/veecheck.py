@@ -22,7 +22,6 @@ from .configuration import (
     relative_wedge_signs,
     wedge_coeffs,
 )
-from .errors import DegenerateForm
 
 
 @dataclass(frozen=True)
@@ -84,54 +83,7 @@ def series_residuals(cfg: VConfiguration, pairing: IntPairing) -> SeriesCheckRep
 
 def check_series_condition(cfg: VConfiguration) -> SeriesCheckReport:
     """Definition check: every series residual vanishes under the vee product."""
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
     return series_residuals(cfg, cfg.integer_pairing)
-
-
-@dataclass(frozen=True)
-class TwoFormWitness:
-    base_index: int
-    coefficients: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class V3Report:
-    witnesses: tuple[TwoFormWitness, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.witnesses
-
-
-def _cleared(cfg: VConfiguration) -> tuple[tuple, tuple[int, ...], int]:
-    """The integer covectors and multiplicities, and the denominator d^2 l_c den
-    of a 2-form coefficient sum_b c_b (a,b) a^b over the vee pairing table."""
-    (vecs, d), (mults, l_c) = cfg.integer_covectors, cfg.integer_mults
-    return vecs, mults, d * d * l_c * cfg.integer_pairing[1]
-
-
-def check_v3_identity(cfg: VConfiguration) -> V3Report:
-    """For each base a, the full 2-form sum_b c_b (a,b) a^b must vanish.
-
-    Under the vee product the sum is a ^ (G G^-1 a^T) = a ^ a, so this holds
-    for every nondegenerate configuration: an internal consistency check,
-    not a criterion.  Each coefficient is summed over ints and becomes one
-    Fraction.
-    """
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
-    vecs, mults, scale = _cleared(cfg)
-    witnesses = []
-    for i, (a, row) in enumerate(zip(vecs, cfg.integer_pairing[0])):
-        acc = [0] * (cfg.dim * (cfg.dim - 1) // 2)
-        for b, c, p in zip(vecs, mults, row):
-            if p:
-                acc = [x + c * p * w for x, w in zip(acc, wedge_coeffs(a, b))]
-        if any(acc):
-            coefficients = tuple(Fraction(x, scale) for x in acc)
-            witnesses.append(TwoFormWitness(base_index=i, coefficients=coefficients))
-    return V3Report(witnesses=tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -158,16 +110,16 @@ def check_rational_vee(cfg: VConfiguration) -> RationalVeeReport:
     weighted sum over all entries lying in that plane (parallel ones
     included) must be a rational multiple of the base.  The planes through a
     are told apart by the primitive 2-form a ^ b, and each deviation
-    coefficient is summed over ints and becomes one Fraction.
+    coefficient is summed over ints and becomes one Fraction over d^2 l_c den.
     """
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
-    vecs, mults, scale = _cleared(cfg)
+    table, den = cfg.integer_pairing
+    (vecs, d), (mults, l_c) = cfg.integer_covectors, cfg.integer_mults
+    scale = d * d * l_c * den
     witnesses = []
     planes_checked = 0
-    for i, (a, row) in enumerate(zip(vecs, cfg.integer_pairing[0])):
+    for i, (a, row) in enumerate(zip(vecs, table)):
         # entries parallel to the base (itself included) lie in every plane
-        parallel = {j for j, d in enumerate(cfg.directions) if d == cfg.directions[i]}
+        parallel = {j for j, dj in enumerate(cfg.directions) if dj == cfg.directions[i]}
         planes: dict[tuple[int, ...], list[int]] = {}
         for j, b in enumerate(vecs):
             if j not in parallel:
@@ -274,11 +226,10 @@ def solve_lambda_squared(
     cfg: VConfiguration, psys: PositiveSystem | None = None
 ) -> LambdaSolution:
     """Solve the 4-tensor identity for lambda^2 = 4 * Q/P over a positive system."""
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
+    pairing = cfg.integer_pairing  # refuses a degenerate form before any other work
     if psys is None:
         psys = positive_system(cfg)
-    status, ratio, witness = integer_tensor_ratio(cfg, psys, cfg.integer_pairing)
+    status, ratio, witness = integer_tensor_ratio(cfg, psys, pairing)
     lambda2 = 4 * ratio if status == "solved" else None
     return LambdaSolution(status=status, lambda2=lambda2, psys=psys, witness=witness)
 

@@ -60,12 +60,12 @@ class ConfigFile:
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"expected a rational number, got {token!r}", line, column)
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ParseError("zero denominator", line, column)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator", line, column) from None
+    except ValueError:  # more digits than int converts from str
+        raise ParseError(f"number too long ({len(token)} characters)", line, column) from None
 
 
 def parse_config_file(text: str) -> ConfigFile:

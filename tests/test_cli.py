@@ -1,6 +1,7 @@
 """File format round trips and CLI behavior, including exit codes."""
 
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: division by zero in expression\n"
+
+    @pytest.mark.parametrize("expr", ["0", "t-t"])
+    def test_zero_multiplicity_exit_2(self, b2sym_file, capsys, expr):
+        assert main(["family", b2sym_file, "--set", f"c1={expr}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: multiplicity c1 is identically 0\n"
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("2^99999999", "power too large (over 10000 bits)"),
+            ("5" * 5000 + "*t", "integer too long (5000 digits)"),
+        ],
+        ids=["power", "literal"],
+    )
+    def test_oversized_expression_exit_2(self, b2sym_file, capsys, expr, message):
+        start = time.process_time()
+        assert main(["family", b2sym_file, "--set", f"c1={expr}"]) == 2
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_oversized_multiplicity_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.vee"
+        path.write_text("dim 2\nvector 1 0 mult 1\nvector 0 1 mult " + "7" * 5000 + "\n")
+        start = time.process_time()
+        assert main(["check", str(path)]) == 2
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: number too long (5000 characters) (line 3, column 5)\n"
 
     def test_constraints_and_family(self, b2sym_file, capsys):
         assert main(["constraints", b2sym_file]) == 0

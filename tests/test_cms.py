@@ -200,3 +200,13 @@ class TestCapitalLambda:
             sol = solve_capital_lambda(cfg, mv.scaled(t))
             assert sol.status == base.status
             assert sol.value == base.value / t
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize(
+    "check", [cms_identity_residual, check_series_with_metric, cms_to_vee, solve_capital_lambda]
+)
+def test_wrong_size_metric_refused_by_one_gate(check, size):
+    message = "^metric size does not match the configuration dimension$"
+    with pytest.raises(DimensionMismatch, match=message):
+        check(b2(), Metric(RatMatrix.identity(size)))

@@ -39,7 +39,7 @@ from trigvee.errors import (
     ZeroMultiplicity,
 )
 from trigvee.exactnum import RatMatrix, clear_denominators
-from trigvee.veecheck import check_rational_vee, check_v3_identity, full_check
+from trigvee.veecheck import check_rational_vee, full_check
 
 from conftest import rand_configuration, rand_fraction, rand_nonzero_fraction
 
@@ -250,7 +250,6 @@ class TestIntegerView:
             calls.clear()
             positive_system(cfg)
             report = full_check(cfg)
-            check_v3_identity(cfg)
             check_rational_vee(cfg)
             metric = euclidean_metric(cfg.dim)
             check_series_with_metric(cfg, metric)

@@ -8,7 +8,12 @@ import sympy
 from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
 from trigvee.constraints import find_multiplicities, series_constraints, verify_family
-from trigvee.errors import DegenerateParametrization, DimensionMismatch, SpanDeficient
+from trigvee.errors import (
+    DegenerateParametrization,
+    DimensionMismatch,
+    SpanDeficient,
+    ZeroMultiplicity,
+)
 from trigvee.multipoly import MultiPoly, RatFunc
 from trigvee.veecheck import check_series_condition
 
@@ -242,6 +247,14 @@ class TestVerifyFamily:
                 {"c1": ca, "c2": cb, "c3": -ca * cb / (ca + cb)},
                 symbols=("c1", "c2", "c3"),
             )
+
+    def test_identically_zero_multiplicity_rejected(self):
+        # build_configuration refuses multiplicity 0, so no such family exists
+        t = RatFunc.variable(("t",), "t")
+        cases = [({"c1": 0}, "c1"), ({"c1": t - t, "c2": t}, "c1"), ({"c2": t, "cm": 0 * t}, "cm")]
+        for par, zero in cases:
+            with pytest.raises(ZeroMultiplicity, match=f"^multiplicity {zero} is identically 0$"):
+                verify_family(B2_VECTORS, par, symbols=B2_SYMBOLS)
 
     def test_unknown_parametrization_keys_rejected(self):
         t = MultiPoly.variable(("cm", "cp", "t"), "t")

@@ -83,6 +83,14 @@ class TestExpressionParser:
     def test_variables_discovery(self):
         assert expression_variables("3*t + u/(v - 1)") == {"t", "u", "v"}
 
+    def test_power_size_bound(self):
+        # at most 10000 bits: 2 bits per factor 2 or (1 + t), 1 per factor t
+        assert parse_expression("2^5000", ("t",)).num.evaluate({"t": 0}) == 2**5000
+        assert parse_expression("t^10000", ("t",)).num.degree_in("t") == 10000
+        for expr in ("2^5001", "(1 + t)^5001", "2^99999999"):
+            with pytest.raises(ParseError, match="power too large"):
+                parse_expression(expr, ("t",))
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_expression("t +", ("t",))

@@ -4,12 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from trigvee.configuration import build_configuration, direct_sum, positive_system
+from trigvee.cms import cms_to_vee, euclidean_metric
+from trigvee.configuration import (
+    build_configuration,
+    decompose_components,
+    direct_sum,
+    dual_vector,
+    positive_system,
+    vee_product,
+)
 from trigvee.errors import DegenerateForm
 from trigvee.veecheck import (
     check_rational_vee,
     check_series_condition,
-    check_v3_identity,
     full_check,
     solve_lambda_squared,
 )
@@ -147,12 +154,6 @@ class TestLambdaSolve:
 
 
 class TestImpliedIdentities:
-    def test_v3_telescopes_even_when_series_fails(self):
-        # the full 2-form sum telescopes to a ^ a, so it vanishes for every
-        # nondegenerate configuration, series condition or not
-        assert check_v3_identity(a2()).passed
-        assert check_v3_identity(b2(1, 2, 1, 1)).passed
-
     def test_rational_vee_trivial_in_the_plane(self):
         assert check_rational_vee(a2()).passed
         assert check_rational_vee(b2(1, 2, 1, 1)).passed
@@ -178,10 +179,27 @@ class TestImpliedIdentities:
             if cfg.gram_det == 0:
                 continue
             if check_series_condition(cfg).passed:
-                assert check_v3_identity(cfg).passed
                 assert check_rational_vee(cfg).passed
                 checked += 1
         assert checked >= 1  # the generator does produce passing cases
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda cfg: dual_vector(cfg, (1, 0)), id="dual_vector"),
+        pytest.param(lambda cfg: vee_product(cfg, (1, 0), (0, 1)), id="vee_product"),
+        decompose_components,
+        check_series_condition,
+        check_rational_vee,
+        solve_lambda_squared,
+        pytest.param(lambda cfg: cms_to_vee(cfg, euclidean_metric(2)), id="cms_to_vee"),
+    ],
+)
+def test_degenerate_form_refused_with_one_error(check):
+    """`gram_inverse` is the gate that the exact checks reach first."""
+    with pytest.raises(DegenerateForm, match="^the form G is degenerate$"):
+        check(a2(1, 1, F(-1, 2)))
 
 
 class TestFullCheck:
