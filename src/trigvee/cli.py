@@ -490,6 +490,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # an int read or printed past Python's decimal digit limit: a `dim`,
+        # or a result that in-limit inputs build (a coupling, a product)
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a number has more than {limit} decimal digits", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -258,7 +258,11 @@ def _compile_polynomials(polys: Sequence[MultiPoly]):
     The polynomials must be squarefree and homogeneous of one common degree
     d, as series_constraints writes every constraint and det G(c) (d = n):
     each monomial is then the product of d distinct variables, one row of a
-    terms x d index table.  Returns vals -> array of the polynomials' values.
+    terms x d index table.  Returns an evaluator from a (k, m) array of
+    variable values, one point a row, to the (k, P) array of the P
+    polynomials' values there.  One bincount over per-point row offsets sums
+    them, each value over its terms in dict order, so a point's values are
+    the same bits whatever else is in the batch.
     """
     rows, coefs, idx = [], [], []
     for p_idx, p in enumerate(polys):
@@ -266,12 +270,40 @@ def _compile_polynomials(polys: Sequence[MultiPoly]):
             rows.append(p_idx)
             coefs.append(float(coef))
             idx.append([k for k, e in enumerate(expo) if e])
-    rows_a, coefs_a, idx_a = np.array(rows), np.array(coefs), np.array(idx, dtype=np.intp)
+    rows_a, coefs_a = np.array(rows), np.array(coefs)
+    columns = np.array(idx, dtype=np.intp).T.copy()  # a monomial's k-th variable
+    size = len(polys)
 
-    def evaluate(vals: np.ndarray) -> np.ndarray:
-        return np.bincount(rows_a, coefs_a * vals[idx_a].prod(axis=1), minlength=len(polys))
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        k = len(points)
+        bins = (rows_a + size * np.arange(k)[:, None]).ravel()
+        # multiplied left to right, as prod(axis=1) over the index table does
+        weights = points[:, columns[0]]
+        for col in columns[1:]:
+            weights *= points[:, col]
+        weights *= coefs_a
+        return np.bincount(bins, weights.ravel(), minlength=k * size).reshape(k, size)
 
     return evaluate
+
+
+_STEP = 2.0**-26  # sqrt(float64 eps), scipy's relative step for jac='2-point'
+
+
+def _two_point_jacobian(rows, x: np.ndarray) -> np.ndarray:
+    """The Jacobian least_squares builds with jac='2-point', in one call of `rows`.
+
+    `rows` maps a (k, n) array of points to the (k, M) residuals there.  As
+    scipy does: h = sqrt(eps) * sign0(x) * max(1, |x|) with sign0(0) = +1,
+    dx = (x + h) - x and J[:, k] = (f(x + h_k e_k) - f(x)) / dx_k, built a
+    row per variable and returned transposed, as scipy builds it.
+    """
+    h = _STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    points = np.tile(x, (len(x) + 1, 1))
+    k = np.arange(len(x))
+    points[k + 1, k] = x + h
+    f = rows(points)
+    return ((f[1:] - f[0]) / ((x + h) - x)[:, None]).T
 
 
 def _exact_solution(
@@ -304,7 +336,10 @@ def find_multiplicities(
     coordinate to a small-denominator rational, re-optimize the rest), and
     finally exact verification of the candidate.  Only candidates that pass
     the exact series check with a nondegenerate form are returned; an empty
-    result means "not found", never "nonexistent".
+    result means "not found", never "nonexistent".  The least-squares
+    Jacobian is scipy's 2-point forward difference, computed in one batched
+    evaluation of the monomial table (`_two_point_jacobian`), so the descent
+    takes the steps it takes with jac='2-point'.
     """
     if starts < 1:
         raise InvalidParams(f"starts must be at least 1, got {starts}")
@@ -337,13 +372,20 @@ def find_multiplicities(
         values = values_at(fixed)
         free_pos = [position[s] for s in free_syms]
 
-        def residuals(xs: np.ndarray) -> np.ndarray:
-            values[free_pos] = xs
-            return evaluate(values)[:-1]
+        def at(xs: np.ndarray) -> np.ndarray:
+            points = np.tile(values, (len(xs), 1))
+            points[:, free_pos] = xs
+            return evaluate(points)
 
-        fit = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        values[free_pos] = fit.x
-        return fit.x, float(np.linalg.norm(fit.fun)), evaluate(values)[-1]
+        fit = least_squares(
+            lambda x: at(x[None])[0, :-1],
+            x0,
+            jac=lambda x: _two_point_jacobian(lambda xs: at(xs)[:, :-1], x),
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+        return fit.x, float(np.linalg.norm(fit.fun)), at(fit.x[None])[0, -1]
 
     # the constraint polynomials also vanish wherever det G vanishes becomes
     # easy to reach numerically, so every accepted step must keep the form
@@ -385,7 +427,7 @@ def find_multiplicities(
                         accepted = (q, xs)
                         break
                 else:
-                    vals = evaluate(values_at(trial))
+                    vals = evaluate(values_at(trial)[None])[0]
                     err, det = np.abs(vals[:-1]).max(), vals[-1]
                     if err <= _RESIDUAL_TOL and abs(det) > det_floor:
                         accepted = (q, np.array([]))

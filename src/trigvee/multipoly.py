@@ -9,7 +9,7 @@ package have a handful of variables and total degree a few units.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .errors import ParseError
@@ -361,6 +361,9 @@ class RatFunc:
 # largest power the parser computes, in bits of its coefficients: about 3000
 # decimal digits, within the 4300 that int converts to and from str by default
 _MAX_POWER_BITS = 10_000
+# and in terms, whose count the expansion time grows with the square of: a
+# t-term polynomial's k-th power has at most C(k+t-1, t-1) ((1+s+t)^30: 496)
+_MAX_POWER_TERMS = 500
 
 
 def _height_bits(p: MultiPoly) -> int:
@@ -460,6 +463,9 @@ def parse_expression(text: str, variables: Sequence[str]) -> RatFunc:
             k = int(advance())
             if k * max(_height_bits(base.num), _height_bits(base.den)) > _MAX_POWER_BITS:
                 raise ParseError(f"power too large (over {_MAX_POWER_BITS} bits)")
+            t = max(len(base.num.terms), len(base.den.terms))
+            if comb(k + t - 1, t - 1) > _MAX_POWER_TERMS:
+                raise ParseError(f"power too large (over {_MAX_POWER_TERMS} terms)")
             return base**k
         return base
 

@@ -236,8 +236,10 @@ class TestCli:
         [
             ("2^99999999", "power too large (over 10000 bits)"),
             ("5" * 5000 + "*t", "integer too long (5000 digits)"),
+            ("(1+s+t)^40", "power too large (over 500 terms)"),
+            ("2^5000*2^5000*2^5000", "a number has more than 4300 decimal digits"),
         ],
-        ids=["power", "literal"],
+        ids=["power", "literal", "terms", "product"],
     )
     def test_oversized_expression_exit_2(self, b2sym_file, capsys, expr, message):
         start = time.process_time()
@@ -256,6 +258,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: number too long (5000 characters) (line 3, column 5)\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dim 2\nvector 1 0 mult 1\nvector 0 1 mult " + "7" * 4000 + "\nvector 1 1 mult 1\n",
+            "dim " + "7" * 5000 + "\nvector 1 mult 1\n",
+        ],
+        ids=["lambda2", "dim"],
+    )
+    def test_number_past_digit_limit_exit_2(self, tmp_path, capsys, text):
+        """A lambda2 built from a 4000-digit multiplicity, and a 5000-digit dim."""
+        path = tmp_path / "big.vee"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a number has more than 4300 decimal digits\n"
 
     def test_constraints_and_family(self, b2sym_file, capsys):
         assert main(["constraints", b2sym_file]) == 0

@@ -194,10 +194,13 @@ def test_compiled_polynomials_match_exact_evaluation(name):
     rng = random.Random(name)
     # exact evaluation of all 156 B4 polynomials takes 0.5 s a point: sample
     checked = range(len(polys)) if dim < 4 else rng.sample(range(len(polys) - 1), 40) + [-1]
-    for _ in range(1 if dim > 3 else 3):
-        point = [F(rng.choice([-1, 1]) * rng.randint(1, 24), 8) for _ in cs.symbols]
-        values = evaluate(np.array([float(x) for x in point]))
-        assert values.shape == (len(polys),)
+    points = [
+        [F(rng.choice([-1, 1]) * rng.randint(1, 24), 8) for _ in cs.symbols]
+        for _ in range(1 if dim > 3 else 3)
+    ]
+    batch = evaluate(np.array([[float(x) for x in point] for point in points]))
+    assert batch.shape == (len(points), len(polys))
+    for point, values in zip(points, batch):
         assignment = dict(zip(cs.symbols, point))
         scale = max(abs(x) for x in point) ** dim
         for k in checked:

@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, rational functions, expression parsing."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,15 @@ class TestExpressionParser:
         for expr in ("2^5001", "(1 + t)^5001", "2^99999999"):
             with pytest.raises(ParseError, match="power too large"):
                 parse_expression(expr, ("t",))
+
+    def test_power_term_bound(self):
+        # a t-term base to the k-th power: at most C(k+t-1, t-1) terms, 500 allowed
+        assert len(parse_expression("(1 + s + t)^30", ("s", "t")).num.terms) == 496
+        for expr in ("(1 + s + t)^31", "(1 + t)^500", "1/(s + t)^500", "(1 + s + t)^100"):
+            start = time.process_time()
+            with pytest.raises(ParseError, match=r"^power too large \(over 500 terms\)$"):
+                parse_expression(expr, ("s", "t"))
+            assert time.process_time() - start < 0.1
 
     def test_errors(self):
         with pytest.raises(ParseError):
