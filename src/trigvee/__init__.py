@@ -39,6 +39,7 @@ from .constraints import (
     ConstraintSet,
     FamilyVerdict,
     find_multiplicities,
+    linear_family,
     series_constraints,
     verify_family,
 )

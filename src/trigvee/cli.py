@@ -455,11 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("search", help="numeric search + exact certification of multiplicities")
+    p = sub.add_parser(
+        "search", help="exact family solve, else numeric search; exactly certified multiplicities"
+    )
     p.add_argument("file")
     p.add_argument("--fix", help="symbol normalized to 1 (default: first)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=12, help="number of random starts")
+    p.add_argument("--seed", type=int, default=0, help="seed of the numeric fallback")
+    p.add_argument("--starts", type=int, default=12, help="random starts of the numeric fallback")
     add_common(p)
     p.set_defaults(func=cmd_search)
 

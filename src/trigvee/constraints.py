@@ -9,6 +9,10 @@ Cauchy-Binet both are written in closed form, as sums of squarefree
 monomials whose coefficients are products of integer covector minors, all
 from one Laplace recursion over covector subsets: C(m, r) C(n, r) r integer
 multiplications at each level r < n, not C(m, n-1) n separate determinants.
+
+At a fixed form N the conditions become linear: the multiplicities with
+G(c) = mu N form the exact nullspace L(N) of `linear_family`.  The search
+solves L(N) first and descends numerically only when that finds nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -24,18 +28,21 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .configuration import (
+    VConfiguration,
     build_configuration,
     covector,
+    integer_pairing_table,
     relative_wedge_signs,
 )
 from .errors import (
+    DegenerateForm,
     DegenerateParametrization,
     InvalidParams,
     SpanDeficient,
     VeeError,
     ZeroMultiplicity,
 )
-from .exactnum import as_rational
+from .exactnum import RatMatrix, as_rational, clear_denominators, mat_inverse, rref
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -93,6 +100,31 @@ def _cofactor_rows(ints: list[list[int]], dim: int) -> dict[tuple[int, ...], lis
     return {t: [(-1) ** k * x for k, x in enumerate(reversed(minors))] for t, minors in level.items()}
 
 
+def _unit_configuration(
+    vectors: Sequence[Sequence], symbols: Sequence[str] | None
+) -> tuple[VConfiguration, tuple[str, ...]]:
+    """The vectors at multiplicity 1 and one symbol per vector (c1, c2, ...
+    by default), after checking that they span and the symbols are distinct.
+    The series split and the integer covectors do not depend on the
+    multiplicities, so every symbolic tool reads them off this configuration."""
+    vecs = [covector(v) for v in vectors]
+    if not vecs:
+        raise SpanDeficient("empty vector set")
+    dim = len(vecs[0])
+    cfg = build_configuration(dim, [(v, 1) for v in vecs])
+    if len(cfg.lattice_basis) < dim:
+        raise SpanDeficient(f"vectors span only {len(cfg.lattice_basis)} of {dim} dimensions")
+    m = len(vecs)
+    if symbols is None:
+        return cfg, tuple(f"c{i + 1}" for i in range(m))
+    symbols = tuple(symbols)
+    if len(symbols) != m:
+        raise ValueError("need one symbol per vector")
+    if len(set(symbols)) != m:
+        raise ValueError("symbols must be distinct")
+    return cfg, symbols
+
+
 def series_constraints(
     vectors: Sequence[Sequence], symbols: Sequence[str] | None = None
 ) -> ConstraintSet:
@@ -114,24 +146,8 @@ def series_constraints(
     determinant per cofactor costs C(m, n-1) * n determinants.  Coefficients
     are summed as ints, one shared Fraction over D^2n per distinct sum.
     """
-    vecs = [covector(v) for v in vectors]
-    if not vecs:
-        raise SpanDeficient("empty vector set")
-    dim = len(vecs[0])
-    # series structure is independent of multiplicities; build with mult 1
-    cfg = build_configuration(dim, [(v, 1) for v in vecs])
-    if len(cfg.lattice_basis) < dim:
-        raise SpanDeficient(f"vectors span only {len(cfg.lattice_basis)} of {dim} dimensions")
-    m = len(vecs)
-    if symbols is None:
-        symbols = tuple(f"c{i + 1}" for i in range(m))
-    else:
-        symbols = tuple(symbols)
-        if len(symbols) != m:
-            raise ValueError("need one symbol per vector")
-        if len(set(symbols)) != m:
-            raise ValueError("symbols must be distinct")
-
+    cfg, symbols = _unit_configuration(vectors, symbols)
+    dim, m = cfg.dim, len(symbols)
     ints, den = cfg.integer_covectors
     minors = []  # (bitmask of T, M[T]) for every T with a nonzero minor
     for t, cof in _cofactor_rows(ints, dim).items():
@@ -172,7 +188,7 @@ def series_constraints(
             if row[j]:
                 det[mask | 1 << j] = row[j] ** 2
     return ConstraintSet(
-        symbols=symbols, vectors=tuple(vecs), polynomials=tuple(out), nondegeneracy=poly(det)
+        symbols=symbols, vectors=cfg.covectors(), polynomials=tuple(out), nondegeneracy=poly(det)
     )
 
 
@@ -242,6 +258,81 @@ def verify_family(
     return FamilyVerdict(
         passed=not failing, failing=tuple(failing), residual_numerators=tuple(residues)
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact multiplicity families at a fixed form.
+# ---------------------------------------------------------------------------
+
+
+def linear_family(
+    vectors: Sequence[Sequence], N, symbols: Sequence[str] | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
+    """A basis of the multiplicities with form proportional to N, exactly.
+
+    Fix a symmetric nondegenerate rational form N (a RatMatrix or rows).
+    When G(c) = mu N with mu != 0, every vee product is (a, b) = a N^-1 b^T
+    / mu, so the series conditions are linear in c.  With the n(n+1)/2
+    equations sum_a c_a a^T a = mu N they cut out a linear space L(N) of
+    vectors (c_1, ..., c_m, mu), coordinates in the order of the vectors
+    (and of `symbols`), mu last.  Every member with mu and all c_a nonzero
+    is a trigonometric vee-system with form mu N.  Returns the nullspace
+    basis that the reduced echelon form of the equations gives, one vector
+    per free coordinate; it is empty when L(N) = 0.  The vectors and the
+    symbols are checked as by `series_constraints`.
+    """
+    cfg, _symbols = _unit_configuration(vectors, symbols)
+    form = N if isinstance(N, RatMatrix) else RatMatrix(N)
+    if not form.is_symmetric():
+        raise DegenerateForm("the form N must be symmetric")
+    return _family_basis(cfg, form)
+
+
+def _family_basis(cfg: VConfiguration, form: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """`linear_family` at the multiplicity-1 configuration of the vectors.
+    One integer row per series condition, sum_j r_j c_j (a_i N^-1 a_j^T)
+    over the series (scaled by the common denominator of the table), and
+    one per entry (k, l), k <= l, of sum_a c_a a_k a_l - mu N_kl (scaled by
+    d^2 l_N for covectors over d and N over l_N)."""
+    m = len(cfg.entries)
+    table, _den = integer_pairing_table(cfg.integer_covectors, mat_inverse(form))
+    rows = []
+    for i, pairings in enumerate(table):
+        for series in cfg.series[i]:
+            row = [0] * (m + 1)
+            for j, r in zip(series.entry_indices(), relative_wedge_signs(series)):
+                row[j] = r * pairings[j]
+            rows.append(row)
+    ints, d = cfg.integer_covectors
+    form_ints, l_n = clear_denominators(form.entries)
+    for k in range(cfg.dim):
+        for l in range(k, cfg.dim):
+            rows.append([l_n * a[k] * a[l] for a in ints] + [-d * d * form_ints[k][l]])
+    reduced, pivots = rref(rows)
+    basis = []
+    for f in range(m + 1):
+        if f not in pivots:
+            v = [Fraction(0)] * (m + 1)
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _generic_member(basis: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
+    """The first member sum_p s^p basis[p], s = 1, 2, ..., with every
+    coordinate nonzero; None when a coordinate vanishes on every basis
+    vector.  Otherwise each coordinate is a nonzero polynomial of degree
+    below k = len(basis) in s, so one of s = 1, ..., (m + 1)(k - 1) + 1 works
+    for m + 1 coordinates."""
+    columns = list(zip(*basis))
+    if not columns or not all(any(col) for col in columns):
+        return None
+    for s in count(1):
+        member = [sum(x * s**p for p, x in enumerate(col)) for col in columns]
+        if all(member):
+            return member
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +420,64 @@ def find_multiplicities(
     symbols: Sequence[str] | None = None,
     starts: int = 12,
 ) -> list[dict[str, Fraction]]:
-    """Search for exactly-verified multiplicity assignments.
+    """Search for exactly-verified multiplicity assignments, `fix_symbol`
+    (default the first symbol) scaled to 1.
 
-    Strategy: least-squares descent on the constraint polynomials from
-    seeded random starts, then a greedy snap-to-rational refinement (fix one
-    coordinate to a small-denominator rational, re-optimize the rest), and
-    finally exact verification of the candidate.  Only candidates that pass
-    the exact series check with a nondegenerate form are returned; an empty
-    result means "not found", never "nonexistent".  The least-squares
-    Jacobian is scipy's 2-point forward difference, computed in one batched
-    evaluation of the monomial table (`_two_point_jacobian`), so the descent
-    takes the steps it takes with jac='2-point'.
+    Exact stage: the families L(N) of `linear_family` at N = G(1, ..., 1)
+    and at N = I (skipped when proportional to G(1, ..., 1), where it gives
+    the same family).  From each it takes one member with mu and every
+    multiplicity nonzero (`_generic_member`), which is a vee-system with
+    form mu N.  When a member passes the exact check, those members are the
+    result, and no float is computed.
+
+    Fallback, only when neither family has such a member: least-squares
+    descent on the constraint polynomials from `starts` seeded random starts
+    (`_descent_search`); `seed` and `starts` steer only this stage.  Every
+    returned assignment passes the exact series check with a nondegenerate
+    form; an empty result means "not found", never "nonexistent".
     """
     if starts < 1:
         raise InvalidParams(f"starts must be at least 1, got {starts}")
-    cs = series_constraints(vectors, symbols)
-    syms = cs.symbols
+    cfg, syms = _unit_configuration(vectors, symbols)
     if fix_symbol is None:
         fix_symbol = syms[0]
     if fix_symbol not in syms:
         raise ValueError(f"unknown symbol {fix_symbol!r}")
-    free = [s for s in syms if s != fix_symbol]
 
+    gram = cfg.gram  # G(1, ..., 1)
+    unit = RatMatrix.identity(cfg.dim)
+    forms = [gram] if gram == unit.scale(gram.entries[0][0]) else [gram, unit]
+    fix = syms.index(fix_symbol)
+    solutions: list[dict[str, Fraction]] = []
+    for form in forms:
+        member = _generic_member(_family_basis(cfg, form))
+        if member is None:
+            continue
+        candidate = {s: x / member[fix] for s, x in zip(syms, member)}
+        # distinct: G(c) is proportional to one form only
+        if _exact_solution(cfg.covectors(), syms, candidate):
+            solutions.append(candidate)
+    if solutions:
+        return solutions
+    return _descent_search(series_constraints(vectors, symbols), fix_symbol, seed, starts)
+
+
+def _descent_search(
+    cs: ConstraintSet, fix_symbol: str, seed: int, starts: int
+) -> list[dict[str, Fraction]]:
+    """Least-squares descent on the constraint polynomials from seeded random
+    starts, then a greedy snap-to-rational refinement (fix one coordinate to
+    a small-denominator rational, re-optimize the rest), and finally exact
+    verification of the candidate.  The least-squares Jacobian is scipy's
+    2-point forward difference, computed in one batched evaluation of the
+    monomial table (`_two_point_jacobian`), so the descent takes the steps it
+    takes with jac='2-point'.  `cs` must have a nonzero polynomial: without
+    one, L(G(1, ..., 1)) holds c = 1, mu = 1, so the exact stage of
+    `find_multiplicities` always certifies a member.
+    """
+    syms = cs.symbols
+    free = [s for s in syms if s != fix_symbol]
     polys = cs.distinct_polynomials()
-    if not polys:
-        # no constraints at all: any nonzero assignment with nondegenerate
-        # form works; try all-ones
-        cand = {s: Fraction(1) for s in syms}
-        return [cand] if _exact_solution(cs.vectors, syms, cand) else []
 
     # the last value is det G(c), the others the constraint residuals
     evaluate = _compile_polynomials(polys + [cs.nondegeneracy])
@@ -413,10 +534,12 @@ def find_multiplicities(
             sym = remaining[0]
             rest = remaining[1:]
             accepted = None
+            tried = set()  # a repeated q would repeat the same refit
             for bound in _SNAP_BOUNDS:
                 q = Fraction(float(x[0])).limit_denominator(bound)
-                if q == 0:
+                if q == 0 or q in tried:
                     continue
+                tried.add(q)
                 trial = dict(fixed)
                 trial[sym] = float(q)
                 if rest:
