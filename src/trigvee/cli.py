@@ -456,12 +456,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser(
-        "search", help="exact family solve, else numeric search; exactly certified multiplicities"
+        "search",
+        help="one member of each exact family at G(1, ..., 1) and I, else a numeric search; "
+        "exactly certified multiplicities",
     )
     p.add_argument("file")
     p.add_argument("--fix", help="symbol normalized to 1 (default: first)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the numeric fallback")
-    p.add_argument("--starts", type=int, default=12, help="random starts of the numeric fallback")
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the numeric fallback (unused when exact)"
+    )
+    p.add_argument(
+        "--starts",
+        type=int,
+        default=12,
+        help="random starts of the numeric fallback (unused when exact)",
+    )
     add_common(p)
     p.set_defaults(func=cmd_search)
 

@@ -428,13 +428,18 @@ def find_multiplicities(
     the same family).  From each it takes one member with mu and every
     multiplicity nonzero (`_generic_member`), which is a vee-system with
     form mu N.  When a member passes the exact check, those members are the
-    result, and no float is computed.
+    whole result: at most two assignments, one per family, and no float is
+    computed.  Valid assignments whose form is proportional to neither N are
+    then not searched for, and `seed` and `starts` have no effect.
 
     Fallback, only when neither family has such a member: least-squares
     descent on the constraint polynomials from `starts` seeded random starts
-    (`_descent_search`); `seed` and `starts` steer only this stage.  Every
-    returned assignment passes the exact series check with a nondegenerate
-    form; an empty result means "not found", never "nonexistent".
+    (`_descent_search`), the only stage that `seed` and `starts` steer.  It
+    is reached, for example, by the planar covectors (0, 1), (1, 0), (1, 1),
+    (1, 2), (2, 1), (2, 2): L(N) = 0 at both forms, and the descent finds
+    c = (1, 1, 2, 1/2, 1/5, 1/2).  Every returned assignment passes the exact
+    series check with a nondegenerate form; an empty result means "not
+    found", never "nonexistent".
     """
     if starts < 1:
         raise InvalidParams(f"starts must be at least 1, got {starts}")
@@ -534,12 +539,10 @@ def _descent_search(
             sym = remaining[0]
             rest = remaining[1:]
             accepted = None
-            tried = set()  # a repeated q would repeat the same refit
             for bound in _SNAP_BOUNDS:
                 q = Fraction(float(x[0])).limit_denominator(bound)
-                if q == 0 or q in tried:
+                if q == 0:
                     continue
-                tried.add(q)
                 trial = dict(fixed)
                 trial[sym] = float(q)
                 if rest:

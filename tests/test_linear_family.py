@@ -4,6 +4,8 @@
 linear system, written here from the series split and sympy's own N^-1.
 Random members are checked with the exact series check, and the searches that
 the exact stage now answers are checked to certify without any float work.
+One vee-system with no member at either form checks that the search still
+reaches the descent.
 """
 
 import random
@@ -207,6 +209,40 @@ def test_search_argument_errors_and_their_order():
         find_multiplicities([], fix_symbol="zz", symbols=("a", "a"))
     with pytest.raises(ValueError, match="^need one symbol per vector$"):
         find_multiplicities(B2_VECTORS, fix_symbol="zz", symbols=("a",))
+
+
+def test_readme_example_basis():
+    """The basis printed in the README: A2 at N = [[2, 1], [1, 2]], c = mu (1, 1, 1)."""
+    assert linear_family([(1, 0), (0, 1), (1, 1)], [[2, 1], [1, 2]]) == ((1, 1, 1, 1),)
+
+
+# a vee-system whose forms are proportional to neither G(1, ..., 1) nor I
+DESCENT_ONLY = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_search_falls_back_to_descent_when_no_family_certifies(monkeypatch):
+    """L(N) = 0 at both forms, yet a vee-system exists, and the search
+    reaches it only through the descent."""
+    vectors = DESCENT_ONLY
+    for form in forms(vectors).values():
+        assert linear_family(vectors, form) == ()
+    known = [1, 1, 2, Fraction(1, 2), Fraction(1, 5), Fraction(1, 2)]
+    cfg = build_configuration(2, list(zip(vectors, known)))
+    assert cfg.gram_det != 0 and check_series_condition(cfg).passed
+
+    descents = []
+    descent = constraints._descent_search
+    monkeypatch.setattr(
+        constraints, "_descent_search", lambda *args: descents.append(args) or descent(*args)
+    )
+    solutions = find_multiplicities(vectors, seed=0, starts=12)
+    assert len(descents) == 1
+    assert solutions
+    for sol in solutions:
+        assert sol["c1"] == 1
+        cfg = build_configuration(2, [(v, sol[f"c{i + 1}"]) for i, v in enumerate(vectors)])
+        assert cfg.gram_det != 0
+        assert check_series_condition(cfg).passed
 
 
 def test_linear_family_form_errors():
