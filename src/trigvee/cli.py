@@ -179,7 +179,7 @@ def cmd_series(args) -> int:
         report.emit()
         return 1
     rep = check_series_condition(cfg)
-    total = len(rep.residuals)
+    total = len(rep.totals)
     bad = rep.failures()
     if rep.passed:
         report.line(f"series: PASS ({total} series checked)")

@@ -3,13 +3,16 @@
 A configuration is a finite list of nonzero rational covectors with nonzero
 rational multiplicities.  Building one caches the bilinear form
 G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
-covectors.  The form identifies vectors and covectors; all pairings of
-covectors below go through its inverse (the "vee product"), tabulated once
-per configuration as `integer_pairing`: integer numerators over one
-denominator, the only form of the table that the checks read.  A pairing
-under any other matrix is tabulated the same way by `integer_pairing_table`.
-Every exact kernel reads the covectors and multiplicities cleared to integers
-once, as `integer_covectors` and `integer_mults`, and keeps its own scale.
+covectors.  G is summed over the covectors and multiplicities cleared to
+integers, and becomes Fractions only entry by entry at the end; its
+determinant is taken over those integer sums.  The form identifies vectors
+and covectors; all pairings of covectors below go through its inverse (the
+"vee product"), tabulated once per configuration as `integer_pairing`:
+integer numerators over one denominator, the only form of the table that
+the checks read.  A pairing under any other matrix is tabulated the same
+way by `integer_pairing_table`.  Every exact kernel reads the covectors and
+multiplicities cleared to integers once, as `integer_covectors` and
+`integer_mults`, and keeps its own scale.
 `gram_inverse` is the one place that refuses a degenerate form: every
 check that needs the vee product reaches it before doing anything else.
 The split of the covectors into series around each base is cached as
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateForm,
@@ -37,6 +40,7 @@ from .exactnum import (
     as_rational,
     clear_denominators,
     hnf_basis,
+    integer_det,
     integer_lattice_coordinates,
     mat_inverse,
     rref,
@@ -99,8 +103,7 @@ class PositiveSystem:
     functional: Covector
 
 
-@dataclass(frozen=True)
-class SeriesMember:
+class SeriesMember(NamedTuple):
     """One covector of a series: sign * covector + step * base = residue."""
 
     entry_index: int
@@ -261,17 +264,26 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     if not built:
         raise ZeroCovector("configuration needs at least one covector")
 
+    # G = sum_a c_a a^T a, summed over the covectors cleared to A'/d and the
+    # multiplicities cleared to c'/l_c: G = G' / (d^2 l_c), upper triangle first
+    covectors = [e.covector for e in built]
+    vecs, d = clear_denominators(covectors)
+    (mults,), l_c = clear_denominators([[e.mult for e in built]])
+    int_gram = [[0] * dim for _ in range(dim)]
+    for v, c in zip(vecs, mults):
+        nonzero = [(i, x) for i, x in enumerate(v) if x != 0]
+        for k, (i, x) in enumerate(nonzero):
+            row, cx = int_gram[i], c * x
+            for j, y in nonzero[k:]:
+                row[j] += cx * y
+    scale = d * d * l_c
     gram_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for e in built:
-        for i in range(dim):
-            if e.covector[i] == 0:
-                continue
-            ci = e.mult * e.covector[i]
-            for j in range(dim):
-                gram_rows[i][j] += ci * e.covector[j]
+    for i in range(dim):
+        for j in range(i, dim):
+            int_gram[j][i] = int_gram[i][j]
+            gram_rows[i][j] = gram_rows[j][i] = Fraction(int_gram[i][j], scale)
     gram = RatMatrix(gram_rows)
 
-    covectors = [e.covector for e in built]
     basis, _rank = hnf_basis(covectors)
     # one common denominator for the basis and the covectors
     rows, _den = clear_denominators([*basis, *covectors])
@@ -287,7 +299,7 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         dim=dim,
         entries=tuple(built),
         gram=gram,
-        gram_det=gram.det(),
+        gram_det=Fraction(integer_det(int_gram), scale**dim),
         lattice_basis=basis,
         lattice_coords=tuple(coords_list),
     )

@@ -4,22 +4,27 @@ and solving for the WDVV coupling lambda^2.
 The central condition: for every covector a and every a-series, the weighted
 2-form sum over the series vanishes.  Because all members of a series lie in
 the plane spanned by the base and any one member, each condition collapses to
-a single rational number (the residual), which is reported exactly.
+a single rational number (the residual), which is reported exactly.  The
+check sums each residual over ints and keeps it as that integer total over
+one scale shared by the whole check; a residual becomes a Fraction, in a
+`SeriesResidual` record, only when the report's `residuals` or `failures()`
+is read, so a verdict alone builds neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .configuration import (
+    AlphaSeries,
     IntPairing,
     PositiveSystem,
     VConfiguration,
     decompose_components,
     positive_system,
     primitive,
-    relative_wedge_signs,
     wedge_coeffs,
 )
 
@@ -37,16 +42,49 @@ class SeriesResidual:
         return self.residual == 0
 
 
-@dataclass(frozen=True)
 class SeriesCheckReport:
-    residuals: tuple[SeriesResidual, ...]
+    """The series residuals of one pairing, kept as one integer total per
+    series over the shared scale, in the order of the cached split.
+
+    `passed` reads the integers alone; the `SeriesResidual` records, with
+    their Fractions, are built only when `residuals` or `failures()` is read.
+    """
+
+    def __init__(
+        self, split: tuple[tuple[AlphaSeries, ...], ...], totals: tuple[int, ...], scale: int
+    ):
+        self.split = split
+        self.totals = totals
+        self.scale = scale
+
+    @cached_property
+    def residuals(self) -> tuple[SeriesResidual, ...]:
+        totals = iter(self.totals)
+        return tuple(
+            SeriesResidual(
+                i, s_idx, series.residue, series.entry_indices(), Fraction(next(totals), self.scale)
+            )
+            for i, row in enumerate(self.split)
+            for s_idx, series in enumerate(row)
+        )
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.residuals)
+        return not any(self.totals)
 
     def failures(self) -> tuple[SeriesResidual, ...]:
         return tuple(r for r in self.residuals if not r.passed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SeriesCheckReport):
+            return NotImplemented
+        return self.residuals == other.residuals
+
+    def __hash__(self) -> int:
+        return hash(self.residuals)
+
+    def __repr__(self) -> str:
+        return f"SeriesCheckReport(residuals={self.residuals!r})"
 
 
 def series_residuals(cfg: VConfiguration, pairing: IntPairing) -> SeriesCheckReport:
@@ -56,29 +94,20 @@ def series_residuals(cfg: VConfiguration, pairing: IntPairing) -> SeriesCheckRep
 
     For base a and series with representative b0, the 2-form condition
     sum_b c_b (a,b) a^b = 0 reduces to sum_b c_b (a,b) r_b = 0 where
-    r_b = +-1 relates a^b to a^b0.  With the multiplicities cleared to
-    c_b = c'_b / l_c, each residual is one integer sum over l_c * den.
+    r_b = +-1 relates a^b to a^b0, that is r_b = s_b s_b0 for the member
+    signs s.  With the multiplicities cleared to c_b = c'_b / l_c, each
+    residual is one integer total over l_c * den, kept as that integer.
     """
     table, den = pairing
     mults, l_c = cfg.integer_mults
-    scale = l_c * den
-    residuals = []
-    for i, row in enumerate(table):
-        for s_idx, series in enumerate(cfg.series[i]):
-            members = series.entry_indices()
-            total = sum(
-                r * mults[j] * row[j] for j, r in zip(members, relative_wedge_signs(series))
-            )
-            residuals.append(
-                SeriesResidual(
-                    base_index=i,
-                    series_index=s_idx,
-                    residue=series.residue,
-                    member_indices=members,
-                    residual=Fraction(total, scale),
-                )
-            )
-    return SeriesCheckReport(residuals=tuple(residuals))
+    split = cfg.series
+    totals = []
+    for row, row_series in zip(table, split):
+        for series in row_series:
+            members = series.members
+            total = sum([sign * mults[j] * row[j] for j, sign, _step in members])
+            totals.append(total if members[0].sign == 1 else -total)
+    return SeriesCheckReport(split, tuple(totals), l_c * den)
 
 
 def check_series_condition(cfg: VConfiguration) -> SeriesCheckReport:

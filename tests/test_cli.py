@@ -128,6 +128,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "residual" in out and "1/12" in out
 
+    def test_failure_listing_pinned(self, tmp_path, capsys):
+        """A B2 with c1 != c2: the failing series in split order, with their
+        residuals and report keys, as the eager report listed them."""
+        path = tmp_path / "b2.vee"
+        path.write_text(
+            "dim 2\nvector 1 0 mult 1\nvector 0 1 mult 2\nvector 1 1 mult 3/2\nvector 1 -1 mult 1/2\n"
+        )
+        failures = [
+            ("v2", 0, "v0,v1", "-1/11"),
+            ("v2", 1, "v3", "1/22"),
+            ("v3", 0, "v0,v1", "-3/11"),
+            ("v3", 1, "v2", "3/22"),
+        ]
+        assert main(["check", str(path), "--report-kv"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "trig-vee: FAIL, irreducible: yes, lambda2 = 484/7",
+            *(f"series failure: base {b} members ({m}) residual {r}" for b, _s, m, r in failures),
+            "trig_vee = fail",
+            "degenerate = no",
+            "irreducible = yes",
+            "lambda2_status = solved",
+            "lambda2 = 484/7",
+        ]
+        assert main(["series", str(path), "--report-kv"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "series: FAIL (4 of 6 residuals nonzero)",
+            *(f"base {b} series {s} members ({m}): residual {r}" for b, s, m, r in failures),
+            "series = fail",
+            "series_checked = 6",
+            *(f"residual_{b[1]}_{s} = {r}" for b, s, _m, r in failures),
+        ]
+
     def test_series_degenerate_form_exit_1(self, tmp_path, capsys):
         path = tmp_path / "degenerate.vee"
         path.write_text("dim 1\nvector 1 mult 1\nvector 2 mult -1/4\n")

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigvee import configuration
 from trigvee.catalog import catalog_get, catalog_list
@@ -109,6 +111,48 @@ class TestBuild:
         )
         assert cfg.lattice_basis == ((half, half), (F(0), F(1)))
         assert cfg.lattice_coords[0] == (2, -1)
+
+
+def reference_gram(dim, entries):
+    """G = sum_a c_a a^T a, accumulated entry by entry in Fractions."""
+    rows = [[F(0)] * dim for _ in range(dim)]
+    for v, c in entries:
+        for i in range(dim):
+            for j in range(dim):
+                rows[i][j] += F(c) * F(v[i]) * F(v[j])
+    return rows
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+multiplicities = st.builds(
+    lambda c, t: c * t, rationals.filter(bool), st.sampled_from([1, -1, 10**6, F(1, 10**6)])
+)
+
+
+@st.composite
+def gram_entries(draw):
+    dim = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[rationals] * dim).filter(any), min_size=1, max_size=7))
+    entries = {}
+    for v in vectors:
+        if tuple(-x for x in v) not in entries:
+            entries[v] = draw(multiplicities)
+    return dim, list(entries.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_entries())
+def test_gram_matches_fraction_reference(case):
+    """Fractional and negative covectors and multiplicities, some scaled by
+    10^6 or 10^-6: the integer sums give the Fraction-accumulated form and
+    its determinant (by sympy), degenerate forms included."""
+    dim, entries = case
+    cfg = build_configuration(dim, entries)
+    rows = reference_gram(dim, entries)
+    assert cfg.gram == RatMatrix(rows)
+    assert all(isinstance(x, F) for row in cfg.gram.entries for x in row)
+    det = _sympy_rows(rows).det()
+    assert cfg.gram_det == F(int(det.p), int(det.q))
 
 
 class TestDualsAndProducts:

@@ -3,6 +3,7 @@ and the batched WDVV commutators against straightforward reference
 implementations."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigvee import veecheck
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import Metric, check_series_with_metric, vee_form_metric
 from trigvee.configuration import (
@@ -23,7 +25,12 @@ from trigvee.configuration import (
     vee_product,
 )
 from trigvee.exactnum import RatMatrix
-from trigvee.veecheck import check_series_condition, solve_lambda_squared
+from trigvee.veecheck import (
+    SeriesResidual,
+    check_series_condition,
+    full_check,
+    solve_lambda_squared,
+)
 from trigvee.wdvv import wdvv_residual
 
 from conftest import rand_fraction, rand_nonzero_fraction
@@ -178,6 +185,108 @@ def test_residuals_match_fraction_reference(name):
     assert as_tuples(metric_report) == reference_residuals(
         cfg, lambda u, v: cov_dot(u, matrix.mat_vec(v))
     )
+
+
+@dataclass(frozen=True)
+class SeriesCheckReport:
+    """A frozen copy of the eager series report: every residual built as a
+    `SeriesResidual` with its Fraction when the check runs."""
+
+    residuals: tuple[SeriesResidual, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.residuals)
+
+    def failures(self) -> tuple[SeriesResidual, ...]:
+        return tuple(r for r in self.residuals if not r.passed)
+
+
+def eager_series_residuals(cfg: VConfiguration, pairing) -> SeriesCheckReport:
+    """A frozen copy of the eager integer series check."""
+    table, den = pairing
+    mults, l_c = cfg.integer_mults
+    scale = l_c * den
+    residuals = []
+    for i, row in enumerate(table):
+        for s_idx, series in enumerate(cfg.series[i]):
+            members = series.entry_indices()
+            total = sum(
+                r * mults[j] * row[j] for j, r in zip(members, relative_wedge_signs(series))
+            )
+            residuals.append(
+                SeriesResidual(
+                    base_index=i,
+                    series_index=s_idx,
+                    residue=series.residue,
+                    member_indices=members,
+                    residual=Fraction(total, scale),
+                )
+            )
+    return SeriesCheckReport(residuals=tuple(residuals))
+
+
+def assert_matches_eager(report, eager):
+    assert report.passed == eager.passed
+    assert report.failures() == eager.failures()
+    assert report.residuals == eager.residuals
+    assert repr(report) == repr(eager)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+def test_lazy_report_matches_eager_copy(name):
+    """At the catalog multiplicities (all passing), at random rational ones
+    (mostly failing) and under a random metric; two reports compare equal
+    exactly when their eager copies do."""
+    rng = random.Random(f"lazy/{name}")
+    base = catalog_get(name).cfg
+    cases = [base] if base.gram_det != 0 else []
+    while len(cases) < 3:
+        cfg = build_configuration(
+            base.dim, [(e.covector, rand_nonzero_fraction(rng, -6, 6), e.label) for e in base.entries]
+        )
+        if cfg.gram_det != 0:
+            cases.append(cfg)
+    reports, eager_reports = [], []
+    for cfg in cases:
+        report = check_series_condition(cfg)
+        eager = eager_series_residuals(cfg, cfg.integer_pairing)
+        assert_matches_eager(report, eager)
+        metric = Metric(random_rational_metric(rng, cfg.dim))
+        eager_metric = eager_series_residuals(cfg, metric.integer_pairing(cfg))
+        assert_matches_eager(check_series_with_metric(cfg, metric), eager_metric)
+        reports.append(report)
+        eager_reports.append(eager)
+    # a fresh report, whose residuals are not yet built, and the vee-form
+    # metric report, equal to the intrinsic one
+    reports.append(check_series_with_metric(cases[0], vee_form_metric(cases[0])))
+    eager_reports.append(eager_reports[0])
+    for report, eager in zip(reports, eager_reports):
+        for other, other_eager in zip(reports, eager_reports):
+            assert (report == other) == (eager == other_eager)
+            if eager == other_eager:
+                assert hash(report) == hash(other)
+    assert eager_reports[0].passed
+    # these pass at any multiplicities
+    assert all(r.passed for r in eager_reports) == (name in ("A1", "A2", "OrthogonalPair"))
+
+
+def test_full_check_builds_no_residual_records(monkeypatch):
+    """A verdict on B8 reads the integer totals only: no `SeriesResidual`
+    is made until the residuals are read."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return SeriesResidual(*args, **kwargs)
+
+    monkeypatch.setattr(veecheck, "SeriesResidual", counting)
+    cfg = build_configuration(8, [(r, 1) for r in b_roots(8)])
+    report = full_check(cfg)
+    assert report.is_trig_vee and made == []
+    failing = build_configuration(8, [(r, 2 if k == 0 else 1) for k, r in enumerate(b_roots(8))])
+    assert not full_check(failing).is_trig_vee and made == []
+    assert len(report.series.residuals) == len(report.series.totals) == len(made) == 3192
 
 
 def reference_wdvv_per_point(cfg, lambda_squared, seed):
