@@ -4,17 +4,21 @@ A configuration is a finite list of nonzero rational covectors with nonzero
 rational multiplicities.  Building one caches the bilinear form
 G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
 covectors.  G is summed over the covectors and multiplicities cleared to
-integers, and becomes Fractions only entry by entry at the end; its
-determinant is taken over those integer sums.  The form identifies vectors
-and covectors; all pairings of covectors below go through its inverse (the
-"vee product"), tabulated once per configuration as `integer_pairing`:
-integer numerators over one denominator, the only form of the table that
-the checks read.  A pairing under any other matrix is tabulated the same
-way by `integer_pairing_table`.  Every exact kernel reads the covectors and
+integers, kept as that integer Gram `integer_gram`, and becomes Fractions
+only entry by entry at the end; its determinant is taken over those integer
+sums.  The form identifies vectors and covectors; all pairings of covectors
+below go through its inverse (the "vee product").  The integer Gram is
+inverted once, fraction-free, as `integer_gram_inverse`; both the Fraction
+matrix `gram_inverse` and the pairing table `integer_pairing` are read from
+that integer inverse.  The table holds integer numerators over one
+denominator, the only form of it that the checks read.  A pairing under any
+other matrix is tabulated by the same integer kernel through
+`integer_pairing_table`.  Every exact kernel reads the covectors and
 multiplicities cleared to integers once, as `integer_covectors` and
 `integer_mults`, and keeps its own scale.
-`gram_inverse` is the one place that refuses a degenerate form: every
-check that needs the vee product reaches it before doing anything else.
+`integer_gram_inverse` is the one place that refuses a degenerate form:
+every check that needs the vee product reaches it before doing anything
+else.
 The split of the covectors into series around each base is cached as
 `series`, and the numeric checks read the float view `floats`, also cached.
 """
@@ -39,10 +43,10 @@ from .exactnum import (
     RatMatrix,
     as_rational,
     clear_denominators,
-    hnf_basis,
     integer_det,
+    integer_hnf,
+    integer_inverse,
     integer_lattice_coordinates,
-    mat_inverse,
     rref,
 )
 
@@ -111,8 +115,7 @@ class SeriesMember(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
-class AlphaSeries:
+class AlphaSeries(NamedTuple):
     """A maximal series of covectors relative to a base covector.
 
     Any two members b1, b2 satisfy b1 - b2 = k * base or b1 + b2 = k * base
@@ -151,12 +154,23 @@ class VConfiguration:
     gram_det: Fraction
     lattice_basis: tuple[Covector, ...]
     lattice_coords: tuple[tuple[int, ...], ...]
+    # (G', d^2 l_c): the form G = G' / (d^2 l_c) as integer rows, summed over
+    # the covectors cleared over d and the multiplicities cleared over l_c
+    integer_gram: IntRows = field(compare=False, repr=False)
+
+    @cached_property
+    def integer_gram_inverse(self) -> tuple[list[list[int]], int]:
+        """(R, p) with G'^-1 = R / p, fraction-free; refuses a degenerate form."""
+        if self.gram_det == 0:
+            raise DegenerateForm("the form G is degenerate")
+        return integer_inverse(self.integer_gram[0])
 
     @cached_property
     def gram_inverse(self) -> RatMatrix:
-        if self.gram_det == 0:
-            raise DegenerateForm("the form G is degenerate")
-        return mat_inverse(self.gram)
+        """G^-1 = d^2 l_c R / p."""
+        inverse, p = self.integer_gram_inverse
+        scale = self.integer_gram[1]
+        return RatMatrix([[Fraction(scale * x, p) for x in row] for row in inverse])
 
     @cached_property
     def integer_covectors(self) -> IntRows:
@@ -172,8 +186,15 @@ class VConfiguration:
 
     @cached_property
     def integer_pairing(self) -> IntPairing:
-        """The vee products (a_i, a_j) = a_i G^-1 a_j^T as (numerators, den)."""
-        return integer_pairing_table(self.integer_covectors, self.gram_inverse)
+        """The vee products (a_i, a_j) = a_i G^-1 a_j^T as (numerators, den).
+
+        With A = A'/d and G^-1 = d^2 l_c R / p, the table is l_c A' R A'^T / p:
+        numerators sgn(p) l_c A' R A'^T over the denominator |p|."""
+        inverse, p = self.integer_gram_inverse
+        _mults, l_c = self.integer_mults
+        s = l_c if p > 0 else -l_c
+        vecs, _d = self.integer_covectors
+        return _pairing_numerators(vecs, [[s * x for x in row] for row in inverse]), abs(p)
 
     @cached_property
     def series(self) -> tuple[tuple[AlphaSeries, ...], ...]:
@@ -221,6 +242,14 @@ def integer_pairing_table(covectors: IntRows, matrix: RatMatrix) -> IntPairing:
     if any(len(v) != matrix.cols for v in vecs):
         raise DimensionMismatch("vector length mismatch")
     rows, l_m = clear_denominators(matrix.entries)
+    return _pairing_numerators(vecs, rows), d * d * l_m
+
+
+def _pairing_numerators(
+    vecs: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The symmetric integer table V . M . V^T for integer rows V and a
+    symmetric integer matrix M: the one pairing kernel."""
     duals = [[sum(a * x for a, x in zip(row, v)) for row in rows] for v in vecs]
     table = [[0] * len(vecs) for _ in vecs]
     for i, u in enumerate(vecs):
@@ -228,7 +257,7 @@ def integer_pairing_table(covectors: IntRows, matrix: RatMatrix) -> IntPairing:
         for j in range(i, len(vecs)):
             dual = duals[j]
             table[i][j] = table[j][i] = sum(x * dual[k] for k, x in nonzero)
-    return tuple(tuple(row) for row in table), d * d * l_m
+    return tuple(tuple(row) for row in table)
 
 
 def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
@@ -284,12 +313,11 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
             gram_rows[i][j] = gram_rows[j][i] = Fraction(int_gram[i][j], scale)
     gram = RatMatrix(gram_rows)
 
-    basis, _rank = hnf_basis(covectors)
-    # one common denominator for the basis and the covectors
-    rows, _den = clear_denominators([*basis, *covectors])
-    int_basis = rows[: len(basis)]
+    # the lattice basis is the HNF of the cleared covectors A' over d; the
+    # coordinates of a covector in it are those of its row of A' in the HNF
+    int_basis = integer_hnf(vecs)
     coords_list = []
-    for v in rows[len(basis) :]:
+    for v in vecs:
         coords = integer_lattice_coordinates(int_basis, v)
         # always succeeds: the basis generates the Z-span of these covectors
         assert coords is not None
@@ -300,8 +328,9 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         entries=tuple(built),
         gram=gram,
         gram_det=Fraction(integer_det(int_gram), scale**dim),
-        lattice_basis=basis,
+        lattice_basis=tuple(tuple(Fraction(x, d) for x in row) for row in int_basis),
         lattice_coords=tuple(coords_list),
+        integer_gram=(tuple(map(tuple, int_gram)), scale),
     )
 
 
@@ -393,10 +422,7 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
 
     # members are appended in index order, and each series is created by its
     # first member, so both come out sorted by entry index
-    return tuple(
-        AlphaSeries(base_index=base_index, residue=key, members=tuple(ms))
-        for key, ms in groups.items()
-    )
+    return tuple([AlphaSeries(base_index, key, tuple(ms)) for key, ms in groups.items()])
 
 
 def relative_wedge_signs(series: AlphaSeries) -> tuple[int, ...]:

@@ -242,8 +242,8 @@ def verify_family(
         if images[sym].is_zero():
             raise ZeroMultiplicity(f"multiplicity {sym} is identically 0")
 
-    nondeg = cs.nondegeneracy.substitute(images)
-    if nondeg.is_zero():
+    substitute = _merged_substitution(cs.symbols, images)
+    if substitute(cs.nondegeneracy).is_zero():
         raise DegenerateParametrization(
             "the form determinant vanishes identically under this parametrization"
         )
@@ -251,13 +251,61 @@ def verify_family(
     failing = []
     residues = []
     for c in cs.polynomials:
-        sub = c.poly.substitute(images)
-        if not sub.is_zero():
+        numerator = substitute(c.poly)
+        if not numerator.is_zero():
             failing.append(c)
-            residues.append(sub.num)
+            residues.append(numerator)
     return FamilyVerdict(
         passed=not failing, failing=tuple(failing), residual_numerators=tuple(residues)
     )
+
+
+def _merged_substitution(symbols: tuple[str, ...], images: Mapping[str, RatFunc]):
+    """The numerator of `poly.substitute(images)`, computed with the symbols
+    of equal images (same numerator and denominator) merged into one.
+
+    After the merge a term's image depends only on its degree E_g in each
+    group g, so terms are summed per (E_g) before anything is expanded.
+    `MultiPoly.substitute` clears the merged polynomial over prod den_g^D_g,
+    D_g its largest E_g after cancellation; the unmerged one is cleared over
+    prod_k den_k^d_k, d_k the largest degree in symbol k.  So the merged
+    numerator is multiplied by den_g^(sum_{k in g} d_k - D_g) to give the
+    unmerged numerator exactly.
+    """
+    groups: dict[tuple[MultiPoly, MultiPoly], list[int]] = {}
+    for k, sym in enumerate(symbols):
+        groups.setdefault((images[sym].num, images[sym].den), []).append(k)
+    members = list(groups.values())
+    group_of = [0] * len(symbols)
+    for g, ks in enumerate(members):
+        for k in ks:
+            group_of[k] = g
+    names = tuple(symbols[ks[0]] for ks in members)
+    merged_images = {name: images[name] for name in names}
+    one = MultiPoly.const(merged_images[names[0]].vars, 1)
+
+    def substitute(poly: MultiPoly) -> MultiPoly:
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for expo, coef in poly.terms.items():
+            key = [0] * len(members)
+            for k, e in enumerate(expo):
+                key[group_of[k]] += e
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + coef
+        merged = MultiPoly(names, terms)
+        if merged.is_zero():
+            return MultiPoly.zero(one.vars)
+        numerator = merged.substitute(merged_images).num
+        degrees = [max(col) for col in zip(*poly.terms)]
+        merged_degrees = [max(col) for col in zip(*merged.terms)]
+        for ks, name, top in zip(members, names, merged_degrees):
+            den = merged_images[name].den
+            extra = sum(degrees[k] for k in ks) - top
+            if extra and den != one:
+                numerator = numerator * den**extra
+        return numerator
+
+    return substitute
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything in this module works over arbitrary-precision rationals
 (`fractions.Fraction`); no operation ever rounds.  Matrices are small
-(a dozen rows at most in practice), so plain Gaussian elimination with
-exact pivoting is used for inverses and echelon forms; determinants are
-taken over ints by fraction-free elimination.
+(a dozen rows at most in practice).  Inverses and determinants are taken
+over ints, by fraction-free (Bareiss) elimination on the entries cleared
+to one denominator; Gaussian elimination over Fractions is used only for
+reduced echelon forms.
 """
 
 from __future__ import annotations
@@ -110,16 +111,41 @@ class RatMatrix:
 
 
 def mat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse, the right half of rref([M | I]); raises SingularMatrix
-    when det = 0, that is when the pivots are not the n columns of M."""
+    """Exact inverse: with M = M' / den over ints and M'^-1 = R / p from
+    `integer_inverse`, M^-1 = den R / p.  Raises SingularMatrix when det = 0."""
     if not m.is_square():
         raise DimensionMismatch("inverse of non-square matrix")
-    n = m.rows
-    unit = RatMatrix.identity(n).entries
-    work, pivots = rref([row + e for row, e in zip(m.entries, unit)])
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return RatMatrix([row[n:] for row in work])
+    ints, den = clear_denominators(m.entries)
+    inverse, p = integer_inverse(ints)
+    return RatMatrix([[Fraction(den * x, p) for x in row] for row in inverse])
+
+
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of a square integer matrix M as (R, p) with M^-1 = R / p.
+
+    Fraction-free Gauss-Jordan on [M | I] in the manner of Bareiss: at the
+    pivot p of each column, every other row becomes (p row - f top) // prev,
+    prev the previous pivot, and each division is exact.  A zero pivot swaps
+    in a later row; a column with none left raises SingularMatrix.  The left
+    block ends as p I, so p is +-det M.
+    """
+    n = len(rows)
+    work = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(n):
+        if work[c][c] == 0:
+            piv = next((r for r in range(c + 1, n) if work[r][c] != 0), None)
+            if piv is None:
+                raise SingularMatrix("matrix is singular")
+            work[c], work[piv] = work[piv], work[c]
+        top = work[c]
+        p = top[c]
+        for r in range(n):
+            if r != c:
+                f = work[r][c]
+                work[r] = [(p * a - f * b) // prev for a, b in zip(work[r], top)]
+        prev = p
+    return [row[n:] for row in work], prev
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -149,10 +175,10 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_integer_hnf(rows))
+    return len(integer_hnf(rows))
 
 
-def _integer_hnf(mat: list[list[int]]) -> list[list[int]]:
+def integer_hnf(mat: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of an integer matrix (zero rows dropped).
 
     Pivots are positive, entries below pivots are zero, entries above are
@@ -234,7 +260,7 @@ def hnf_basis(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...
     if any(len(r) != width for r in data):
         raise DimensionMismatch("ragged rows")
     imat, den = clear_denominators(data)
-    hnf = _integer_hnf(imat)
+    hnf = integer_hnf(imat)
     basis = tuple(tuple(Fraction(v, den) for v in row) for row in hnf)
     return basis, len(basis)
 

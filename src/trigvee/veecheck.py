@@ -213,7 +213,9 @@ def integer_tensor_ratio(
     give the same integers as the signed ones.
     Q needs no pair loop, since over ordered pairs it is twice the second
     compound of the Gram G = sum c_a a a^T:
-    Q[(i,j)][(k,l)] = 2 (G_ik G_jl - G_il G_jk).
+    Q[(i,j)][(k,l)] = 2 (G_ik G_jl - G_il G_jk), read from the cached integer
+    Gram G' = d^2 l_c G.  A wedge a ^ b is taken only on the pairs (i, j)
+    where a_i or a_j is nonzero, since it vanishes on the others.
     """
     pairing_ints, l_p = pairing
     n = cfg.dim
@@ -221,17 +223,18 @@ def integer_tensor_ratio(
     vecs, d = cfg.integer_covectors
     mults, l_c = cfg.integer_mults
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    gram = [[sum(c * v[i] * v[j] for c, v in zip(mults, vecs)) for j in range(n)] for i in range(n)]
+    gram, _scale = cfg.integer_gram
     q = [[2 * (gram[i][k] * gram[j][l] - gram[i][l] * gram[j][k]) for k, l in pairs] for i, j in pairs]
     p = [[0] * m for _ in range(m)]
     for k, (a, ca) in enumerate(zip(vecs, mults)):
         row_p = pairing_ints[k]
+        support = [(u, i, j) for u, (i, j) in enumerate(pairs) if a[i] or a[j]]
         for l in range(k + 1, len(vecs)):
             pw = 2 * ca * mults[l] * psys.signs[k] * psys.signs[l] * row_p[l]
             if pw == 0:
                 continue
             b = vecs[l]
-            w = [(u, x) for u, (i, j) in enumerate(pairs) if (x := a[i] * b[j] - a[j] * b[i])]
+            w = [(u, x) for u, i, j in support if (x := a[i] * b[j] - a[j] * b[i])]
             for u, wu in w:
                 row, pwu = p[u], pw * wu
                 for v, wv in w:

@@ -160,12 +160,25 @@ class TestCli:
             *(f"residual_{b[1]}_{s} = {r}" for b, s, _m, r in failures),
         ]
 
-    def test_series_degenerate_form_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, out, err",
+        [
+            (["series", "--report-kv"], ["series: FAIL (degenerate form)", "series = fail", "degenerate = yes"], ""),
+            (["check"], ["trig-vee: FAIL (degenerate form)"], ""),
+            (["lambda"], [], "check failed: the form G is degenerate\n"),
+            (["wdvv"], [], "check failed: the form G is degenerate\n"),
+            (["cms"], [], "check failed: the form G is degenerate\n"),
+        ],
+        ids=["series", "check", "lambda", "wdvv", "cms"],
+    )
+    def test_series_degenerate_form_exit_1(self, tmp_path, capsys, command, out, err):
+        """G = 1 - 4/4 = 0 on the line: every exact command exits 1."""
         path = tmp_path / "degenerate.vee"
         path.write_text("dim 1\nvector 1 mult 1\nvector 2 mult -1/4\n")
-        assert main(["series", str(path), "--report-kv"]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out == ["series: FAIL (degenerate form)", "series = fail", "degenerate = yes"]
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == out
+        assert captured.err == err
 
     def test_lambda(self, a2_file, capsys):
         assert main(["lambda", a2_file, "--report-kv"]) == 0
@@ -314,6 +327,38 @@ class TestCli:
         assert "nondegeneracy" in out
         assert main(["family", b2sym_file, "--set", "c1=t", "--set", "c2=t"]) == 0
         assert main(["family", b2sym_file, "--set", "c1=1", "--set", "c2=2"]) == 1
+
+    def test_failing_merged_family_pinned(self, tmp_path, capsys):
+        """B3 with short multiplicities t, t, 2t and long ones s^2/(s+t): the
+        residual numerators of the symbols merged by equal image, pinned."""
+        path = tmp_path / "b3sym.vee"
+        path.write_text(
+            "dim 3\n"
+            + "".join(
+                f"vector {v} mult ?c{k + 1}\n"
+                for k, v in enumerate(
+                    ["1 0 0", "0 1 0", "0 0 1", "1 1 0", "1 -1 0", "1 0 1", "1 0 -1", "0 1 1", "0 1 -1"]
+                )
+            )
+        )
+        sets = ["c1=t", "c2=t", "c3=2*t"] + [f"c{k}=s^2/(s+t)" for k in range(4, 10)]
+        assert main(["family", str(path), *(x for kv in sets for x in ("--set", kv))]) == 1
+        big = "16*s^7*t - 52*s^6*t^2 - 64*s^5*t^3 - 40*s^4*t^4 - 16*s^3*t^5 - 4*s^2*t^6"
+        small = "4*s^7*t + 13*s^6*t^2 + 16*s^5*t^3 + 10*s^4*t^4 + 4*s^3*t^5 + s^2*t^6"
+        neg_small = "-4*s^7*t - 13*s^6*t^2 - 16*s^5*t^3 - 10*s^4*t^4 - 4*s^3*t^5 - s^2*t^6"
+        expected = ["family: FAIL (16 constraints do not vanish)"]
+        for base, first, third in (
+            ("c6", 0, small), ("c7", 0, small), ("c8", 1, neg_small), ("c9", 1, neg_small)
+        ):
+            expected += [
+                f"base {base} series {first}: -{big}",
+                f"base {base} series 2: {small}",
+                f"base {base} series 3: {third}",
+                f"base {base} series 4: {small}",
+            ]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == expected
+        assert captured.err == ""
 
     def test_search(self, b2sym_file, capsys):
         assert main(["search", b2sym_file, "--fix", "cp", "--seed", "3", "--starts", "4"]) == 0

@@ -226,6 +226,24 @@ class TestVerifyFamily:
         )
         assert verdict.passed
 
+    def test_b4_two_parameter_family_passes(self):
+        """B4 with short roots t and long roots s^2/(s+t): 16 symbols merged
+        into two images before substituting."""
+        short = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+        long_ = [
+            tuple(1 if k == i else sg if k == j else 0 for k in range(4))
+            for i in range(4)
+            for j in range(i + 1, 4)
+            for sg in (1, -1)
+        ]
+        pv = ("s", "t")
+        t = RatFunc.variable(pv, "t")
+        s = RatFunc.variable(pv, "s")
+        par = {f"c{k + 1}": t if k < 4 else s * s / (s + t) for k in range(len(short + long_))}
+        assert verify_family(short + long_, par).passed
+        par["c1"] = 2 * t
+        assert not verify_family(short + long_, par).passed
+
     def test_b2_equal_multiplicities_pass_fixed_fail(self):
         t_poly = MultiPoly.variable(("cm", "cp", "t"), "t")
         assert verify_family(

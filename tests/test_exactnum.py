@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trigvee.errors import DimensionMismatch, SingularMatrix
 from trigvee.exactnum import (
     RatMatrix,
+    clear_denominators,
     hnf_basis,
+    integer_inverse,
     lattice_coordinates,
     mat_inverse,
 )
@@ -39,6 +43,61 @@ class TestInverse:
                 m = rand_nonsingular(rng, n)
                 assert m @ mat_inverse(m) == RatMatrix.identity(n)
                 assert mat_inverse(m) @ m == RatMatrix.identity(n)
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+@st.composite
+def square_matrices(draw, singular=False):
+    """Fractional entries; optionally a zero leading entry, so that the first
+    pivot needs a row swap, or a last row that combines the others."""
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = Fraction(0)
+    if singular:
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(n - 1) // 2])] if n > 1 else [F(0)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+@example([[F(0), F(1, 2)], [F(3), F(5, 7)]])  # zero first pivot, det -3/2
+@example([[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(7), F(1)]])  # zero second pivot
+@example([[F(-2, 3)]])
+def test_inverse_matches_sympy(rows):
+    """mat_inverse, and integer_inverse on the cleared entries, against
+    sympy: M^-1 = R / p with |p| = |det M'|, whatever the sign of det."""
+    expected = _sympy(rows)
+    ints, _den = clear_denominators(rows)
+    if expected.det() == 0:
+        with pytest.raises(SingularMatrix):
+            mat_inverse(RatMatrix(rows))
+        with pytest.raises(SingularMatrix):
+            integer_inverse(ints)
+        return
+    inverse = expected.inv()
+    assert mat_inverse(RatMatrix(rows)) == RatMatrix(
+        [[F(int(x.p), int(x.q)) for x in inverse.row(i)] for i in range(len(rows))]
+    )
+    r, p = integer_inverse(ints)
+    assert all(isinstance(x, int) for row in r for x in row) and isinstance(p, int)
+    assert sympy.Matrix(r) / p == sympy.Matrix(ints).inv()
+    assert abs(p) == abs(sympy.Matrix(ints).det())
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(singular=True))
+def test_singular_inverse_raises(rows):
+    assert _sympy(rows).det() == 0
+    with pytest.raises(SingularMatrix):
+        mat_inverse(RatMatrix(rows))
+    with pytest.raises(SingularMatrix):
+        integer_inverse(clear_denominators(rows)[0])
 
 
 class TestDeterminant:

@@ -107,13 +107,22 @@ def fractional_metric(n):
 
 
 def assert_same(cfg, matrix):
-    pairing = integer_pairing_table(cfg.integer_covectors, matrix)
-    ints, den = pairing
-    table = tuple(tuple(F(x, den) for x in row) for row in ints)
-    assert table == reference_pairing_table(cfg.covectors(), matrix)
-    assert all(isinstance(x, int) for row in ints for x in row) and isinstance(den, int)
+    """The table under `matrix`, and for the form's own inverse also the
+    cached vee table read from the integer inverse of the Gram, and the
+    coupling ratio of each, against the Fraction references."""
+    pairings = [integer_pairing_table(cfg.integer_covectors, matrix)]
+    if cfg.gram_det != 0 and matrix == cfg.gram_inverse:
+        pairings.append(cfg.integer_pairing)
+    reference = reference_pairing_table(cfg.covectors(), matrix)
     psys = positive_system(cfg)
-    assert integer_tensor_ratio(cfg, psys, pairing) == reference_tensor_ratio(cfg, psys, table)
+    expected = reference_tensor_ratio(cfg, psys, reference)
+    for pairing in pairings:
+        ints, den = pairing
+        table = tuple(tuple(F(x, den) for x in row) for row in ints)
+        assert table == reference
+        assert all(isinstance(x, int) for row in ints for x in row) and isinstance(den, int)
+        assert den > 0
+        assert integer_tensor_ratio(cfg, psys, pairing) == expected
 
 
 def metrics(cfg):
@@ -130,7 +139,7 @@ def test_catalog_entries(name):
         assert_same(cfg, matrix)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_root_systems(n):
     for roots in (a_roots(n), b_roots(n)):
         cfg = build_configuration(n, [(r, F(3, 2)) for r in roots])
@@ -159,7 +168,8 @@ def test_dimension_one_and_orthogonal_pair():
 
 def test_random_configurations(rng):
     """Half-integer covectors, rational multiplicities of both signs, and a
-    covector together with a multiple of it."""
+    covector together with a multiple of it; then dimension-5 covectors with
+    denominators up to 6."""
     statuses = []
     negative = 0
     for _ in range(30):
@@ -181,6 +191,17 @@ def test_random_configurations(rng):
             assert_same(cfg, cfg.gram_inverse)
             statuses.append(integer_tensor_ratio(cfg, positive_system(cfg), cfg.integer_pairing)[0])
     assert negative > 0 and {"solved", "no_solution"} <= set(statuses)
+    # fractional covectors with unlike denominators in dimension 5
+    for _ in range(3):
+        vecs = set()
+        while len(vecs) < 9:
+            v = tuple(F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(5))
+            if any(v) and tuple(-x for x in v) not in vecs:
+                vecs.add(v)
+        cfg = build_configuration(5, [(v, rand_nonzero_fraction(rng, -5, 5)) for v in sorted(vecs)])
+        assert cfg.gram_det != 0 and cfg.integer_covectors[1] > 1
+        assert_same(cfg, cfg.gram_inverse)
+        assert_same(cfg, fractional_metric(5))
 
 
 @pytest.mark.parametrize("name", ["TenVector", "G2timesScaledA2", "B3", "Prop5", "A4", "B4"])

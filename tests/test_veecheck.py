@@ -197,7 +197,7 @@ class TestImpliedIdentities:
     ],
 )
 def test_degenerate_form_refused_with_one_error(check):
-    """`gram_inverse` is the gate that the exact checks reach first."""
+    """`integer_gram_inverse` is the gate that the exact checks reach first."""
     with pytest.raises(DegenerateForm, match="^the form G is degenerate$"):
         check(a2(1, 1, F(-1, 2)))
 
