@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -250,13 +251,13 @@ def _pairing_numerators(
 ) -> tuple[tuple[int, ...], ...]:
     """The symmetric integer table V . M . V^T for integer rows V and a
     symmetric integer matrix M: the one pairing kernel."""
-    duals = [[sum(a * x for a, x in zip(row, v)) for row in rows] for v in vecs]
+    duals = [[sum(map(mul, row, v)) for row in rows] for v in vecs]
     table = [[0] * len(vecs) for _ in vecs]
     for i, u in enumerate(vecs):
         nonzero = [(k, x) for k, x in enumerate(u) if x != 0]
         for j in range(i, len(vecs)):
             dual = duals[j]
-            table[i][j] = table[j][i] = sum(x * dual[k] for k, x in nonzero)
+            table[i][j] = table[j][i] = sum([x * dual[k] for k, x in nonzero])
     return tuple(tuple(row) for row in table)
 
 
