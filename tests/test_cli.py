@@ -172,7 +172,7 @@ class TestCli:
         ids=["series", "check", "lambda", "wdvv", "cms"],
     )
     def test_series_degenerate_form_exit_1(self, tmp_path, capsys, command, out, err):
-        """G = 1 - 4/4 = 0 on the line: every exact command exits 1."""
+        """G = 1 * 1^2 - (1/4) * 2^2 = 0 on the line: every exact command exits 1."""
         path = tmp_path / "degenerate.vee"
         path.write_text("dim 1\nvector 1 mult 1\nvector 2 mult -1/4\n")
         assert main([command[0], str(path), *command[1:]]) == 1
