@@ -3,9 +3,11 @@
 A configuration is a finite list of nonzero rational covectors with nonzero
 rational multiplicities.  Building one caches the bilinear form
 G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
-covectors.  G is summed over the covectors and multiplicities cleared to
-integers, kept as that integer Gram `integer_gram`, and becomes Fractions
-only entry by entry at the end; its determinant is taken over those integer
+covectors.  The build is the one place that clears the covectors and the
+multiplicities to integers, kept as `integer_covectors` and `integer_mults`;
+every exact kernel reads them and keeps its own scale.  G is summed over
+them, kept as the integer Gram `integer_gram`, and becomes Fractions only
+entry by entry at the end; its determinant is taken over those integer
 sums.  The form identifies vectors and covectors; all pairings of covectors
 below go through its inverse (the "vee product").  The integer Gram is
 inverted once, fraction-free, as `integer_gram_inverse`; both the Fraction
@@ -13,9 +15,7 @@ matrix `gram_inverse` and the pairing table `integer_pairing` are read from
 that integer inverse.  The table holds integer numerators over one
 denominator, the only form of it that the checks read.  A pairing under any
 other matrix is tabulated by the same integer kernel through
-`integer_pairing_table`.  Every exact kernel reads the covectors and
-multiplicities cleared to integers once, as `integer_covectors` and
-`integer_mults`, and keeps its own scale.
+`integer_pairing_table`.
 `integer_gram_inverse` is the one place that refuses a degenerate form:
 every check that needs the vee product reaches it before doing anything
 else.
@@ -155,8 +155,12 @@ class VConfiguration:
     gram_det: Fraction
     lattice_basis: tuple[Covector, ...]
     lattice_coords: tuple[tuple[int, ...], ...]
+    # (A', d): the covectors as integer rows over the lcm d of their denominators
+    integer_covectors: IntRows = field(compare=False, repr=False)
+    # (c', l_c): the multiplicities as integers over the lcm l_c of their denominators
+    integer_mults: tuple[tuple[int, ...], int] = field(compare=False, repr=False)
     # (G', d^2 l_c): the form G = G' / (d^2 l_c) as integer rows, summed over
-    # the covectors cleared over d and the multiplicities cleared over l_c
+    # the cleared covectors and multiplicities
     integer_gram: IntRows = field(compare=False, repr=False)
 
     @cached_property
@@ -172,18 +176,6 @@ class VConfiguration:
         inverse, p = self.integer_gram_inverse
         scale = self.integer_gram[1]
         return RatMatrix([[Fraction(scale * x, p) for x in row] for row in inverse])
-
-    @cached_property
-    def integer_covectors(self) -> IntRows:
-        """The covectors as integer rows over the lcm d of their denominators."""
-        rows, d = clear_denominators(self.covectors())
-        return tuple(map(tuple, rows)), d
-
-    @cached_property
-    def integer_mults(self) -> tuple[tuple[int, ...], int]:
-        """The multiplicities as integers over the lcm l_c of their denominators."""
-        (mults,), l_c = clear_denominators([self.mults()])
-        return tuple(mults), l_c
 
     @cached_property
     def integer_pairing(self) -> IntPairing:
@@ -271,7 +263,7 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     if dim < 1:
         raise DimensionMismatch("dimension must be at least 1")
     built: list[ConfigEntry] = []
-    seen: dict[Covector, str] = {}
+    seen: dict[Covector, int] = {}  # the index of the first entry on each line
     for k, item in enumerate(entries):
         if len(item) == 3:
             coords, mult, label = item
@@ -287,9 +279,9 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         if c == 0:
             raise ZeroMultiplicity(f"entry {label} has multiplicity 0")
         key = v if next(x for x in v if x != 0) > 0 else cov_neg(v)
-        if key in seen:
-            raise DuplicateCovector(f"entries {seen[key]} and {label} coincide up to sign")
-        seen[key] = label
+        first = seen.setdefault(key, k)
+        if first != k:
+            raise DuplicateCovector(f"entries {built[first].label} and {label} coincide up to sign")
         built.append(ConfigEntry(v, c, label))
     if not built:
         raise ZeroCovector("configuration needs at least one covector")
@@ -317,12 +309,9 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     # the lattice basis is the HNF of the cleared covectors A' over d; the
     # coordinates of a covector in it are those of its row of A' in the HNF
     int_basis = integer_hnf(vecs)
-    coords_list = []
-    for v in vecs:
-        coords = integer_lattice_coordinates(int_basis, v)
-        # always succeeds: the basis generates the Z-span of these covectors
-        assert coords is not None
-        coords_list.append(coords)
+    coords_list = integer_lattice_coordinates(int_basis, vecs)
+    # always succeeds: the basis generates the Z-span of these covectors
+    assert None not in coords_list
 
     return VConfiguration(
         dim=dim,
@@ -331,6 +320,8 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         gram_det=Fraction(integer_det(int_gram), scale**dim),
         lattice_basis=tuple(tuple(Fraction(x, d) for x in row) for row in int_basis),
         lattice_coords=tuple(coords_list),
+        integer_covectors=(tuple(map(tuple, vecs)), d),
+        integer_mults=(tuple(mults), l_c),
         integer_gram=(tuple(map(tuple, int_gram)), scale),
     )
 

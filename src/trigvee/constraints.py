@@ -394,14 +394,11 @@ _RESIDUAL_TOL = 1e-10  # largest constraint residual accepted after a snap
 def _compile_polynomials(polys: Sequence[MultiPoly]):
     """Compile polynomials into one numpy monomial table for float evaluation.
 
-    The polynomials must be squarefree and homogeneous of one common degree
-    d, as series_constraints writes every constraint and det G(c) (d = n):
-    each monomial is then the product of d distinct variables, one row of a
-    terms x d index table.  Returns an evaluator from a (k, m) array of
-    variable values, one point a row, to the (k, P) array of the P
-    polynomials' values there.  One bincount over per-point row offsets sums
-    them, each value over its terms in dict order, so a point's values are
-    the same bits whatever else is in the batch.
+    The polynomials must be squarefree and homogeneous of one common degree,
+    as series_constraints writes every constraint and det G(c): each monomial
+    is then the product of distinct variables, one row of an index table.
+    Returns an evaluator from an array of variable values to the array of
+    the polynomials' values there.
     """
     rows, coefs, idx = [], [], []
     for p_idx, p in enumerate(polys):
@@ -409,40 +406,12 @@ def _compile_polynomials(polys: Sequence[MultiPoly]):
             rows.append(p_idx)
             coefs.append(float(coef))
             idx.append([k for k, e in enumerate(expo) if e])
-    rows_a, coefs_a = np.array(rows), np.array(coefs)
-    columns = np.array(idx, dtype=np.intp).T.copy()  # a monomial's k-th variable
-    size = len(polys)
+    rows_a, coefs_a, idx_a = np.array(rows), np.array(coefs), np.array(idx, dtype=np.intp)
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        k = len(points)
-        bins = (rows_a + size * np.arange(k)[:, None]).ravel()
-        # multiplied left to right, as prod(axis=1) over the index table does
-        weights = points[:, columns[0]]
-        for col in columns[1:]:
-            weights *= points[:, col]
-        weights *= coefs_a
-        return np.bincount(bins, weights.ravel(), minlength=k * size).reshape(k, size)
+    def evaluate(vals: np.ndarray) -> np.ndarray:
+        return np.bincount(rows_a, coefs_a * vals[idx_a].prod(axis=1), minlength=len(polys))
 
     return evaluate
-
-
-_STEP = 2.0**-26  # sqrt(float64 eps), scipy's relative step for jac='2-point'
-
-
-def _two_point_jacobian(rows, x: np.ndarray) -> np.ndarray:
-    """The Jacobian least_squares builds with jac='2-point', in one call of `rows`.
-
-    `rows` maps a (k, n) array of points to the (k, M) residuals there.  As
-    scipy does: h = sqrt(eps) * sign0(x) * max(1, |x|) with sign0(0) = +1,
-    dx = (x + h) - x and J[:, k] = (f(x + h_k e_k) - f(x)) / dx_k, built a
-    row per variable and returned transposed, as scipy builds it.
-    """
-    h = _STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    points = np.tile(x, (len(x) + 1, 1))
-    k = np.arange(len(x))
-    points[k + 1, k] = x + h
-    f = rows(points)
-    return ((f[1:] - f[0]) / ((x + h) - x)[:, None]).T
 
 
 def _exact_solution(
@@ -521,11 +490,10 @@ def _descent_search(
     """Least-squares descent on the constraint polynomials from seeded random
     starts, then a greedy snap-to-rational refinement (fix one coordinate to
     a small-denominator rational, re-optimize the rest), and finally exact
-    verification of the candidate.  The least-squares Jacobian is scipy's
-    2-point forward difference, computed in one batched evaluation of the
-    monomial table (`_two_point_jacobian`), so the descent takes the steps it
-    takes with jac='2-point'.  `cs` must have a nonzero polynomial: without
-    one, L(G(1, ..., 1)) holds c = 1, mu = 1, so the exact stage of
+    verification of the candidate.  The residuals are evaluated one point
+    at a time on the compiled monomial table, and least_squares builds the
+    Jacobian itself (jac='2-point').  `cs` must have a nonzero polynomial:
+    without one, L(G(1, ..., 1)) holds c = 1, mu = 1, so the exact stage of
     `find_multiplicities` always certifies a member.
     """
     syms = cs.symbols
@@ -546,20 +514,13 @@ def _descent_search(
         values = values_at(fixed)
         free_pos = [position[s] for s in free_syms]
 
-        def at(xs: np.ndarray) -> np.ndarray:
-            points = np.tile(values, (len(xs), 1))
-            points[:, free_pos] = xs
-            return evaluate(points)
+        def residuals(xs: np.ndarray) -> np.ndarray:
+            values[free_pos] = xs
+            return evaluate(values)[:-1]
 
-        fit = least_squares(
-            lambda x: at(x[None])[0, :-1],
-            x0,
-            jac=lambda x: _two_point_jacobian(lambda xs: at(xs)[:, :-1], x),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
-        return fit.x, float(np.linalg.norm(fit.fun)), at(fit.x[None])[0, -1]
+        fit = least_squares(residuals, x0, jac="2-point", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        values[free_pos] = fit.x
+        return fit.x, float(np.linalg.norm(fit.fun)), evaluate(values)[-1]
 
     # the constraint polynomials also vanish wherever det G vanishes becomes
     # easy to reach numerically, so every accepted step must keep the form
@@ -601,7 +562,7 @@ def _descent_search(
                         accepted = (q, xs)
                         break
                 else:
-                    vals = evaluate(values_at(trial)[None])[0]
+                    vals = evaluate(values_at(trial))
                     err, det = np.abs(vals[:-1]).max(), vals[-1]
                     if err <= _RESIDUAL_TOL and abs(det) > det_floor:
                         accepted = (q, np.array([]))

@@ -275,25 +275,28 @@ def lattice_coordinates(
     common denominator, which leaves the coordinates unchanged.
     """
     rows, _den = clear_denominators([*basis, [as_rational(x) for x in v]])
-    return integer_lattice_coordinates(rows[:-1], rows[-1])
+    return integer_lattice_coordinates(rows[:-1], rows[-1:])[0]
 
 
 def integer_lattice_coordinates(
-    basis: Sequence[Sequence[int]], v: Sequence[int]
-) -> tuple[int, ...] | None:
-    """lattice_coordinates for an integer echelon basis and an integer v."""
-    work = list(v)
-    coords: list[int] = []
-    for b in basis:
-        p = next((j for j, x in enumerate(b) if x != 0), None)
-        if p is None:
-            return None
-        q, r = divmod(work[p], b[p])
-        if r:
-            return None
-        coords.append(q)
-        if q:
-            work = [a - q * bb for a, bb in zip(work, b)]
-    if any(work):
-        return None
-    return tuple(coords)
+    basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
+) -> list[tuple[int, ...] | None]:
+    """lattice_coordinates of each integer row in an integer echelon basis,
+    each basis row's pivot found once."""
+    pivots = [next((j for j, x in enumerate(b) if x != 0), None) for b in basis]
+    if None in pivots:
+        return [None] * len(rows)
+
+    def coordinates(v: Sequence[int]) -> tuple[int, ...] | None:
+        work = list(v)
+        coords: list[int] = []
+        for b, p in zip(basis, pivots):
+            q, r = divmod(work[p], b[p])
+            if r:
+                return None
+            coords.append(q)
+            if q:
+                work = [a - q * bb for a, bb in zip(work, b)]
+        return None if any(work) else tuple(coords)
+
+    return [coordinates(v) for v in rows]

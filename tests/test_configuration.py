@@ -3,7 +3,6 @@
 import math
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,6 +87,11 @@ class TestBuild:
             build_configuration(2, [((1, 0), 0)])
         with pytest.raises(DuplicateCovector):
             build_configuration(2, [((1, 0), 1), ((-1, 0), 2)])
+        with pytest.raises(DuplicateCovector, match="^entries a and c coincide up to sign$"):
+            build_configuration(2, [((1, 0), 1, "a"), ((0, 1), 1, "b"), ((-1, 0), 2, "c")])
+        # two entries may share a label
+        with pytest.raises(DuplicateCovector, match="^entries a and a coincide up to sign$"):
+            build_configuration(2, [((1, 0), 1, "a"), ((-1, 0), 2, "a")])
         with pytest.raises(DimensionMismatch):
             build_configuration(2, [((1, 0, 0), 1)])
 
@@ -283,14 +287,21 @@ class TestIntegerView:
             assert cfg.integer_mults == (tuple(mults), l_c)
 
     def test_cleared_once_per_configuration(self, monkeypatch):
-        calls = Counter()
+        """The build clears the covectors and the multiplicities; no check
+        clears them again.  Clearing a metric, or building a component (which
+        clears the component's rows), is allowed."""
+        calls = []
 
         def spy(rows):
-            calls[sys._getframe(1).f_code.co_name] += 1
+            calls.append((sys._getframe(1).f_code.co_name, [list(row) for row in rows]))
             return clear_denominators(rows)
 
         monkeypatch.setattr(configuration, "clear_denominators", spy)
         for cfg in [*_oracle_configurations(), *_fractional_configurations()]:
+            calls.clear()
+            cfg = build_configuration(cfg.dim, [(e.covector, e.mult) for e in cfg.entries])
+            own = [[list(v) for v in cfg.covectors()], [list(cfg.mults())]]
+            assert calls == [("build_configuration", rows) for rows in own]
             calls.clear()
             positive_system(cfg)
             report = full_check(cfg)
@@ -300,8 +311,9 @@ class TestIntegerView:
             solve_capital_lambda(cfg, metric)
             if report.is_trig_vee:
                 cms_to_vee(cfg, vee_form_metric(cfg))
-            assert calls["integer_covectors"] == 1
-            assert calls["integer_mults"] == 1
+            assert not [
+                caller for caller, rows in calls if caller != "build_configuration" and rows in own
+            ]
 
 
 class TestPositiveSystem:

@@ -219,9 +219,9 @@ def test_compiled_polynomials_match_exact_evaluation(name):
         [F(rng.choice([-1, 1]) * rng.randint(1, 24), 8) for _ in cs.symbols]
         for _ in range(1 if dim > 3 else 3)
     ]
-    batch = evaluate(np.array([[float(x) for x in point] for point in points]))
-    assert batch.shape == (len(points), len(polys))
-    for point, values in zip(points, batch):
+    for point in points:
+        values = evaluate(np.array([float(x) for x in point]))
+        assert values.shape == (len(polys),)
         assignment = dict(zip(cs.symbols, point))
         scale = max(abs(x) for x in point) ** dim
         for k in checked:
