@@ -2,14 +2,17 @@
 
 `tests/data/cli_golden.txt` holds one block per command: the command line
 after `$ vee `, its stdout, and `exit N`.  Every output is an exact rational
-verdict, so it does not depend on the platform.  The float commands (`wdvv`,
-`cms`) and the descent search are pinned bit for bit by the frozen reference
-tests instead.  To regenerate the file after an intended output change, run
+verdict, so it does not depend on the platform: every search here ends in
+the exact stage.  The float commands (`wdvv`, `cms`) and the descent search
+are pinned bit for bit by the frozen reference tests instead.  To regenerate
+the file after an intended output change, run
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,9 @@ from trigvee.catalog import catalog_list
 from trigvee.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+
+# catalog entries exported with every multiplicity replaced by ?cK
+SYMBOLIC = ("B3", "B4", "TenVector", "G2timesScaledA2")
 
 B2_SYMBOLIC = (
     "dim 2\nvector 1 0 mult ?c1\nvector 0 1 mult ?c2\nvector 1 1 mult ?cp\nvector 1 -1 mult ?cm\n"
@@ -31,16 +37,21 @@ COMMANDS = [
     "constraints b2sym.vee",
     "family b2sym.vee --set c1=t --set c2=t",
     "search b2sym.vee --fix cp",
-]
+] + [f"search --report-kv {name}sym.vee" for name in SYMBOLIC]
 
 
 def write_inputs(directory: Path) -> None:
-    """The 13 catalog exports as NAME.vee and the symbolic B2 as b2sym.vee."""
+    """The 13 catalog exports as NAME.vee, the symbolic B2 as b2sym.vee and
+    the symbolic exports of SYMBOLIC as NAMEsym.vee."""
     for name, _ in catalog_list():
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["catalog", "export", name]) == 0
         (directory / f"{name}.vee").write_text(out.getvalue())
+        if name in SYMBOLIC:
+            k = count(1)
+            symbolic = re.sub(r" mult \S+", lambda _: f" mult ?c{next(k)}", out.getvalue())
+            (directory / f"{name}sym.vee").write_text(symbolic)
     (directory / "b2sym.vee").write_text(B2_SYMBOLIC)
 
 
