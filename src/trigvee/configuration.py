@@ -7,15 +7,15 @@ covectors.  The build is the one place that clears the covectors and the
 multiplicities to integers, kept as `integer_covectors` and `integer_mults`;
 every exact kernel reads them and keeps its own scale.  G is summed over
 them, kept as the integer Gram `integer_gram`, and becomes Fractions only
-entry by entry at the end; its determinant is taken over those integer
-sums.  The form identifies vectors and covectors; all pairings of covectors
-below go through its inverse (the "vee product").  The integer Gram is
-inverted once, fraction-free, as `integer_gram_inverse`; both the Fraction
-matrix `gram_inverse` and the pairing table `integer_pairing` are read from
-that integer inverse.  The table holds integer numerators over one
-denominator, the only form of it that the checks read.  A pairing under any
-other matrix is tabulated by the same integer kernel through
-`integer_pairing_table`.
+entry by entry at the end.  The form identifies vectors and covectors; all
+pairings of covectors below go through its inverse (the "vee product").
+The build eliminates the integer Gram once, fraction-free, by
+`integer_inverse`; that one pass gives both `gram_det` and the integer
+inverse `integer_gram_inverse`, from which the Fraction matrix
+`gram_inverse` and the pairing table `integer_pairing` are read.  The table
+holds integer numerators over one denominator, the only form of it that the
+checks read.  A pairing under any other matrix is tabulated by the same
+integer kernel through `integer_pairing_table`.
 `integer_gram_inverse` is the one place that refuses a degenerate form:
 every check that needs the vee product reaches it before doing anything
 else.
@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateCovector,
     FunctionalVanishes,
+    SingularMatrix,
     ZeroCovector,
     ZeroMultiplicity,
 )
@@ -44,11 +45,10 @@ from .exactnum import (
     RatMatrix,
     as_rational,
     clear_denominators,
-    integer_det,
     integer_hnf,
     integer_inverse,
     integer_lattice_coordinates,
-    rref,
+    integer_rref,
 )
 
 if TYPE_CHECKING:
@@ -162,13 +162,15 @@ class VConfiguration:
     # (G', d^2 l_c): the form G = G' / (d^2 l_c) as integer rows, summed over
     # the cleared covectors and multiplicities
     integer_gram: IntRows = field(compare=False, repr=False)
+    # (adj G', det G') from the build's one elimination of G'; None when G is degenerate
+    integer_gram_adjugate: tuple[list[list[int]], int] | None = field(compare=False, repr=False)
 
-    @cached_property
+    @property
     def integer_gram_inverse(self) -> tuple[list[list[int]], int]:
-        """(R, p) with G'^-1 = R / p, fraction-free; refuses a degenerate form."""
-        if self.gram_det == 0:
+        """(R, p) with G'^-1 = R / p and p = det G'; refuses a degenerate form."""
+        if self.integer_gram_adjugate is None:
             raise DegenerateForm("the form G is degenerate")
-        return integer_inverse(self.integer_gram[0])
+        return self.integer_gram_adjugate
 
     @cached_property
     def gram_inverse(self) -> RatMatrix:
@@ -232,8 +234,6 @@ def integer_pairing_table(covectors: IntRows, matrix: RatMatrix) -> IntPairing:
     as (A', d), like `integer_covectors`, as integer numerators over the
     common denominator d^2 l_m (l_m the lcm of the matrix denominators)."""
     vecs, d = covectors
-    if any(len(v) != matrix.cols for v in vecs):
-        raise DimensionMismatch("vector length mismatch")
     rows, l_m = clear_denominators(matrix.entries)
     return _pairing_numerators(vecs, rows), d * d * l_m
 
@@ -243,6 +243,8 @@ def _pairing_numerators(
 ) -> tuple[tuple[int, ...], ...]:
     """The symmetric integer table V . M . V^T for integer rows V and a
     symmetric integer matrix M: the one pairing kernel."""
+    if any(len(v) != len(rows) for v in vecs):
+        raise DimensionMismatch("vector length mismatch")
     duals = [[sum(map(mul, row, v)) for row in rows] for v in vecs]
     table = [[0] * len(vecs) for _ in vecs]
     for i, u in enumerate(vecs):
@@ -305,6 +307,10 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
             int_gram[j][i] = int_gram[i][j]
             gram_rows[i][j] = gram_rows[j][i] = Fraction(int_gram[i][j], scale)
     gram = RatMatrix(gram_rows)
+    try:
+        adjugate = integer_inverse(int_gram)
+    except SingularMatrix:
+        adjugate = None
 
     # the lattice basis is the HNF of the cleared covectors A' over d; the
     # coordinates of a covector in it are those of its row of A' in the HNF
@@ -317,12 +323,13 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         dim=dim,
         entries=tuple(built),
         gram=gram,
-        gram_det=Fraction(integer_det(int_gram), scale**dim),
+        gram_det=Fraction(adjugate[1] if adjugate else 0, scale**dim),
         lattice_basis=tuple(tuple(Fraction(x, d) for x in row) for row in int_basis),
         lattice_coords=tuple(coords_list),
         integer_covectors=(tuple(map(tuple, vecs)), d),
         integer_mults=(tuple(mults), l_c),
         integer_gram=(tuple(map(tuple, int_gram)), scale),
+        integer_gram_adjugate=adjugate,
     )
 
 
@@ -459,14 +466,15 @@ def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:
     if len(components) == 1:
         return [cfg]
 
+    vecs, _d = cfg.integer_covectors
     result = []
     for idx_list in components:
         members = [cfg.entries[i] for i in idx_list]
-        basis, pivots = rref([e.covector for e in members])
-        # the rref rows carry the identity on the pivot columns, so the
-        # entries there are each covector's coordinates in the basis
+        pivots = integer_rref([vecs[i] for i in idx_list])[1]
+        # the reduced echelon basis of their span is the identity on the pivot
+        # columns, so the entries there are each covector's coordinates in it
         sub_entries = [(tuple(e.covector[p] for p in pivots), e.mult, e.label) for e in members]
-        result.append(build_configuration(len(basis), sub_entries))
+        result.append(build_configuration(len(pivots), sub_entries))
     return result
 
 

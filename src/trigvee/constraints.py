@@ -29,9 +29,9 @@ from scipy.optimize import least_squares
 
 from .configuration import (
     VConfiguration,
+    _pairing_numerators,
     build_configuration,
     covector,
-    integer_pairing_table,
     relative_wedge_signs,
 )
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     VeeError,
     ZeroMultiplicity,
 )
-from .exactnum import RatMatrix, as_rational, clear_denominators, mat_inverse, rref
+from .exactnum import RatMatrix, as_rational, clear_denominators, integer_inverse, integer_rref
 from .multipoly import MultiPoly, RatFunc
 from .veecheck import check_series_condition
 
@@ -337,13 +337,15 @@ def linear_family(
 
 
 def _family_basis(cfg: VConfiguration, form: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """`linear_family` at the multiplicity-1 configuration of the vectors.
-    One integer row per series condition, sum_j r_j c_j (a_i N^-1 a_j^T)
-    over the series (scaled by the common denominator of the table), and
-    one per entry (k, l), k <= l, of sum_a c_a a_k a_l - mu N_kl (scaled by
-    d^2 l_N for covectors over d and N over l_N)."""
+    """`linear_family` at the multiplicity-1 configuration of the vectors, read
+    from `integer_rref` of integer rows.  With N = N' / l_N and N'^-1 = R / det N'
+    from `integer_inverse`, one row per series condition, sum_j r_j c_j a_i R a_j^T
+    (scaled by d^2 det N' / l_N, covectors over d), and one per entry (k, l),
+    k <= l, of sum_a c_a a_k a_l - mu N_kl (scaled by d^2 l_N)."""
     m = len(cfg.entries)
-    table, _den = integer_pairing_table(cfg.integer_covectors, mat_inverse(form))
+    ints, d = cfg.integer_covectors
+    form_ints, l_n = clear_denominators(form.entries)
+    table = _pairing_numerators(ints, integer_inverse(form_ints)[0])
     rows = []
     for i, pairings in enumerate(table):
         for series in cfg.series[i]:
@@ -351,20 +353,16 @@ def _family_basis(cfg: VConfiguration, form: RatMatrix) -> tuple[tuple[Fraction,
             for j, r in zip(series.entry_indices(), relative_wedge_signs(series)):
                 row[j] = r * pairings[j]
             rows.append(row)
-    ints, d = cfg.integer_covectors
-    form_ints, l_n = clear_denominators(form.entries)
     for k in range(cfg.dim):
         for l in range(k, cfg.dim):
             rows.append([l_n * a[k] * a[l] for a in ints] + [-d * d * form_ints[k][l]])
-    reduced, pivots = rref(rows)
+    reduced, pivots, p, _sign = integer_rref(rows)
     basis = []
-    for f in range(m + 1):
-        if f not in pivots:
-            v = [Fraction(0)] * (m + 1)
-            v[f] = Fraction(1)
-            for row, p in zip(reduced, pivots):
-                v[p] = -row[f]
-            basis.append(tuple(v))
+    for f in sorted(set(range(m + 1)) - set(pivots)):
+        v = [Fraction(int(k == f)) for k in range(m + 1)]
+        for row, q in zip(reduced, pivots):
+            v[q] = Fraction(-row[f], p)
+        basis.append(tuple(v))
     return tuple(basis)
 
 

@@ -2,10 +2,12 @@
 
 Everything in this module works over arbitrary-precision rationals
 (`fractions.Fraction`); no operation ever rounds.  Matrices are small
-(a dozen rows at most in practice).  Inverses and determinants are taken
-over ints, by fraction-free (Bareiss) elimination on the entries cleared
-to one denominator; Gaussian elimination over Fractions is used only for
-reduced echelon forms.
+(a dozen rows at most in practice).  Every solve runs over ints, on the
+entries cleared to one denominator, through one fraction-free Gauss-Jordan
+kernel, `integer_rref`: reduced echelon forms, ranks, determinants and
+inverses are all read from it, since the reduced echelon form is unique.
+The Hermite normal form, which works over Z rather than Q, is the only
+other elimination.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class RatMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def det(self) -> Fraction:
-        """Determinant: the Bareiss determinant of the entries cleared to one
+        """Determinant: `integer_det` of the entries cleared to one
         denominator, divided by that denominator to the n-th power."""
         if not self.is_square():
             raise DimensionMismatch("determinant of non-square matrix")
@@ -111,71 +113,76 @@ class RatMatrix:
 
 
 def mat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse: with M = M' / den over ints and M'^-1 = R / p from
-    `integer_inverse`, M^-1 = den R / p.  Raises SingularMatrix when det = 0."""
+    """Exact inverse: with M = M' / den over ints and M'^-1 = R / det M' from
+    `integer_inverse`, M^-1 = den R / det M'.  Raises SingularMatrix."""
     if not m.is_square():
         raise DimensionMismatch("inverse of non-square matrix")
     ints, den = clear_denominators(m.entries)
-    inverse, p = integer_inverse(ints)
-    return RatMatrix([[Fraction(den * x, p) for x in row] for row in inverse])
+    inverse, det = integer_inverse(ints)
+    return RatMatrix([[Fraction(den * x, det) for x in row] for row in inverse])
 
 
-def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Inverse of a square integer matrix M as (R, p) with M^-1 = R / p.
+def integer_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), the one exact
+    kernel: (R, pivots, p, sign) with R / p the reduced row echelon form.
 
-    Fraction-free Gauss-Jordan on [M | I] in the manner of Bareiss: at the
-    pivot p of each column, every other row becomes (p row - f top) // prev,
-    prev the previous pivot, and each division is exact.  A zero pivot swaps
-    in a later row; a column with none left raises SingularMatrix.  The left
-    block ends as p I, so p is +-det M.
+    The pivot of each column is the first row at or below the current one
+    with a nonzero entry; a column with none is skipped.  At a pivot p every
+    other row becomes (p row - f top) // prev, prev the previous pivot, each
+    division exact, so each pivot row ends with p in its pivot column.  sign
+    is the parity of the row swaps: det = sign * p for a nonsingular square.
     """
-    n = len(rows)
-    work = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
-    prev = 1
-    for c in range(n):
-        if work[c][c] == 0:
-            piv = next((r for r in range(c + 1, n) if work[r][c] != 0), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            work[c], work[piv] = work[piv], work[c]
-        top = work[c]
-        p = top[c]
-        for r in range(n):
-            if r != c:
-                f = work[r][c]
-                work[r] = [(p * a - f * b) // prev for a, b in zip(work[r], top)]
-        prev = p
-    return [row[n:] for row in work], prev
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [[as_rational(x) for x in row] for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    work = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    prev = sign = 1
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[c]
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return work, pivots, prev, sign
+
+
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of a square integer matrix M as (adj M, det M), so that
+    M^-1 = adj M / det M: the right block of `integer_rref` on [M | I] with
+    the swap sign put back.  Raises SingularMatrix when M is singular."""
+    n = len(rows)
+    work, pivots, p, sign = integer_rref(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [[sign * x for x in row[n:]] for row in work], sign * p
+
+
+def integer_det(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, read from `integer_rref`."""
+    _work, pivots, p, sign = integer_rref(mat)
+    return sign * p if len(pivots) == len(mat) else 0
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(integer_hnf(rows))
+    return len(integer_rref(rows)[1])
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (nonzero rows, pivot columns) of rational rows:
+    `integer_rref` of the rows cleared to one denominator."""
+    ints, _den = clear_denominators([[as_rational(x) for x in row] for row in rows])
+    work, pivots, p, _sign = integer_rref(ints)
+    return [[Fraction(x, p) for x in row] for row in work[: len(pivots)]], pivots
 
 
 def integer_hnf(mat: list[list[int]]) -> list[list[int]]:
@@ -219,30 +226,6 @@ def integer_hnf(mat: list[list[int]]) -> list[list[int]]:
         if r == nrows:
             break
     return work[:r]
-
-
-def integer_det(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss (1968) elimination.
-
-    Fraction-free: every division by the previous pivot is exact.  A zero
-    pivot swaps in a later row; a column with none left means det = 0.
-    """
-    work = [list(r) for r in mat]
-    n = len(work)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if work[c][c] == 0:
-            piv = next((r for r in range(c + 1, n) if work[r][c] != 0), None)
-            if piv is None:
-                return 0
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        top = work[c]
-        for r in range(c + 1, n):
-            f = work[r][c]
-            work[r] = [(top[c] * a - f * b) // prev for a, b in zip(work[r], top)]
-        prev = top[c]
-    return sign * work[-1][-1] if n else 1
 
 
 def hnf_basis(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...], int]:

@@ -12,9 +12,12 @@ from trigvee.exactnum import (
     RatMatrix,
     clear_denominators,
     hnf_basis,
+    integer_det,
     integer_inverse,
+    integer_rank,
     lattice_coordinates,
     mat_inverse,
+    rref,
 )
 
 from conftest import rand_fraction, rand_nonsingular
@@ -71,7 +74,7 @@ def square_matrices(draw, singular=False):
 @example([[F(-2, 3)]])
 def test_inverse_matches_sympy(rows):
     """mat_inverse, and integer_inverse on the cleared entries, against
-    sympy: M^-1 = R / p with |p| = |det M'|, whatever the sign of det."""
+    sympy: M^-1 = R / p with p = det M', sign included."""
     expected = _sympy(rows)
     ints, _den = clear_denominators(rows)
     if expected.det() == 0:
@@ -87,7 +90,7 @@ def test_inverse_matches_sympy(rows):
     r, p = integer_inverse(ints)
     assert all(isinstance(x, int) for row in r for x in row) and isinstance(p, int)
     assert sympy.Matrix(r) / p == sympy.Matrix(ints).inv()
-    assert abs(p) == abs(sympy.Matrix(ints).det())
+    assert p == sympy.Matrix(ints).det()
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,6 +101,46 @@ def test_singular_inverse_raises(rows):
         mat_inverse(RatMatrix(rows))
     with pytest.raises(SingularMatrix):
         integer_inverse(clear_denominators(rows)[0])
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-6 rows and 1-8 columns of fractions; some columns zeroed, and some
+    rows rational combinations of two earlier ones."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = F(0)
+    for k in range(1, nrows):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            a, b = draw(entry), draw(entry)
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+@example([[F(0), F(0)], [F(0), F(0)]])  # rank 0
+@example([[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(1), F(0), F(3)]])  # zero column, swap
+@example([[F(1, 2), F(1, 3), F(0), F(1)], [F(1), F(2, 3), F(5), F(0)]])  # skipped column
+def test_kernel_readers_match_sympy(rows):
+    """rref, integer_rank and integer_det, all read from one fraction-free
+    kernel, against sympy on rectangular and rank-deficient matrices; the
+    determinant is that of the leading square block of the cleared rows."""
+    expected, expected_pivots = _sympy(rows).rref()
+    reduced, pivots = rref(rows)
+    assert pivots == list(expected_pivots)
+    assert reduced == [
+        [F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(pivots))
+    ]
+    ints, _den = clear_denominators(rows)
+    assert integer_rank(ints) == sympy.Matrix(ints).rank() == len(pivots)
+    k = min(len(ints), len(ints[0]))
+    block = [row[:k] for row in ints[:k]]
+    assert integer_det(block) == sympy.Matrix(block).det()
 
 
 class TestDeterminant:
