@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from . import catalog as catalog_mod
 from .cms import Metric, check_series_with_metric, cms_identity_residual, vee_form_metric
@@ -120,6 +121,14 @@ def _check_count(flag: str, value: int) -> None:
         raise InvalidParams(f"{flag} must be at least 1, got {value}")
 
 
+def _check_sampling(args) -> None:
+    _check_count("--points", args.points)
+    if not (isfinite(args.tol) and args.tol > 0):
+        raise InvalidParams(f"--tol must be a finite number above 0, got {args.tol}")
+    if not isfinite(args.margin):
+        raise InvalidParams(f"--margin must be a finite number, got {args.margin}")
+
+
 def _entry_name(cfg: VConfiguration, index: int) -> str:
     return cfg.entries[index].label
 
@@ -216,7 +225,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_wdvv(args) -> int:
     report = Report(args.report_kv)
-    _check_count("--points", args.points)
+    _check_sampling(args)
     cf, cfg = _load_numeric(args.file)
     if cf.lambda2 is not None:
         lam2 = cf.lambda2
@@ -247,7 +256,7 @@ def cmd_wdvv(args) -> int:
 
 def cmd_cms(args) -> int:
     report = Report(args.report_kv)
-    _check_count("--points", args.points)
+    _check_sampling(args)
     _, cfg = _load_numeric(args.file)
     metric = _load_metric(args.metric, cfg)
     series = check_series_with_metric(cfg, metric)

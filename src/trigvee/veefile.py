@@ -6,7 +6,7 @@ Grammar (whitespace separated tokens, '#' starts a comment):
     vector <q_1> ... <q_n> mult <q or ?sym>  one line per covector
     lambda2 <q>                              optional
 
-where <q> is a rational literal: optional minus, digits, optional /digits.
+where <q> is a rational literal: optional minus, digits 0-9, optional /digits.
 Multiplicities may be symbolic ('?name', each name used once); symbolic files
 feed the constraint and search tools instead of the exact checks.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .configuration import VConfiguration, build_configuration
 from .errors import DimensionMismatch, ParseError, VeeError
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 _SYMBOL_RE = re.compile(r"^\?[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -84,9 +84,10 @@ def parse_config_file(text: str) -> ConfigFile:
                 raise ParseError("duplicate dim directive", lineno, 1)
             if entries or lambda2 is not None:
                 raise ParseError("dim must be the first directive", lineno, 1)
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
-                raise ParseError("usage: dim <positive integer>", lineno, 1)
-            dim = int(tokens[1])
+            arg = " ".join(tokens[1:])
+            if not (arg.isascii() and arg.isdigit()) or int(arg) < 1:
+                raise ParseError(f"usage: dim <positive integer>, got {arg!r}", lineno, 1)
+            dim = int(arg)
         elif head == "vector":
             if dim is None:
                 raise ParseError("dim must come before vector lines", lineno, 1)

@@ -212,6 +212,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: --points must be at least 1, got {points}\n"
 
+    @pytest.mark.parametrize("command", ["wdvv", "cms"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--tol=nan", "--tol must be a finite number above 0, got nan"),
+            ("--tol=inf", "--tol must be a finite number above 0, got inf"),
+            ("--tol=0", "--tol must be a finite number above 0, got 0.0"),
+            ("--tol=-1e-8", "--tol must be a finite number above 0, got -1e-08"),
+            ("--margin=nan", "--margin must be a finite number, got nan"),
+            ("--margin=-inf", "--margin must be a finite number, got -inf"),
+        ],
+    )
+    def test_bad_float_option_exit_2(self, a2_file, capsys, command, option, message):
+        """A NaN --tol would print FAIL, a NaN --margin would exhaust the
+        sampler: both are refused before anything is computed."""
+        assert main([command, a2_file, option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("num_points", [0, -1])
     def test_library_rejects_points_below_one(self, num_points):
         cfg = catalog_get("A2").cfg
@@ -293,6 +313,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dim ²\nvector 1 mult 1\n", "usage: dim <positive integer>, got '²' (line 1, column 1)"),
+            ("dim ٢\nvector 1 0 mult 1\n", "usage: dim <positive integer>, got '٢' (line 1, column 1)"),
+            (
+                "dim 2\nvector ٣ 0 mult 1\nvector 0 1 mult 1\n",
+                "expected a rational number, got '٣' (line 2, column 2)",
+            ),
+        ],
+        ids=["superscript-dim", "arabic-indic-dim", "arabic-indic-coordinate"],
+    )
+    def test_non_ascii_digit_in_file_exit_2(self, tmp_path, capsys, text, message):
+        """str.isdigit and the regex \\d accept these digits; only 0-9 are digits."""
+        with pytest.raises(ParseError):
+            parse_config_file(text)
+        path = tmp_path / "digits.vee"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_ascii_digit_in_expression_exit_2(self, b2sym_file, capsys):
+        with pytest.raises(ParseError):
+            parse_expression("²", ["t"])
+        assert main(["family", b2sym_file, "--set", "c1=²"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unexpected character '²' in expression\n"
 
     def test_oversized_multiplicity_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.vee"
