@@ -394,7 +394,7 @@ def _tokenize(text: str) -> list[str]:
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and (text[j].isalpha() or "0" <= text[j] <= "9" or text[j] == "_"):
                 j += 1
             tokens.append(text[i:j])
             i = j

@@ -337,10 +337,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_non_ascii_digit_in_expression_exit_2(self, b2sym_file, capsys):
+    @pytest.mark.parametrize("expr", ["²", "t²"], ids=["literal", "in-name"])
+    def test_non_ascii_digit_in_expression_exit_2(self, b2sym_file, capsys, expr):
+        """'t²' would otherwise name a new free parameter, not t^2."""
         with pytest.raises(ParseError):
-            parse_expression("²", ["t"])
-        assert main(["family", b2sym_file, "--set", "c1=²"]) == 2
+            parse_expression(expr, ["t"])
+        assert main(["family", b2sym_file, "--set", f"c1={expr}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unexpected character '²' in expression\n"
