@@ -37,7 +37,17 @@ COMMANDS = [
     "constraints b2sym.vee",
     "family b2sym.vee --set c1=t --set c2=t",
     "search b2sym.vee --fix cp",
-] + [f"search --report-kv {name}sym.vee" for name in SYMBOLIC]
+] + [f"search --report-kv {name}sym.vee" for name in SYMBOLIC] + [
+    "catalog list",
+] + [f"catalog show {name}" for name, _ in catalog_list()] + [
+    "catalog show A2 --param cc=-1/2",
+    "catalog show B3 --param cl=-1/4",
+    "catalog show B2 --param c2=2",
+    "catalog show TenVector --param scale=1/12",
+    "catalog show Prop5 --param t=2 --param s=1",
+    "catalog show Prop4 --param c1=5",
+    "catalog export B2 --param c1=3/2 --param c2=3/2 --param cp=2 --param cm=5",
+]
 
 
 def write_inputs(directory: Path) -> None:
