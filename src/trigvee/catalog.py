@@ -30,20 +30,9 @@ class CatalogEntry:
     origin: str | None
 
 
-def _params(defaults: dict[str, Fraction], given: Mapping[str, object] | None, name: str):
-    out = dict(defaults)
-    if given:
-        for key, val in given.items():
-            if key not in defaults:
-                raise InvalidParams(f"{name}: unknown parameter {key!r}")
-            out[key] = as_rational(val)
-    return out
-
-
-def _require_nonzero(p: dict[str, Fraction], name: str, keys=None):
-    for key in keys or p:
-        if p[key] == 0:
-            raise InvalidParams(f"{name}: parameter {key} must be nonzero")
+# A builder maps the merged, nonzero parameters to (dim, entries, expected):
+# the `build_configuration` entries and the expected (trig_vee, lambda2,
+# lambda status, origin), which `catalog_get` drops when the form is degenerate.
 
 
 def _a_roots(n: int) -> list[tuple[int, ...]]:
@@ -66,151 +55,93 @@ def _b_roots(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     return short, long_
 
 
-def _a2(params):
-    p = _params({"ca": Fraction(1), "cb": Fraction(1), "cc": Fraction(1)}, params, "A2")
-    _require_nonzero(p, "A2")
-    cfg = build_configuration(
-        2, [((1, 0), p["ca"], "a"), ((0, 1), p["cb"], "b"), ((1, 1), p["cc"], "a+b")]
-    )
-    delta = p["ca"] * p["cb"] + p["ca"] * p["cc"] + p["cb"] * p["cc"]
-    if delta == 0:
-        return cfg, p, None, None, None, None
-    lam2 = 4 * delta**2 / (p["ca"] * p["cb"] * p["cc"])
-    return cfg, p, True, lam2, "solved", "closed-form"
+def _a2(p):
+    ca, cb, cc = p["ca"], p["cb"], p["cc"]
+    lam2 = 4 * (ca * cb + ca * cc + cb * cc) ** 2 / (ca * cb * cc)
+    entries = [((1, 0), ca, "a"), ((0, 1), cb, "b"), ((1, 1), cc, "a+b")]
+    return 2, entries, (True, lam2, "solved", "closed-form")
 
 
-def _b2(params):
-    p = _params(
-        {"c1": Fraction(1), "c2": Fraction(1), "cp": Fraction(1), "cm": Fraction(1)},
-        params,
-        "B2",
-    )
-    _require_nonzero(p, "B2")
-    cfg = build_configuration(
-        2,
-        [
-            ((1, 0), p["c1"], "e1"),
-            ((0, 1), p["c2"], "e2"),
-            ((1, 1), p["cp"], "e1+e2"),
-            ((1, -1), p["cm"], "e1-e2"),
-        ],
-    )
-    if cfg.gram_det == 0:
-        return cfg, p, None, None, None, None
-    if p["c1"] != p["c2"]:
-        return cfg, p, False, None, None, "closed-form"
-    c1, cp, cm = p["c1"], p["cp"], p["cm"]
-    delta = (c1 + 2 * cp) * (c1 + 2 * cm)
+def _b2(p):
+    c1, c2, cp, cm = p["c1"], p["c2"], p["cp"], p["cm"]
+    entries = [
+        ((1, 0), c1, "e1"), ((0, 1), c2, "e2"), ((1, 1), cp, "e1+e2"), ((1, -1), cm, "e1-e2")
+    ]
+    if c1 != c2:
+        return 2, entries, (False, None, None, "closed-form")
     denom = c1 * (4 * cp * cm + c1 * (cp + cm))
     if denom == 0:
-        return cfg, p, True, None, None, "closed-form"
-    return cfg, p, True, 4 * delta**2 / denom, "solved", "closed-form"
+        return 2, entries, (True, None, None, "closed-form")
+    lam2 = 4 * ((c1 + 2 * cp) * (c1 + 2 * cm)) ** 2 / denom
+    return 2, entries, (True, lam2, "solved", "closed-form")
 
 
-def _prop4(params):
-    p = _params(
-        {
-            "c1": Fraction(3),
-            "ct1": Fraction(1),
-            "c2": Fraction(1),
-            "cp": Fraction(1),
-            "cm": Fraction(1),
-        },
-        params,
-        "Prop4",
-    )
-    _require_nonzero(p, "Prop4")
-    if p["cp"] != p["cm"]:
+def _prop4(p):
+    c1, ct1, c2, cp, cm = p["c1"], p["ct1"], p["c2"], p["cp"], p["cm"]
+    if cp != cm:
         raise InvalidParams("Prop4: requires cp = cm")
-    if 2 * p["ct1"] * p["c2"] != p["cp"] * (p["c1"] - p["c2"]):
+    if 2 * ct1 * c2 != cp * (c1 - c2):
         raise InvalidParams("Prop4: requires 2*ct1*c2 = cp*(c1 - c2)")
-    cfg = build_configuration(
-        2,
-        [
-            ((1, 0), p["c1"], "e1"),
-            ((2, 0), p["ct1"], "2e1"),
-            ((0, 1), p["c2"], "e2"),
-            ((1, 1), p["cp"], "e1+e2"),
-            ((1, -1), p["cm"], "e1-e2"),
-        ],
-    )
-    delta = (p["c1"] + 4 * p["ct1"] + 2 * p["cp"]) * (p["c2"] + 2 * p["cp"])
-    if delta == 0:
-        return cfg, p, None, None, None, None
-    lam2 = 2 * delta**2 / ((p["c2"] + 2 * p["cp"]) * (p["c1"] + 4 * p["ct1"]) * p["cp"])
-    return cfg, p, True, lam2, "solved", "closed-form"
+    entries = [
+        ((1, 0), c1, "e1"),
+        ((2, 0), ct1, "2e1"),
+        ((0, 1), c2, "e2"),
+        ((1, 1), cp, "e1+e2"),
+        ((1, -1), cm, "e1-e2"),
+    ]
+    denom = (c2 + 2 * cp) * (c1 + 4 * ct1) * cp
+    if denom == 0:
+        return 2, entries, (True, None, None, "closed-form")
+    lam2 = 2 * ((c1 + 4 * ct1 + 2 * cp) * (c2 + 2 * cp)) ** 2 / denom
+    return 2, entries, (True, lam2, "solved", "closed-form")
 
 
-def _prop5(params):
-    p = _params({"t": Fraction(1), "s": Fraction(1)}, params, "Prop5")
+def _prop5(p):
     t, s = p["t"], p["s"]
-    if t == 0 or s == 0:
-        raise InvalidParams("Prop5: t and s must be nonzero")
     if 3 * t + 4 * s == 0:
         raise InvalidParams("Prop5: the denominator 3t + 4s vanishes")
-    b = t
-    a = 3 * t
-    ct2 = s
-    c2 = 3 * t + 2 * s
     c1 = t * (3 * t - 2 * s) / (3 * t + 4 * s)
+    c2 = 3 * t + 2 * s
     for label, val in (("c2", c2), ("c1", c1)):
         if val == 0:
             raise InvalidParams(f"Prop5: parameters make multiplicity {label} vanish")
     half = Fraction(1, 2)
-    cfg = build_configuration(
-        2,
-        [
-            ((1, 0), c1, "e1"),
-            ((0, 1), c2, "e2"),
-            ((0, 2), ct2, "2e2"),
-            ((half, half), a, "(e1+e2)/2"),
-            ((half, -half), a, "(e1-e2)/2"),
-            ((half, 3 * half), b, "(e1+3e2)/2"),
-            ((half, -3 * half), b, "(e1-3e2)/2"),
-        ],
-    )
-    if cfg.gram_det == 0:
-        return cfg, p, None, None, None, None
-    return cfg, p, True, None, "solved", "closed-form"
+    entries = [
+        ((1, 0), c1, "e1"),
+        ((0, 1), c2, "e2"),
+        ((0, 2), s, "2e2"),
+        ((half, half), 3 * t, "(e1+e2)/2"),
+        ((half, -half), 3 * t, "(e1-e2)/2"),
+        ((half, 3 * half), t, "(e1+3e2)/2"),
+        ((half, -3 * half), t, "(e1-3e2)/2"),
+    ]
+    return 2, entries, (True, None, "solved", "closed-form")
 
 
 _G2_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
 _G2_SHORT = (0, 2, 3)  # (1,0), (1,1), (2,1)
-_G2_LONG = (1, 4, 5)  # (0,1), (3,1), (3,2)
 
 
-def _g2(params):
-    p = _params({"cs": Fraction(1), "cl": Fraction(1)}, params, "G2")
-    _require_nonzero(p, "G2")
-    entries = []
-    for i, v in enumerate(_G2_VECTORS):
-        mult = p["cs"] if i in _G2_SHORT else p["cl"]
-        entries.append((v, mult, f"g{i}"))
-    cfg = build_configuration(2, entries)
-    if cfg.gram_det == 0:
-        return cfg, p, None, None, None, None
-    return cfg, p, True, None, "solved", "construction"
+def _g2_entries(p) -> list:
+    return [
+        (v, p["cs"] if i in _G2_SHORT else p["cl"], f"g{i}") for i, v in enumerate(_G2_VECTORS)
+    ]
 
 
-def _g2_times_scaled_a2(params):
+def _g2(p):
+    return 2, _g2_entries(p), (True, None, "solved", "construction")
+
+
+def _g2_times_scaled_a2(p):
     # G2 plus the doubled short covectors; exact search found the family
     # short = 3 * long with the doubled multiplicity free
-    p = _params({"cs": Fraction(3), "cl": Fraction(1), "cd": Fraction(1)}, params, "G2timesScaledA2")
-    _require_nonzero(p, "G2timesScaledA2")
     if p["cs"] != 3 * p["cl"]:
         raise InvalidParams("G2timesScaledA2: requires cs = 3*cl")
-    entries = []
-    for i, v in enumerate(_G2_VECTORS):
-        mult = p["cs"] if i in _G2_SHORT else p["cl"]
-        entries.append((v, mult, f"g{i}"))
-    for i in _G2_SHORT:
-        v = _G2_VECTORS[i]
-        entries.append(((2 * v[0], 2 * v[1]), p["cd"], f"2g{i}"))
-    cfg = build_configuration(2, entries)
-    if cfg.gram_det == 0:
-        return cfg, p, None, None, None, None
+    doubled = [
+        ((2 * _G2_VECTORS[i][0], 2 * _G2_VECTORS[i][1]), p["cd"], f"2g{i}") for i in _G2_SHORT
+    ]
     lam2 = Fraction(900, 7) if p == {"cs": 3, "cl": 1, "cd": 1} else None
-    return cfg, p, True, lam2, "solved", "exact-search"
+    return 2, _g2_entries(p) + doubled, (True, lam2, "solved", "exact-search")
 
 
 _TEN_VECTORS = [
@@ -229,93 +160,104 @@ _TEN_VECTORS = [
 _TEN_MULTS = [12, 3, 12, 3, 8, 8, 2, 2, 2, 2]
 
 
-def _ten_vector(params):
-    p = _params({"scale": Fraction(1)}, params, "TenVector")
-    _require_nonzero(p, "TenVector")
+def _ten_vector(p):
     t = p["scale"]
-    cfg = build_configuration(
-        2, [(v, t * m, f"t{i}") for i, (v, m) in enumerate(zip(_TEN_VECTORS, _TEN_MULTS))]
-    )
-    return cfg, p, True, 450 * t, "solved", "exact-search"
+    entries = [(v, t * m, f"t{i}") for i, (v, m) in enumerate(zip(_TEN_VECTORS, _TEN_MULTS))]
+    return 2, entries, (True, 450 * t, "solved", "exact-search")
 
 
-def _orthogonal_pair(params):
-    p = _params({"c1": Fraction(1), "c2": Fraction(1)}, params, "OrthogonalPair")
-    _require_nonzero(p, "OrthogonalPair")
-    cfg = build_configuration(2, [((1, 0), p["c1"], "e1"), ((0, 1), p["c2"], "e2")])
-    return cfg, p, True, None, "no_solution", "construction"
+def _orthogonal_pair(p):
+    entries = [((1, 0), p["c1"], "e1"), ((0, 1), p["c2"], "e2")]
+    return 2, entries, (True, None, "no_solution", "construction")
 
 
 def _a_n(n: int):
-    def builder(params):
-        p = _params({"c": Fraction(1)}, params, f"A{n}")
-        _require_nonzero(p, f"A{n}")
-        cfg = build_configuration(n, [(r, p["c"]) for r in _a_roots(n)])
+    def builder(p):
         status = "any_lambda" if n == 1 else "solved"
-        return cfg, p, True, None, status, "construction"
+        return n, [(r, p["c"]) for r in _a_roots(n)], (True, None, status, "construction")
 
     return builder
 
 
 def _b_n(n: int):
-    def builder(params):
-        p = _params({"cs": Fraction(1), "cl": Fraction(1)}, params, f"B{n}")
-        _require_nonzero(p, f"B{n}")
+    def builder(p):
         short, long_ = _b_roots(n)
-        cfg = build_configuration(
-            n, [(r, p["cs"]) for r in short] + [(r, p["cl"]) for r in long_]
-        )
-        if cfg.gram_det == 0:
-            return cfg, p, None, None, None, None
-        return cfg, p, True, None, "solved", "construction"
+        entries = [(r, p["cs"]) for r in short] + [(r, p["cl"]) for r in long_]
+        return n, entries, (True, None, "solved", "construction")
 
     return builder
 
 
 _CATALOG = [
-    ("A2", "three covectors a, b, a+b in the plane", _a2),
-    ("B2", "covectors e1, e2, e1+-e2; a vee-system iff c1 = c2", _b2),
-    ("Prop4", "five covectors e1, 2e1, e2, e1+-e2 with the coupling relations", _prop4),
-    ("Prop5", "seven covectors e1, e2, 2e2, (e1+-e2)/2, (e1+-3e2)/2, parametrized by (t, s)", _prop5),
-    ("G2", "the six positive covectors of the G2 root system", _g2),
+    ("A2", "three covectors a, b, a+b in the plane", {"ca": 1, "cb": 1, "cc": 1}, _a2),
+    (
+        "B2",
+        "covectors e1, e2, e1+-e2; a vee-system iff c1 = c2",
+        {"c1": 1, "c2": 1, "cp": 1, "cm": 1},
+        _b2,
+    ),
+    (
+        "Prop4",
+        "five covectors e1, 2e1, e2, e1+-e2 with the coupling relations",
+        {"c1": 3, "ct1": 1, "c2": 1, "cp": 1, "cm": 1},
+        _prop4,
+    ),
+    (
+        "Prop5",
+        "seven covectors e1, e2, 2e2, (e1+-e2)/2, (e1+-3e2)/2, parametrized by (t, s)",
+        {"t": 1, "s": 1},
+        _prop5,
+    ),
+    ("G2", "the six positive covectors of the G2 root system", {"cs": 1, "cl": 1}, _g2),
     (
         "G2timesScaledA2",
         "G2 together with its doubled short covectors; multiplicities from exact search",
+        {"cs": 3, "cl": 1, "cd": 1},
         _g2_times_scaled_a2,
     ),
     (
         "TenVector",
         "ten covectors e1, 2e1, e2, 2e2, e1+-e2, e1+-2e2, 2e1+-e2; multiplicities from exact search",
+        {"scale": 1},
         _ten_vector,
     ),
-    ("OrthogonalPair", "two orthogonal covectors; vee-system with no coupling", _orthogonal_pair),
-    ("A1", "a single covector on the line", _a_n(1)),
-    ("A3", "positive root covectors of A3 in simple coordinates", _a_n(3)),
-    ("A4", "positive root covectors of A4 in simple coordinates", _a_n(4)),
-    ("B3", "positive root covectors of B3 with orbit multiplicities", _b_n(3)),
-    ("B4", "positive root covectors of B4 with orbit multiplicities", _b_n(4)),
+    (
+        "OrthogonalPair",
+        "two orthogonal covectors; vee-system with no coupling",
+        {"c1": 1, "c2": 1},
+        _orthogonal_pair,
+    ),
+    ("A1", "a single covector on the line", {"c": 1}, _a_n(1)),
+    ("A3", "positive root covectors of A3 in simple coordinates", {"c": 1}, _a_n(3)),
+    ("A4", "positive root covectors of A4 in simple coordinates", {"c": 1}, _a_n(4)),
+    ("B3", "positive root covectors of B3 with orbit multiplicities", {"cs": 1, "cl": 1}, _b_n(3)),
+    ("B4", "positive root covectors of B4 with orbit multiplicities", {"cs": 1, "cl": 1}, _b_n(4)),
 ]
 
-_BUILDERS = {name: (desc, fn) for name, desc, fn in _CATALOG}
+_ENTRIES = {name: rest for name, *rest in _CATALOG}
 
 
 def catalog_list() -> list[tuple[str, str]]:
     """Stable (name, description) listing of all built-in configurations."""
-    return [(name, desc) for name, desc, _ in _CATALOG]
+    return [(name, desc) for name, desc, _, _ in _CATALOG]
 
 
 def catalog_get(name: str, params: Mapping[str, object] | None = None) -> CatalogEntry:
-    if name not in _BUILDERS:
+    """The entry `name` at its defaults overridden by `params`; every
+    parameter must be nonzero, and a degenerate form carries no expectation."""
+    if name not in _ENTRIES:
         raise UnknownName(f"no catalog entry named {name!r}")
-    desc, fn = _BUILDERS[name]
-    cfg, p, trig, lam2, status, origin = fn(params)
-    return CatalogEntry(
-        name=name,
-        description=desc,
-        cfg=cfg,
-        params=p,
-        expected_trig_vee=trig,
-        expected_lambda2=lam2,
-        expected_lambda_status=status,
-        origin=origin,
-    )
+    desc, defaults, builder = _ENTRIES[name]
+    p = {key: Fraction(val) for key, val in defaults.items()}
+    for key, val in (params or {}).items():
+        if key not in defaults:
+            raise InvalidParams(f"{name}: unknown parameter {key!r}")
+        p[key] = as_rational(val)
+    for key, val in p.items():
+        if val == 0:
+            raise InvalidParams(f"{name}: parameter {key} must be nonzero")
+    dim, entries, expected = builder(p)
+    cfg = build_configuration(dim, entries)
+    if cfg.gram_det == 0:
+        expected = (None, None, None, None)
+    return CatalogEntry(name, desc, cfg, p, *expected)
