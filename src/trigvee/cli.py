@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     ParseError,
+    SamplingExhausted,
     UnknownName,
     VeeError,
     ZeroMultiplicity,
@@ -28,10 +29,14 @@ from .errors import (
 from .exactnum import RatMatrix
 from .multipoly import expression_variables, parse_expression
 from .veecheck import check_series_condition, full_check, solve_lambda_squared
-from .veefile import ConfigFile, config_file_from_configuration, parse_config_file, render_config_file
+from .veefile import (
+    _RATIONAL_RE, ConfigFile, config_file_from_configuration, parse_config_file, render_config_file
+)
 from .wdvv import wdvv_residual
 
-_INPUT_ERRORS = (ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity)
+_INPUT_ERRORS = (
+    ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity, SamplingExhausted
+)
 
 
 class Report:
@@ -91,11 +96,15 @@ def _load_symbolic(path: str) -> ConfigFile:
         )
     return cf
 
+
 def _rational_arg(token: str, context: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidParams(f"{context}: {token!r} is not a rational number") from None
+    """A rational spelled as in a .vee file: `[-]digits[/digits]`, ASCII digits."""
+    if _RATIONAL_RE.match(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidParams(f"{context}: {token!r} is not a rational number")
 
 
 def _load_metric(spec: str, cfg: VConfiguration) -> Metric:

@@ -440,6 +440,84 @@ class TestCli:
         out = capsys.readouterr().out
         assert parse_config_file(out).build().gram_det == 3
 
+    def test_prop4_vanishing_closed_form_denominator(self, tmp_path, capsys):
+        """c1 + 4 ct1 = 0: `show` and `export` withhold lambda2 instead of
+        dividing by zero, and the exact solve finds no coupling."""
+        params = ["--param", "c1=2", "--param", "c2=1", "--param", "cp=-1", "--param", "cm=-1"]
+        params += ["--param", "ct1=-1/2"]
+        assert main(["catalog", "show", "Prop4", *params]) == 0
+        out = capsys.readouterr().out
+        assert "expected trig-vee: pass" in out and "lambda2" not in out
+        assert main(["catalog", "export", "Prop4", *params]) == 0
+        path = tmp_path / "prop4.vee"
+        path.write_text(capsys.readouterr().out)
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("trig-vee: PASS, irreducible: yes, lambda2 = NO SOLUTION\n")
+
+    @pytest.mark.parametrize("token", ["٣", "１", "1.5", "1e3", "1_0", "+3", ".5", "1/٢"])
+    def test_param_rational_spelling_exit_2(self, capsys, token):
+        """--param reads the .vee grammar [-]digits[/digits], ASCII digits only."""
+        assert main(["catalog", "show", "TenVector", "--param", f"scale={token}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --param: {token!r} is not a rational number\n"
+
+    @pytest.mark.parametrize("token", ["٢", "1.0", "1e0", "1_0", "+1"])
+    def test_metric_rational_spelling_exit_2(self, a2_file, tmp_path, capsys, token):
+        metric = tmp_path / "metric.txt"
+        metric.write_text(f"{token} 0\n0 1\n", encoding="utf-8")
+        assert main(["cms", a2_file, "--metric", str(metric)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: metric file: {token!r} is not a rational number\n"
+
+    @pytest.mark.parametrize("command", ["wdvv", "cms"])
+    def test_unreachable_margin_exit_2(self, a2_file, capsys, command):
+        """No point has every |sin a(x)| above 1e9: an input error, not a failed check."""
+        assert main([command, a2_file, "--margin", "1e9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no point with margin > 1000000000.0 found in 1000 tries\n"
+
+    def test_param_without_value_exit_2(self, capsys):
+        assert main(["catalog", "show", "B2", "--param", "c1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --param needs key=value, got 'c1'\n"
+
+    def test_search_unknown_fix_exit_2(self, b2sym_file, capsys):
+        assert main(["search", b2sym_file, "--fix", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --fix: unknown multiplicity symbol 'nope'\n"
+
+    def test_search_existence_undecided_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "three.vee"
+        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 2 mult ?c\n")
+        assert main(["search", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "search: no exactly-verified solution found (existence undecided)\n"
+        )
+
+    def test_family_with_vanishing_form_exit_1(self, b2sym_file, capsys):
+        sets = ["c1=t", "c2=t", "cp=-t/2", "cm=-t/2"]
+        assert main(["family", b2sym_file, *(x for kv in sets for x in ("--set", kv))]) == 1
+        assert capsys.readouterr().out == (
+            "family: FAIL (the form determinant vanishes identically under this parametrization)\n"
+        )
+
+    def test_wdvv_without_coupling_exit_2(self, tmp_path, capsys):
+        assert main(["catalog", "export", "OrthogonalPair"]) == 0
+        path = tmp_path / "pair.vee"
+        path.write_text(capsys.readouterr().out)
+        assert main(["wdvv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: coupling status is no_solution; declare lambda2 in the file to force a value\n"
+        )
+
     def test_export_check_round_trip(self, tmp_path, capsys, monkeypatch):
         assert main(["catalog", "export", "B2"]) == 0
         exported = capsys.readouterr().out
