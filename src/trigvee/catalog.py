@@ -30,9 +30,9 @@ class CatalogEntry:
     origin: str | None
 
 
-# A builder maps the merged, nonzero parameters to (dim, entries, expected):
-# the `build_configuration` entries and the expected (trig_vee, lambda2,
-# lambda status, origin), which `catalog_get` drops when the form is degenerate.
+# A builder maps the merged, nonzero parameters to (entries, expected): the
+# `build_configuration` entries and the expected (trig_vee, lambda2, lambda
+# status, origin), which `catalog_get` drops when the form is degenerate.
 
 
 def _a_roots(n: int) -> list[tuple[int, ...]]:
@@ -59,7 +59,7 @@ def _a2(p):
     ca, cb, cc = p["ca"], p["cb"], p["cc"]
     lam2 = 4 * (ca * cb + ca * cc + cb * cc) ** 2 / (ca * cb * cc)
     entries = [((1, 0), ca, "a"), ((0, 1), cb, "b"), ((1, 1), cc, "a+b")]
-    return 2, entries, (True, lam2, "solved", "closed-form")
+    return entries, (True, lam2, "solved", "closed-form")
 
 
 def _b2(p):
@@ -68,12 +68,12 @@ def _b2(p):
         ((1, 0), c1, "e1"), ((0, 1), c2, "e2"), ((1, 1), cp, "e1+e2"), ((1, -1), cm, "e1-e2")
     ]
     if c1 != c2:
-        return 2, entries, (False, None, None, "closed-form")
+        return entries, (False, None, None, "closed-form")
     denom = c1 * (4 * cp * cm + c1 * (cp + cm))
     if denom == 0:
-        return 2, entries, (True, None, None, "closed-form")
+        return entries, (True, None, None, "closed-form")
     lam2 = 4 * ((c1 + 2 * cp) * (c1 + 2 * cm)) ** 2 / denom
-    return 2, entries, (True, lam2, "solved", "closed-form")
+    return entries, (True, lam2, "solved", "closed-form")
 
 
 def _prop4(p):
@@ -91,9 +91,9 @@ def _prop4(p):
     ]
     denom = (c2 + 2 * cp) * (c1 + 4 * ct1) * cp
     if denom == 0:
-        return 2, entries, (True, None, None, "closed-form")
+        return entries, (True, None, None, "closed-form")
     lam2 = 2 * ((c1 + 4 * ct1 + 2 * cp) * (c2 + 2 * cp)) ** 2 / denom
-    return 2, entries, (True, lam2, "solved", "closed-form")
+    return entries, (True, lam2, "solved", "closed-form")
 
 
 def _prop5(p):
@@ -115,21 +115,21 @@ def _prop5(p):
         ((half, 3 * half), t, "(e1+3e2)/2"),
         ((half, -3 * half), t, "(e1-3e2)/2"),
     ]
-    return 2, entries, (True, None, "solved", "closed-form")
+    return entries, (True, None, "solved", "closed-form")
 
 
 _G2_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
 _G2_SHORT = (0, 2, 3)  # (1,0), (1,1), (2,1)
 
 
-def _g2_entries(p) -> list:
+def _g2_entries(p):
     return [
         (v, p["cs"] if i in _G2_SHORT else p["cl"], f"g{i}") for i, v in enumerate(_G2_VECTORS)
     ]
 
 
 def _g2(p):
-    return 2, _g2_entries(p), (True, None, "solved", "construction")
+    return _g2_entries(p), (True, None, "solved", "construction")
 
 
 def _g2_times_scaled_a2(p):
@@ -141,7 +141,7 @@ def _g2_times_scaled_a2(p):
         ((2 * _G2_VECTORS[i][0], 2 * _G2_VECTORS[i][1]), p["cd"], f"2g{i}") for i in _G2_SHORT
     ]
     lam2 = Fraction(900, 7) if p == {"cs": 3, "cl": 1, "cd": 1} else None
-    return 2, _g2_entries(p) + doubled, (True, lam2, "solved", "exact-search")
+    return _g2_entries(p) + doubled, (True, lam2, "solved", "exact-search")
 
 
 _TEN_VECTORS = [
@@ -163,18 +163,18 @@ _TEN_MULTS = [12, 3, 12, 3, 8, 8, 2, 2, 2, 2]
 def _ten_vector(p):
     t = p["scale"]
     entries = [(v, t * m, f"t{i}") for i, (v, m) in enumerate(zip(_TEN_VECTORS, _TEN_MULTS))]
-    return 2, entries, (True, 450 * t, "solved", "exact-search")
+    return entries, (True, 450 * t, "solved", "exact-search")
 
 
 def _orthogonal_pair(p):
     entries = [((1, 0), p["c1"], "e1"), ((0, 1), p["c2"], "e2")]
-    return 2, entries, (True, None, "no_solution", "construction")
+    return entries, (True, None, "no_solution", "construction")
 
 
 def _a_n(n: int):
     def builder(p):
         status = "any_lambda" if n == 1 else "solved"
-        return n, [(r, p["c"]) for r in _a_roots(n)], (True, None, status, "construction")
+        return [(r, p["c"]) for r in _a_roots(n)], (True, None, status, "construction")
 
     return builder
 
@@ -183,7 +183,7 @@ def _b_n(n: int):
     def builder(p):
         short, long_ = _b_roots(n)
         entries = [(r, p["cs"]) for r in short] + [(r, p["cl"]) for r in long_]
-        return n, entries, (True, None, "solved", "construction")
+        return entries, (True, None, "solved", "construction")
 
     return builder
 
@@ -256,8 +256,8 @@ def catalog_get(name: str, params: Mapping[str, object] | None = None) -> Catalo
     for key, val in p.items():
         if val == 0:
             raise InvalidParams(f"{name}: parameter {key} must be nonzero")
-    dim, entries, expected = builder(p)
-    cfg = build_configuration(dim, entries)
+    entries, expected = builder(p)
+    cfg = build_configuration(len(entries[0][0]), entries)
     if cfg.gram_det == 0:
         expected = (None, None, None, None)
     return CatalogEntry(name, desc, cfg, p, *expected)
