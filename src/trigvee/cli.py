@@ -411,11 +411,9 @@ def cmd_catalog(args) -> int:
         report.kv("covectors", len(entry.cfg.entries))
         report.emit()
         return 0
-    if args.action == "export":
-        cf = config_file_from_configuration(entry.cfg, lambda2=entry.expected_lambda2)
-        sys.stdout.write(render_config_file(cf))
-        return 0
-    raise InvalidParams(f"unknown catalog action {args.action!r}")
+    cf = config_file_from_configuration(entry.cfg, lambda2=entry.expected_lambda2)
+    sys.stdout.write(render_config_file(cf))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

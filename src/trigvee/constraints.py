@@ -496,85 +496,63 @@ def _descent_search(
     """
     syms = cs.symbols
     free = [s for s in syms if s != fix_symbol]
-    polys = cs.distinct_polynomials()
-
-    # the last value is det G(c), the others the constraint residuals
-    evaluate = _compile_polynomials(polys + [cs.nondegeneracy])
     position = {s: k for k, s in enumerate(syms)}
+    # the last value is det G(c), the others the constraint residuals
+    evaluate = _compile_polynomials(cs.distinct_polynomials() + [cs.nondegeneracy])
+    # the constraint polynomials also vanish wherever det G vanishes becomes
+    # easy to reach numerically, so every accepted step must keep the form
+    # visibly nondegenerate
+    det_floor = 1e-6
 
-    def values_at(fixed: dict[str, float]) -> np.ndarray:
-        values = np.ones(len(syms))  # fix_symbol stays 1
-        for s, v in fixed.items():
-            values[position[s]] = v
-        return values
-
-    def minimize(free_syms: list[str], fixed: dict[str, float], x0: np.ndarray):
-        values = values_at(fixed)
-        free_pos = [position[s] for s in free_syms]
+    def fit(snapped: dict[str, Fraction], x0: np.ndarray):
+        """Hold the snapped symbols and fit the others from x0: (x, residual
+        norm, det G), or the max-abs residual when none is left to fit."""
+        values = np.ones(len(syms))
+        for s, q in snapped.items():
+            values[position[s]] = float(q)
+        free_pos = [position[s] for s in syms if s not in snapped]
+        if not free_pos:
+            vals = evaluate(values)
+            return x0, np.abs(vals[:-1]).max(), vals[-1]
 
         def residuals(xs: np.ndarray) -> np.ndarray:
             values[free_pos] = xs
             return evaluate(values)[:-1]
 
-        fit = least_squares(residuals, x0, jac="2-point", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        values[free_pos] = fit.x
-        return fit.x, float(np.linalg.norm(fit.fun)), evaluate(values)[-1]
+        result = least_squares(residuals, x0, jac="2-point", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        values[free_pos] = result.x
+        return result.x, float(np.linalg.norm(result.fun)), evaluate(values)[-1]
 
-    # the constraint polynomials also vanish wherever det G vanishes becomes
-    # easy to reach numerically, so every accepted step must keep the form
-    # visibly nondegenerate
-    det_floor = 1e-6
+    def snap(x: np.ndarray) -> dict[str, Fraction] | None:
+        """Snap the free symbols in order, each to the first nonzero rational
+        near it whose refit of the rest passes; None when one has none.  A
+        repeated value is not refit: the refit is deterministic."""
+        snapped = {fix_symbol: Fraction(1)}
+        for sym in free:
+            near = Fraction(float(x[0]))
+            for q in dict.fromkeys(near.limit_denominator(b) for b in _SNAP_BOUNDS):
+                if q == 0:
+                    continue
+                xs, err, det = fit({**snapped, sym: q}, x[1:])
+                if err <= _RESIDUAL_TOL and abs(det) > det_floor and np.all(np.abs(xs) > 1e-4):
+                    snapped[sym], x = q, xs
+                    break
+            else:
+                return None
+        return snapped
 
     rng = np.random.default_rng(seed)
     solutions: list[dict[str, Fraction]] = []
     for _start in range(starts):
         x = rng.uniform(-2.0, 2.0, size=len(free))
         x[np.abs(x) < 0.2] += 0.5  # keep multiplicities away from zero
-        fixed: dict[str, float] = {}
-        remaining = list(free)
-        if remaining:
-            x, err, det = minimize(remaining, fixed, x)
+        if free:
+            x, err, det = fit({fix_symbol: Fraction(1)}, x)
             if err > 1e-8 or abs(det) < det_floor:
                 continue
-
-        # greedy snap: rationalize one coordinate at a time, re-optimize the
-        # rest, and backtrack over denominator bounds if the residual degrades
-        # or the form collapses
-        snapped: dict[str, Fraction] = {fix_symbol: Fraction(1)}
-        ok = True
-        while remaining:
-            sym = remaining[0]
-            rest = remaining[1:]
-            accepted = None
-            for bound in _SNAP_BOUNDS:
-                q = Fraction(float(x[0])).limit_denominator(bound)
-                if q == 0:
-                    continue
-                trial = dict(fixed)
-                trial[sym] = float(q)
-                if rest:
-                    xs, err, det = minimize(rest, trial, x[1:])
-                    if err <= _RESIDUAL_TOL and abs(det) > det_floor and np.all(
-                        np.abs(xs) > 1e-4
-                    ):
-                        accepted = (q, xs)
-                        break
-                else:
-                    vals = evaluate(values_at(trial))
-                    err, det = np.abs(vals[:-1]).max(), vals[-1]
-                    if err <= _RESIDUAL_TOL and abs(det) > det_floor:
-                        accepted = (q, np.array([]))
-                        break
-            if accepted is None:
-                ok = False
-                break
-            q, x = accepted
-            snapped[sym] = q
-            fixed[sym] = float(q)
-            remaining = rest
-        if not ok:
+        snapped = snap(x)
+        if snapped is None:
             continue
-
         candidate = {s: snapped[s] for s in syms}
         if _exact_solution(cs.vectors, syms, candidate) and candidate not in solutions:
             solutions.append(candidate)

@@ -82,8 +82,6 @@ def parse_config_file(text: str) -> ConfigFile:
         if head == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim directive", lineno, 1)
-            if entries or lambda2 is not None:
-                raise ParseError("dim must be the first directive", lineno, 1)
             arg = " ".join(tokens[1:])
             if not (arg.isascii() and arg.isdigit()) or int(arg) < 1:
                 raise ParseError(f"usage: dim <positive integer>, got {arg!r}", lineno, 1)

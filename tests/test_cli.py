@@ -374,6 +374,72 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: a number has more than 4300 decimal digits\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dim 2\nvector 1 0 mult 0\n", "zero multiplicity (line 2, column 5)"),
+            ("lambda2 3\ndim 2\n", "dim must come before lambda2 (line 1, column 1)"),
+            (
+                "dim 2\nvector 1 0 mult 1\nlambda2 3\nlambda2 3\n",
+                "duplicate lambda2 directive (line 4, column 1)",
+            ),
+            ("dim 2\nvector 1 0 mult 1\nlambda2 3 4\n", "usage: lambda2 <rational> (line 3, column 1)"),
+            ("dim 2\nvectr 1 0 mult 1\n", "unknown directive 'vectr' (line 2, column 1)"),
+            ("# nothing\n", "missing dim directive"),
+            ("dim 2\n", "no vector lines"),
+            (
+                "dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\n",
+                "file has symbolic multiplicities; use the constraints/family/search commands",
+            ),
+        ],
+        ids=[
+            "zero-mult", "lambda2-before-dim", "duplicate-lambda2", "lambda2-usage",
+            "unknown-directive", "missing-dim", "no-vectors", "symbolic-check",
+        ],
+    )
+    def test_file_error_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.vee"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_constraints_on_mixed_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "mixed.vee"
+        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult 1\n")
+        assert main(["constraints", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: this command needs every multiplicity symbolic (write 'mult ?name')\n"
+        )
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("a", "--set needs sym=expression, got 'a'"),
+            ("z=1", "--set: unknown multiplicity symbol 'z'"),
+            ("a=(t", "missing closing parenthesis"),
+            ("a=t)", "trailing input after expression: ')'"),
+        ],
+    )
+    def test_bad_set_exit_2(self, tmp_path, capsys, item, message):
+        path = tmp_path / "abc.vee"
+        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n")
+        assert main(["family", str(path), "--set", item]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_set_unary_plus_passes(self, tmp_path, capsys):
+        path = tmp_path / "abc.vee"
+        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n")
+        assert main(["family", str(path), "--set", "a=+t", "--set", "b=t"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "family: PASS (all constraints vanish identically)\n"
+        assert captured.err == ""
+
     def test_constraints_and_family(self, b2sym_file, capsys):
         assert main(["constraints", b2sym_file]) == 0
         out = capsys.readouterr().out
@@ -479,6 +545,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no point with margin > 1000000000.0 found in 1000 tries\n"
+
+    def test_catalog_show_without_name_exit_2(self, capsys):
+        assert main(["catalog", "show"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: catalog show needs an entry name\n"
+
+    def test_param_zero_denominator_exit_2(self, capsys):
+        assert main(["catalog", "show", "B2", "--param", "c1=1/0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --param: '1/0' is not a rational number\n"
+
+    def test_metric_file_wrong_shape_exit_2(self, a2_file, tmp_path, capsys):
+        metric = tmp_path / "metric.txt"
+        metric.write_text("1 0 0\n0 1 0\n")
+        assert main(["cms", a2_file, "--metric", str(metric)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: metric file must hold a 2x2 rational matrix\n"
 
     def test_param_without_value_exit_2(self, capsys):
         assert main(["catalog", "show", "B2", "--param", "c1"]) == 2

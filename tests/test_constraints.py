@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from trigvee import constraints
 from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
 from trigvee.constraints import find_multiplicities, series_constraints, verify_family
@@ -48,6 +49,8 @@ HALF3_VECTORS = [
     (0, F(1, 2), F(3, 2)),
     (F(1, 3), 1, F(-1, 2)),
 ]
+# L(N) = 0 at both forms N: `find_multiplicities` falls back to the descent
+DESCENT_ONLY_VECTORS = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 PARALLEL3_VECTORS = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
 # dimension 3 and up, with the dimension
 HIGHER_SYSTEMS = [
@@ -321,3 +324,24 @@ class TestSearch:
             )
             assert cfg.gram_det != 0
             assert check_series_condition(cfg).passed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_snap_value_is_not_refit(self, seed, monkeypatch):
+        """Listing every snap bound twice repeats every snap value: a repeat
+        is not refit, so the least_squares calls and the solutions stay."""
+        calls = []
+        least_squares = constraints.least_squares
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(constraints, "least_squares", counting)
+        found = find_multiplicities(DESCENT_ONLY_VECTORS, seed=seed, starts=12)
+        once = len(calls)
+        doubled = tuple(b for b in constraints._SNAP_BOUNDS for _ in range(2))
+        monkeypatch.setattr(constraints, "_SNAP_BOUNDS", doubled)
+        calls.clear()
+        assert find_multiplicities(DESCENT_ONLY_VECTORS, seed=seed, starts=12) == found
+        assert len(calls) == once
+        assert found

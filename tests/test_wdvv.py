@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trigvee.catalog import catalog_get, catalog_list
 from trigvee.configuration import build_configuration, positive_system
 from trigvee.errors import OutOfDomain, SamplingExhausted, ZeroLambda
+from trigvee.veecheck import solve_lambda_squared
 from trigvee.wdvv import (
     EvalPoint,
     check_f_derivative,
@@ -19,6 +21,10 @@ from trigvee.wdvv import (
 )
 
 F = Fraction
+
+NONDEGENERATE_CATALOG = [
+    name for name, _ in catalog_list() if catalog_get(name).cfg.gram_det != 0
+]
 
 
 def a2():
@@ -97,6 +103,39 @@ class TestMatrices:
                     return out
 
                 assert abs(worst(mats) - worst(neg)) < 1e-10
+
+    @pytest.mark.parametrize("scale", [F(1), F(101, 100)], ids=["solved", "perturbed"])
+    @pytest.mark.parametrize("name", NONDEGENERATE_CATALOG)
+    def test_commutator_reduces_to_lambda_squared_block(self, name, scale):
+        """F_i F0^-1 F_j - F_j F0^-1 F_i has a zero border row and column and
+        lower block 2 (g_i g_j^T - g_j g_i^T) + (lambda^2/2)(k_i G^-1 k_j -
+        k_j G^-1 k_i), g_i row i of G and k_i = sum_a c_a a_i cot a(x) a a^T,
+        so a WDVV verdict needs only the rational lambda^2.  The identity holds
+        at every coupling; an entry with none solved is taken at lambda^2 = 1.
+        Deviations are relative to the largest entry of F_i F0^-1 F_j."""
+        cfg = catalog_get(name).cfg
+        solution = solve_lambda_squared(cfg)
+        lam2 = (solution.lambda2 if solution.status == "solved" else F(1)) * scale
+        a = np.array([[float(x) for x in e.covector] for e in cfg.entries])
+        c = np.array([float(e.mult) for e in cfg.entries])
+        g = np.array([[float(x) for x in row] for row in cfg.gram.entries])
+        g_inv = np.linalg.inv(g)
+        for p in sample_points(cfg, 5, seed=0):
+            mats = third_derivative_matrices(cfg, lam2, p)
+            inv0 = np.linalg.inv(mats[0])
+            cot = 1 / np.tan(a @ np.array(p.x))
+            k = [(a.T * (c * a[:, i] * cot)) @ a for i in range(cfg.dim)]
+            for i in range(cfg.dim):
+                for j in range(cfg.dim):
+                    prod = mats[i + 1] @ inv0 @ mats[j + 1]
+                    comm = prod - mats[j + 1] @ inv0 @ mats[i + 1]
+                    reduced = 2 * (np.outer(g[i], g[j]) - np.outer(g[j], g[i])) + complex(
+                        lam2
+                    ) / 2 * (k[i] @ g_inv @ k[j] - k[j] @ g_inv @ k[i])
+                    tol = 1e-9 * np.max(np.abs(prod))
+                    assert np.max(np.abs(comm[0])) <= tol
+                    assert np.max(np.abs(comm[:, 0])) <= tol
+                    assert np.max(np.abs(comm[1:, 1:] - reduced)) <= tol
 
 
 class TestResiduals:
