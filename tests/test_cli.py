@@ -110,6 +110,13 @@ def b2sym_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def a2sym_file(tmp_path):
+    path = tmp_path / "a2sym.vee"
+    path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n")
+    return str(path)
+
+
 class TestCli:
     def test_check_pass(self, a2_file, capsys):
         assert main(["check", a2_file]) == 0
@@ -424,18 +431,14 @@ class TestCli:
             ("a=t)", "trailing input after expression: ')'"),
         ],
     )
-    def test_bad_set_exit_2(self, tmp_path, capsys, item, message):
-        path = tmp_path / "abc.vee"
-        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n")
-        assert main(["family", str(path), "--set", item]) == 2
+    def test_bad_set_exit_2(self, a2sym_file, capsys, item, message):
+        assert main(["family", a2sym_file, "--set", item]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_set_unary_plus_passes(self, tmp_path, capsys):
-        path = tmp_path / "abc.vee"
-        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n")
-        assert main(["family", str(path), "--set", "a=+t", "--set", "b=t"]) == 0
+    def test_set_unary_plus_passes(self, a2sym_file, capsys):
+        assert main(["family", a2sym_file, "--set", "a=+t", "--set", "b=t"]) == 0
         captured = capsys.readouterr()
         assert captured.out == "family: PASS (all constraints vanish identically)\n"
         assert captured.err == ""

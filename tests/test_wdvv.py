@@ -129,9 +129,9 @@ class TestMatrices:
                 for j in range(cfg.dim):
                     prod = mats[i + 1] @ inv0 @ mats[j + 1]
                     comm = prod - mats[j + 1] @ inv0 @ mats[i + 1]
-                    reduced = 2 * (np.outer(g[i], g[j]) - np.outer(g[j], g[i])) + complex(
-                        lam2
-                    ) / 2 * (k[i] @ g_inv @ k[j] - k[j] @ g_inv @ k[i])
+                    outer = np.outer(g[i], g[j]) - np.outer(g[j], g[i])
+                    cross = k[i] @ g_inv @ k[j] - k[j] @ g_inv @ k[i]
+                    reduced = 2 * outer + complex(lam2) / 2 * cross
                     tol = 1e-9 * np.max(np.abs(prod))
                     assert np.max(np.abs(comm[0])) <= tol
                     assert np.max(np.abs(comm[:, 0])) <= tol
