@@ -6,9 +6,9 @@ cleared through the adjugate, det(G) * (a,b) = a . adj(G) . b^T.  A rational
 assignment is a trigonometric vee-system exactly when all constraint
 polynomials vanish and the nondegeneracy polynomial det G does not.  By
 Cauchy-Binet both are written in closed form, as sums of squarefree
-monomials whose coefficients are products of integer covector minors, all
-from one Laplace recursion over covector subsets: C(m, r) C(n, r) r integer
-multiplications at each level r < n, not C(m, n-1) n separate determinants.
+monomials whose coefficients are products of integer covector minors, from
+a Laplace recursion (one array step per level), one integer matmul and one
+array pass per base: int64 under a proven no-overflow bound, else Python ints.
 
 At a fixed form N the conditions become linear: the multiplicities with
 G(c) = mu N form the exact nullspace L(N) of `linear_family`.  The search
@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, count
-from operator import mul
+from itertools import combinations, count, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,25 +78,33 @@ class ConstraintSet:
         return distinct
 
 
-def _cofactor_rows(ints: list[list[int]], dim: int) -> dict[tuple[int, ...], list[int]]:
-    """Cofactors along the first row of [x; A_T], det[x; A_T] = x . cof, for
-    every (dim-1)-subset T of the rows in combinations order.  Laplace
-    recursion: the minors of rows S, one per column subset, expand along the
+def _minor_dtype(ints: list[list[int]], dim: int):
+    """int64 where `series_constraints` proves no overflow, else object (Python ints)."""
+    h, m = max(abs(x) for row in ints for x in row), len(ints)
+    return np.int64 if m < 63 and m * (dim * h * h) ** dim < 2**63 else object
+
+
+def _cofactor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, C) for the m x n integer array a: row t of S is the t-th (n-1)-subset
+    of the rows in combinations order, and det[x; a[S[t]]] = x . C[t].  Laplace
+    recursion, one array step per level: the minors of rows S expand along the
     last row of S over the minors of its prefix, so each is computed once."""
-    level = {(): [1]}
+    m, dim = a.shape
+    subsets, minors = np.zeros((1, 0), dtype=np.intp), np.ones((1, 1), dtype=a.dtype)
     for r in range(1, dim):
         index = {cols: k for k, cols in enumerate(combinations(range(dim), r - 1))}
-        expand = [
-            [((-1) ** (r - 1 + p), c, index[cols[:p] + cols[p + 1 :]]) for p, c in enumerate(cols)]
+        sign, col, sub = np.array([
+            ((-1) ** (r - 1 + p), c, index[cols[:p] + cols[p + 1 :]])
             for cols in combinations(range(dim), r)
-        ]
-        level = {
-            s + (k,): [sum(sg * ints[k][c] * minors[i] for sg, c, i in terms) for terms in expand]
-            for s, minors in level.items()
-            for k in range(s[-1] + 1 if s else 0, len(ints))
-        }
+            for p, c in enumerate(cols)
+        ]).T
+        # each subset extended by every later row, parent-major: combinations order
+        parent, last = np.nonzero(np.arange(m) > subsets.max(axis=1, initial=-1)[:, None])
+        subsets = np.concatenate((subsets[parent], last[:, None]), axis=1)
+        terms = sign * a[last[:, None], col] * minors[parent[:, None], sub]
+        minors = terms.reshape(len(last), -1, r).sum(axis=2)
     # the (dim-1)-subsets of the columns omit column dim-1, ..., 0 in turn
-    return {t: [(-1) ** k * x for k, x in enumerate(reversed(minors))] for t, minors in level.items()}
+    return subsets, minors[:, ::-1] * [(-1) ** k for k in range(dim)]
 
 
 def _unit_configuration(
@@ -141,55 +148,63 @@ def series_constraints(
         D^2n * det G(c) = sum_T sum_{j > max T} c_T c_j M[T][j]^2.
 
     M[T][j] = 0 for j in T, so every monomial is squarefree.  `_cofactor_rows`
-    reads all M[T] off one Laplace recursion over the covector subsets, at
-    C(m, r) * C(n, r) * r multiplications per level r, where one Bareiss
-    determinant per cofactor costs C(m, n-1) * n determinants.  Coefficients
-    are summed as ints, one shared Fraction over D^2n per distinct sum.
+    gives the cofactors of every T by a Laplace recursion, one array step per
+    level, and M is one integer matmul of them with the covectors; each base
+    then takes one array pass over all its series.  Hadamard bounds every
+    minor by (n h^2)^(n/2), h the largest |entry| of the integer covectors, so
+    the arrays are int64 when m < 63 and m (n h^2)^n < 2^63, where no sum of
+    m products of two minors and no m-bit mask overflows, and Python ints
+    otherwise; no float is involved.  One Fraction over D^2n per distinct sum.
     """
     cfg, symbols = _unit_configuration(vectors, symbols)
     dim, m = cfg.dim, len(symbols)
     ints, den = cfg.integer_covectors
-    minors = []  # (bitmask of T, M[T]) for every T with a nonzero minor
-    for t, cof in _cofactor_rows(ints, dim).items():
-        row = [sum(map(mul, cof, v)) for v in ints]
-        if any(row):
-            minors.append((sum(1 << k for k in t), row))
-    scale = den ** (2 * dim)
-    # one squarefree exponent tuple per mask, one Fraction per distinct sum
-    exponent = cache(lambda mask: tuple((mask >> k) & 1 for k in range(m)))
-    coefficient = cache(lambda v: Fraction(v, scale))
+    a = np.array(ints, dtype=_minor_dtype(ints, dim))
+    subsets, cofactors = _cofactor_rows(a)
+    minors = cofactors @ a.T  # M[T][j] = det[a[j]; a[T]]
+    keep = minors.any(axis=1)  # the T with a nonzero minor
+    subsets, minors = subsets[keep], minors[keep]
+    bit = 1 << np.arange(m, dtype=a.dtype)
+    # every nonzero M[T][j] gives the monomial T + j (j is not in T); det G(c)
+    # takes each monomial once, from the T below its j
+    t, j = np.nonzero(minors)
+    keys = bit[subsets].sum(axis=1)[t] + bit[j]
+    once = j > subsets.max(axis=1, initial=-1)[t]
+    monomials = np.sort(keys[once], kind="stable")
+    at = np.zeros(minors.shape, dtype=np.intp)  # at[T, j]: the index of T + j in monomials
+    at[t, j] = np.searchsorted(monomials, keys)
+    exponents = np.fromiter(map(tuple, (monomials[:, None] // bit % 2).tolist()), dtype=object)
+    coefficient = cache(lambda v: Fraction(v, den ** (2 * dim)))  # one per distinct value
 
-    def poly(acc: dict[int, int]) -> MultiPoly:
-        terms = {exponent(mask): coefficient(v) for mask, v in acc.items() if v}
-        return MultiPoly._clean(symbols, terms)
+    def polys(index: np.ndarray, vals: np.ndarray, counts) -> list[MultiPoly]:
+        """One polynomial per run of counts terms, exponents[index] and vals."""
+        terms = zip(exponents[index].tolist(), map(coefficient, vals.tolist()))
+        return [MultiPoly._clean(symbols, dict(islice(terms, c))) for c in counts]
 
+    (det,) = polys(at[t, j][once], minors[t, j][once] ** 2, [np.count_nonzero(once)])
     out = []
     for i in range(m):
-        with_i = [(mask, row) for mask, row in minors if row[i]]
-        for s_idx, series in enumerate(cfg.series[i]):
-            acc: dict[int, int] = {}
-            for member, r in zip(series.members, relative_wedge_signs(series)):
-                j = member.entry_index
-                for mask, row in with_i:
-                    if row[j]:
-                        key = mask | 1 << j
-                        acc[key] = acc.get(key, 0) + r * row[i] * row[j]
-            out.append(
-                ConstraintPoly(
-                    base_index=i,
-                    series_index=s_idx,
-                    member_indices=series.entry_indices(),
-                    poly=poly(acc),
-                )
-            )
-    det: dict[int, int] = {}
-    for mask, row in minors:
-        for j in range(mask.bit_length(), m):
-            if row[j]:
-                det[mask | 1 << j] = row[j] ** 2
-    return ConstraintSet(
-        symbols=symbols, vectors=cfg.covectors(), polynomials=tuple(out), nondegeneracy=poly(det)
-    )
+        series = cfg.series[i]
+        signed = [zip(s.entry_indices(), relative_wedge_signs(s)) for s in series]
+        hits = [(j, r, k) for k, members in enumerate(signed) for j, r in members]
+        js, signs, sid = np.array(hits, dtype=np.intp).reshape(-1, 3).T
+        pairs = minors[:, js].T
+        pairs *= minors[:, i]  # M[T][i] M[T][j], one row per member j
+        # member-major, T ascending: first-appearance order; one code per (series, T + j)
+        member, t = np.nonzero(pairs)
+        code = sid[member] * len(monomials) + at[t, js[member]]
+        vals = signs[member] * pairs[member, t]
+        if len(code) and len(js) > len(series):  # a series with two members can repeat a code
+            order = np.argsort(code, kind="stable")
+            code, vals = code[order], vals[order]
+            start = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+            first = np.argsort(order[start], kind="stable")  # back to first-occurrence order
+            code, vals = code[start][first], np.add.reduceat(vals, start)[first]
+            code, vals = code[vals != 0], vals[vals != 0]
+        counts = np.bincount(code // len(monomials), minlength=len(series)).tolist()
+        for k, (s, poly) in enumerate(zip(series, polys(code % len(monomials), vals, counts))):
+            out.append(ConstraintPoly(i, k, s.entry_indices(), poly))
+    return ConstraintSet(symbols, cfg.covectors(), tuple(out), det)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trigvee.catalog import catalog_get, catalog_list
@@ -47,7 +48,13 @@ from trigvee.configuration import (
     vee_product,
     wedge_coeffs,
 )
-from trigvee.constraints import ConstraintPoly, ConstraintSet, _cofactor_rows, series_constraints
+from trigvee.constraints import (
+    ConstraintPoly,
+    ConstraintSet,
+    _cofactor_rows,
+    _minor_dtype,
+    series_constraints,
+)
 from trigvee.errors import DegenerateForm, NonScalarAction
 from trigvee.exactnum import RatMatrix, clear_denominators, integer_det, rref
 from trigvee.multipoly import MultiPoly, RatFunc
@@ -484,7 +491,8 @@ def test_cofactor_rows_match_frozen_determinants(name):
     B5, whose whole frozen extraction is too slow to repeat here."""
     ints, _den = clear_denominators([covector(v) for v in ROOT_SYSTEMS[name]])
     dim = len(ints[0])
-    got = list(_cofactor_rows(ints, dim).items())
+    t_rows, cof_rows = _cofactor_rows(np.array(ints, dtype=_minor_dtype(ints, dim)))
+    got = list(zip(map(tuple, t_rows.tolist()), cof_rows.tolist()))
     subsets = list(combinations(range(len(ints)), dim - 1))
     assert [t for t, _cof in got] == subsets
     for t, cof in got:
@@ -496,7 +504,8 @@ def test_cofactor_rows_on_random_rows():
     for trial in range(60):
         dim = 1 + trial % 6
         ints = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 3))]
-        got = list(_cofactor_rows(ints, dim).items())
+        t_rows, cof_rows = _cofactor_rows(np.array(ints, dtype=_minor_dtype(ints, dim)))
+        got = list(zip(map(tuple, t_rows.tolist()), cof_rows.tolist()))
         assert [t for t, _cof in got] == list(combinations(range(len(ints)), dim - 1))
         for t, cof in got:
             assert cof == reference_cofactor_row([ints[k] for k in t], dim)
