@@ -34,6 +34,8 @@ COMMANDS = [
     for name, _ in catalog_list()
     for command in ("check", "series", "lambda --report-kv")
 ] + [
+    "check b2fail.vee",
+    "series b2fail.vee",
     "constraints b2sym.vee",
     "family b2sym.vee --set c1=t --set c2=t",
     "search b2sym.vee --fix cp",
@@ -50,19 +52,27 @@ COMMANDS = [
 ]
 
 
+def export(*args: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["catalog", "export", *args]) == 0
+    return out.getvalue()
+
+
 def write_inputs(directory: Path) -> None:
-    """The 13 catalog exports as NAME.vee, the symbolic B2 as b2sym.vee and
-    the symbolic exports of SYMBOLIC as NAMEsym.vee."""
+    """The 13 catalog exports as NAME.vee, the symbolic B2 as b2sym.vee, the
+    symbolic exports of SYMBOLIC as NAMEsym.vee, and B2 at c2 = 2, which is
+    not a vee-system, as b2fail.vee: its `check` and `series` blocks pin the
+    `series failure:` lines."""
     for name, _ in catalog_list():
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(["catalog", "export", name]) == 0
-        (directory / f"{name}.vee").write_text(out.getvalue())
+        text = export(name)
+        (directory / f"{name}.vee").write_text(text)
         if name in SYMBOLIC:
             k = count(1)
-            symbolic = re.sub(r" mult \S+", lambda _: f" mult ?c{next(k)}", out.getvalue())
+            symbolic = re.sub(r" mult \S+", lambda _: f" mult ?c{next(k)}", text)
             (directory / f"{name}sym.vee").write_text(symbolic)
     (directory / "b2sym.vee").write_text(B2_SYMBOLIC)
+    (directory / "b2fail.vee").write_text(export("B2", "--param", "c2=2"))
 
 
 def run(command: str, directory: Path) -> str:
