@@ -19,8 +19,29 @@ integer kernel through `integer_pairing_table`.
 `integer_gram_inverse` is the one place that refuses a degenerate form:
 every check that needs the vee product reaches it before doing anything
 else.
-The split of the covectors into series around each base is cached as
-`series`, and the numeric checks read the float view `floats`, also cached.
+The numeric checks read the float view `floats`, also cached.
+
+The split of the covectors into series around every base is built on first
+read and cached, as plain integers, in `series_split`; the series check
+sums its residuals from it directly.  Each covector b with lattice
+coordinates (b_0, ..., b_{r-1}) is packed into one Python int,
+enc(b) = sum_t b_t B^(r-1-t), with B = 2D + 1, D = h^2 + 2h and h the
+largest |lattice coordinate|.  Around a base a, signed so that its pivot
+(first nonzero) coordinate a_p is positive, a covector b is reduced to
+rep = b - k a with k = b_p // a_p, and -b to neg = a - rep (or -rep when
+rep_p = 0); the lexicographically smaller of the two is the key of b's
+series.  Since |k| <= h, every entry of rep is at most h + h^2 and every
+entry of neg at most h^2 + 2h = D in absolute value, so every key lies in
+the box of integer vectors with entries in [-D, D], the digits of enc.  On
+that box enc is injective and preserves the lexicographic order: where two
+digit vectors first differ, at place t, they differ by at least
+B^(r-1-t) there, while the later places differ in all by at most
+2D (B^(r-1-t) - 1) / (B - 1) = B^(r-1-t) - 1.  So, as enc is linear,
+enc(rep) is one multiply-subtract enc(b) - k enc(a), enc(neg) is
+enc(a) - enc(rep) or -enc(rep), and `rep <= neg` is one integer
+comparison.  The `SeriesMember` and `AlphaSeries` records, with the residue
+as a tuple, are built from the split only when `series` or `alpha_series`
+is read.
 """
 
 from __future__ import annotations
@@ -58,6 +79,9 @@ Covector = tuple[Fraction, ...]
 # Integer rows over one common denominator: cleared covectors or a pairing table.
 IntRows = tuple[tuple[tuple[int, ...], ...], int]
 IntPairing = IntRows
+# (first_signs, members) of one base in `VConfiguration.series_split`, with
+# members (entry index, sign relative to the series' first member, step, series)
+BaseSplit = tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]
 
 
 def covector(coords: Iterable) -> Covector:
@@ -190,6 +214,61 @@ class VConfiguration:
         s = l_c if p > 0 else -l_c
         vecs, _d = self.integer_covectors
         return _pairing_numerators(vecs, [[s * x for x in row] for row in inverse]), abs(p)
+
+    @cached_property
+    def series_split(self) -> tuple[BaseSplit, ...]:
+        """The series around every base, as integers (see the module docstring).
+
+        Entry i is (first_signs, members) for base i: first_signs[s] is the
+        sign of the first member of series s, and members holds one
+        (j, r, step, s) per entry j not parallel to the base, in index order,
+        with r the sign of j relative to the first member of its series s and
+        r * first_signs[s] * b_j + step * a_i the residue.  Series are numbered
+        in order of first appearance."""
+        coords = self.lattice_coords
+        h = max(abs(x) for b in coords for x in b)
+        radix = 2 * (h * h + 2 * h) + 1
+        encs = []
+        for b in coords:
+            e = 0
+            for x in b:
+                e = e * radix + x
+            encs.append(e)
+        ids: dict[tuple[int, ...], int] = {}
+        dirs = [ids.setdefault(d, len(ids)) for d in self.directions]
+        columns = list(zip(*coords))
+        out = []
+        for a, ea, da in zip(coords, encs, dirs):
+            pivot = next(t for t, x in enumerate(a) if x != 0)
+            a_p = a[pivot]
+            flip = -1 if a_p < 0 else 1
+            a_p, ea = flip * a_p, flip * ea
+            index: dict[int, int] = {}
+            first_signs: list[int] = []
+            members = []
+            for j, (eb, b_p, db) in enumerate(zip(encs, columns[pivot], dirs)):
+                if db == da:
+                    continue
+                # b + step * a for the step putting the pivot coordinate in
+                # [0, a_p); -b - step * a = -rep has it in (-a_p, 0], and
+                # unless it is 0 one more step of a brings it into range
+                k = b_p // a_p
+                rep = eb - k * ea
+                if b_p - k * a_p:
+                    neg, step_neg = ea - rep, k + 1
+                else:
+                    neg, step_neg = -rep, k
+                if rep <= neg:
+                    key, sign, step = rep, 1, -k
+                else:
+                    key, sign, step = neg, -1, step_neg
+                s = index.get(key)
+                if s is None:
+                    s = index[key] = len(first_signs)
+                    first_signs.append(sign)
+                members.append((j, sign * first_signs[s], flip * step, s))
+            out.append((tuple(first_signs), tuple(members)))
+        return tuple(out)
 
     @cached_property
     def series(self) -> tuple[tuple[AlphaSeries, ...], ...]:
@@ -386,42 +465,25 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
 
     Two covectors share a series exactly when their difference or sum is an
     integer multiple of the base in lattice coordinates.  Entries parallel
-    to the base (including the base itself) belong to no series.
+    to the base (including the base itself) belong to no series.  The records
+    are built from the cached `series_split`; each residue is read off the
+    first member of its series as sign * b + step * a.
     """
-    direction = cfg.directions[base_index]
-    a = cfg.lattice_coords[base_index]
-    pivot = next(j for j, x in enumerate(a) if x != 0)
-    if a[pivot] < 0:
-        a = tuple(-x for x in a)
-        flipped = True
-    else:
-        flipped = False
-
-    a_p = a[pivot]
-    groups: dict[tuple[int, ...], list[SeriesMember]] = {}
-    for j, (b, d) in enumerate(zip(cfg.lattice_coords, cfg.directions)):
-        if d == direction:
-            continue
-        # b + step * a for the step putting the pivot coordinate in [0, a_p)
-        k = b[pivot] // a_p
-        rep = tuple([x - k * y for x, y in zip(b, a)]) if k else b
-        # -b - step * a = -rep, whose pivot coordinate lies in (-a_p, 0];
-        # unless it is 0, one more step of a brings it into range
-        if rep[pivot]:
-            neg, step_neg = tuple([y - x for x, y in zip(rep, a)]), k + 1
-        else:
-            neg, step_neg = tuple([-x for x in rep]), k
-        if rep <= neg:
-            key, sign, step = rep, 1, -k
-        else:
-            key, sign, step = neg, -1, step_neg
-        if flipped:
-            step = -step
-        groups.setdefault(key, []).append(SeriesMember(j, sign, step))
-
+    first_signs, members = cfg.series_split[base_index]
+    grouped: list[list[SeriesMember]] = [[] for _ in first_signs]
+    for j, r, step, s in members:
+        grouped[s].append(SeriesMember(j, r * first_signs[s], step))
+    coords = cfg.lattice_coords
+    a = coords[base_index]
+    out = []
+    for ms in grouped:
+        first = ms[0]
+        b = coords[first.entry_index]
+        residue = tuple([first.sign * x + first.step * y for x, y in zip(b, a)])
+        out.append(AlphaSeries(base_index, residue, tuple(ms)))
     # members are appended in index order, and each series is created by its
     # first member, so both come out sorted by entry index
-    return tuple([AlphaSeries(base_index, key, tuple(ms)) for key, ms in groups.items()])
+    return tuple(out)
 
 
 def relative_wedge_signs(series: AlphaSeries) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .configuration import (
-    AlphaSeries,
     IntPairing,
     PositiveSystem,
     VConfiguration,
@@ -44,16 +43,16 @@ class SeriesResidual:
 
 class SeriesCheckReport:
     """The series residuals of one pairing, kept as one integer total per
-    series over the shared scale, in the order of the cached split.
+    series over the shared scale, in the order of the configuration's split.
 
-    `passed` reads the integers alone; the `SeriesResidual` records, with
-    their Fractions, are built only when `residuals` or `failures()` is read.
+    `passed` reads the integers alone.  The report keeps the configuration,
+    and only when `residuals` or `failures()` is read does it read
+    `cfg.series`, so that the `AlphaSeries` records and the `SeriesResidual`
+    records with their Fractions are built then and not before.
     """
 
-    def __init__(
-        self, split: tuple[tuple[AlphaSeries, ...], ...], totals: tuple[int, ...], scale: int
-    ):
-        self.split = split
+    def __init__(self, cfg: VConfiguration, totals: tuple[int, ...], scale: int):
+        self.cfg = cfg
         self.totals = totals
         self.scale = scale
 
@@ -64,7 +63,7 @@ class SeriesCheckReport:
             SeriesResidual(
                 i, s_idx, series.residue, series.entry_indices(), Fraction(next(totals), self.scale)
             )
-            for i, row in enumerate(self.split)
+            for i, row in enumerate(self.cfg.series)
             for s_idx, series in enumerate(row)
         )
 
@@ -97,17 +96,19 @@ def series_residuals(cfg: VConfiguration, pairing: IntPairing) -> SeriesCheckRep
     r_b = +-1 relates a^b to a^b0, that is r_b = s_b s_b0 for the member
     signs s.  With the multiplicities cleared to c_b = c'_b / l_c, each
     residual is one integer total over l_c * den, kept as that integer.
+    The totals are summed straight from the integer split `cfg.series_split`,
+    which holds r_b and the series number of every member, so the check
+    builds no series record.
     """
     table, den = pairing
     mults, l_c = cfg.integer_mults
-    split = cfg.series
-    totals = []
-    for row, row_series in zip(table, split):
-        for series in row_series:
-            members = series.members
-            total = sum([sign * mults[j] * row[j] for j, sign, _step in members])
-            totals.append(total if members[0].sign == 1 else -total)
-    return SeriesCheckReport(split, tuple(totals), l_c * den)
+    totals: list[int] = []
+    for row, (first_signs, members) in zip(table, cfg.series_split):
+        sums = [0] * len(first_signs)
+        for j, r, _step, s in members:
+            sums[s] += r * mults[j] * row[j]
+        totals += sums
+    return SeriesCheckReport(cfg, tuple(totals), l_c * den)
 
 
 def check_series_condition(cfg: VConfiguration) -> SeriesCheckReport:

@@ -17,10 +17,11 @@ G^-1 a^T, so `reference_scalar_duals` never raises after one.
 `reference_series_constraints` is a fixed copy of constraint extraction with
 one Bareiss determinant per cofactor and every polynomial built through
 `MultiPoly.__init__`; `reference_substitute` multiplies by every power table
-entry, identity factors included; `reference_distinct` is the quadratic
-sign-deduplication.  The shared-minor extraction, the substitution and the
-keyed deduplication must reproduce them term for term, in insertion order:
-the multiplicity search sums terms in that order.
+entry, identity factors included; `reference_distinct` is the plain
+sign-deduplication, comparing whole polynomials within each monomial set.
+The shared-minor extraction, the substitution and the keyed deduplication
+must reproduce them term for term, in insertion order: the multiplicity
+search sums terms in that order.
 """
 
 import random
@@ -399,9 +400,13 @@ def reference_substitute(p, mapping):
 
 
 def reference_distinct(cs):
-    seen = []
+    """Each polynomial is compared, as p and as -p, with the kept ones on its
+    monomial set: a polynomial equal to p or -p has the same monomials."""
+    seen, buckets = [], {}
     for c in cs.polynomials:
-        if not c.poly.is_zero() and c.poly not in seen and (-c.poly) not in seen:
+        same = buckets.setdefault(frozenset(c.poly.terms), [])
+        if not c.poly.is_zero() and c.poly not in same and (-c.poly) not in same:
+            same.append(c.poly)
             seen.append(c.poly)
     return seen
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from trigvee import veecheck
 from trigvee.catalog import catalog_get, catalog_list
-from trigvee.cms import Metric, check_series_with_metric, vee_form_metric
+from trigvee.cms import Metric, check_series_with_metric, euclidean_metric, vee_form_metric
 from trigvee.configuration import (
     AlphaSeries,
     SeriesMember,
@@ -21,6 +21,7 @@ from trigvee.configuration import (
     alpha_series,
     build_configuration,
     cov_dot,
+    dual_vector,
     relative_wedge_signs,
     vee_product,
 )
@@ -287,6 +288,78 @@ def test_full_check_builds_no_residual_records(monkeypatch):
     failing = build_configuration(8, [(r, 2 if k == 0 else 1) for k, r in enumerate(b_roots(8))])
     assert not full_check(failing).is_trig_vee and made == []
     assert len(report.series.residuals) == len(report.series.totals) == len(made) == 3192
+
+
+wide_coordinates = (
+    st.integers(-(2**40), 2**40).map(F)
+    | st.integers(-(2**41), 2**41).map(lambda x: F(x, 2))
+    | st.integers(-3, 3).map(F)
+)
+
+
+@st.composite
+def wide_configurations(draw):
+    """Entries up to 2^40, half-integers, some covectors next to their
+    doubles, and random multiplicities."""
+    dim = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[wide_coordinates] * dim).filter(any), min_size=1, max_size=6))
+    doubled = draw(st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors)))
+    entries, seen = [], set()
+    for v, twice in zip(vectors, doubled):
+        for w in (v, tuple(2 * x for x in v)) if twice else (v,):
+            if w not in seen and tuple(-x for x in w) not in seen:
+                seen.add(w)
+                entries.append((w, draw(st.integers(-5, 5).filter(bool))))
+    return build_configuration(dim, entries)
+
+
+def vee_pairing_product(cfg):
+    """The vee product with one dual vector per covector."""
+    duals = {}
+
+    def product(u, v):
+        if v not in duals:
+            duals[v] = dual_vector(cfg, v)
+        return cov_dot(u, duals[v])
+
+    return product
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_configurations())
+def test_split_and_totals_on_wide_entries(cfg):
+    """The packed-key split matches the tuple reference whatever the size of
+    the lattice coordinates, and the integer totals the Fraction sums."""
+    assert cfg.series == tuple(reference_alpha_series(cfg, i) for i in range(len(cfg.entries)))
+    report = check_series_with_metric(cfg, euclidean_metric(cfg.dim))
+    expected = reference_residuals(cfg, cov_dot)
+    assert [Fraction(t, report.scale) for t in report.totals] == [r[4] for r in expected]
+    if cfg.gram_det != 0:
+        report = check_series_condition(cfg)
+        expected = reference_residuals(cfg, vee_pairing_product(cfg))
+        assert [Fraction(t, report.scale) for t in report.totals] == [r[4] for r in expected]
+
+
+def test_full_check_leaves_the_series_records_unbuilt():
+    """A verdict on B8 reads the integer split alone; the series records are
+    built when the residuals are first read, and match the reference."""
+    cfg = build_configuration(8, [(r, 1) for r in b_roots(8)])
+    report = full_check(cfg)
+    assert report.is_trig_vee
+    assert "series" not in vars(cfg)
+    assert as_tuples(report.series) == reference_residuals(cfg, vee_pairing_product(cfg))
+    assert "series" in vars(cfg)
+
+
+@pytest.mark.parametrize("roots", [a_roots(6), b_roots(6)], ids=["A6", "B6"])
+def test_failures_with_the_first_root_doubled(roots):
+    cfg = build_configuration(6, [(r, 2 if k == 0 else 1) for k, r in enumerate(roots)])
+    failures = full_check(cfg).series.failures()
+    expected = [r for r in reference_residuals(cfg, vee_pairing_product(cfg)) if r[4] != 0]
+    assert expected
+    assert [
+        (r.base_index, r.series_index, r.residue, r.member_indices, r.residual) for r in failures
+    ] == expected
 
 
 def reference_wdvv_per_point(cfg, lambda_squared, seed):
