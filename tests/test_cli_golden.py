@@ -38,6 +38,11 @@ COMMANDS = [
     "series b2fail.vee",
     "constraints b2sym.vee",
     "family b2sym.vee --set c1=t --set c2=t",
+    # failing families: images with a denominator, then two symbols sharing one
+    "family b2sym.vee --set c1=1/(t+1) --set c2=2/(t+1) --set cp=t",
+    "family B3sym.vee --set c4=t/(t+1) --set c6=t/(t+1) --set c1=1 --set c2=1 --set c3=2"
+    " --set c5=1 --set c7=1 --set c8=1 --set c9=1",
+    "constraints B3sym.vee",
     "search b2sym.vee --fix cp",
 ] + [f"search --report-kv {name}sym.vee" for name in SYMBOLIC] + [
     "catalog list",
