@@ -82,13 +82,14 @@ class CmsReport:
 
 
 def _require_cms_hypotheses(cfg: VConfiguration, metric: Metric) -> None:
-    directions = cfg.directions
-    for i in range(len(cfg.entries)):
-        for j in range(i + 1, len(cfg.entries)):
-            if directions[i] == directions[j]:
-                raise CollinearPair(
-                    f"covectors {cfg.entries[i].label} and {cfg.entries[j].label} are collinear"
-                )
+    """Refuse collinear covectors, naming the lexicographically first
+    collinear pair: the least (first entry on the line, later entry) pair."""
+    first: dict[tuple[int, ...], int] = {}
+    pairs = [(first[d], j) for j, d in enumerate(cfg.directions) if first.setdefault(d, j) != j]
+    if pairs:
+        i, j = min(pairs)
+        labels = cfg.entries[i].label, cfg.entries[j].label
+        raise CollinearPair("covectors {} and {} are collinear".format(*labels))
     _require_metric(cfg, metric)
 
 

@@ -7,8 +7,9 @@ assignment is a trigonometric vee-system exactly when all constraint
 polynomials vanish and the nondegeneracy polynomial det G does not.  By
 Cauchy-Binet both are written in closed form, as sums of squarefree
 monomials whose coefficients are products of integer covector minors, from
-a Laplace recursion (one array step per level), one integer matmul and one
-array pass per base: int64 under a proven no-overflow bound, else Python ints.
+a Laplace recursion (one array step per level), one integer matmul and
+array passes over runs of whole bases: int64 under a proven no-overflow
+bound, else Python ints.
 
 At a fixed form N the conditions become linear: the multiplicities with
 G(c) = mu N form the exact nullspace L(N) of `linear_family`.  The search
@@ -26,13 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .configuration import (
-    VConfiguration,
-    _pairing_numerators,
-    build_configuration,
-    covector,
-    relative_wedge_signs,
-)
+from .configuration import VConfiguration, _pairing_numerators, build_configuration, covector
 from .errors import (
     DegenerateForm,
     DegenerateParametrization,
@@ -42,8 +37,13 @@ from .errors import (
     ZeroMultiplicity,
 )
 from .exactnum import RatMatrix, as_rational, clear_denominators, integer_inverse, integer_rref
-from .multipoly import MultiPoly, RatFunc
+from .multipoly import MultiPoly, RatFunc, _cleared, _from_ints
 from .veecheck import check_series_condition
+
+# The most bytes of products M[T][i] M[T][j] that one extraction pass forms:
+# all bases of B3 and A4 take one pass, and B4 and A5 took no less time in
+# larger passes (up to all bases in one), which hold more memory at once
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,19 @@ def _cofactor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return subsets, minors[:, ::-1] * [(-1) ** k for k in range(dim)]
 
 
+def _passes(sizes: Sequence[int], bound: int) -> list[tuple[int, int]]:
+    """Split the bases, with the given byte sizes, into runs (start, stop) of
+    whole bases in order: each run is the longest that stays within `bound`,
+    or one base that alone exceeds it."""
+    runs, start, total = [], 0, 0
+    for b, size in enumerate(sizes):
+        if total and total + size > bound:
+            runs.append((start, b))
+            start, total = b, 0
+        total += size
+    return runs + [(start, len(sizes))]
+
+
 def _unit_configuration(
     vectors: Sequence[Sequence], symbols: Sequence[str] | None
 ) -> tuple[VConfiguration, tuple[str, ...]]:
@@ -149,8 +162,12 @@ def series_constraints(
 
     M[T][j] = 0 for j in T, so every monomial is squarefree.  `_cofactor_rows`
     gives the cofactors of every T by a Laplace recursion, one array step per
-    level, and M is one integer matmul of them with the covectors; each base
-    then takes one array pass over all its series.  Hadamard bounds every
+    level, and M is one integer matmul of them with the covectors.  The
+    members of every series around every base are read off the cached
+    `series_split`, and the bases go through array passes in runs of whole
+    bases, each run's products M[T][i] M[T][j] within `_CHUNK_BYTES` (a base
+    that alone exceeds it is a run); each pass's polynomials are built
+    before the next pass starts.  Hadamard bounds every
     minor by (n h^2)^(n/2), h the largest |entry| of the integer covectors, so
     the arrays are int64 when m < 63 and m (n h^2)^n < 2^63, where no sum of
     m products of two minors and no m-bit mask overflows, and Python ints
@@ -182,28 +199,48 @@ def series_constraints(
         return [MultiPoly._clean(symbols, dict(islice(terms, c))) for c in counts]
 
     (det,) = polys(at[t, j][once], minors[t, j][once] ** 2, [np.count_nonzero(once)])
+    # one row (series, j, r) per member of a series around any base, the series
+    # numbered across the bases: sorted, the bases come in order, each base's
+    # series in order of first appearance and each series' members by index
+    hits, base_of, first_series, first_hit = [], [], [0], [0]
+    for i, (first_signs, members) in enumerate(cfg.series_split):
+        hits += [(len(base_of) + s, j, r) for j, r, _step, s in members]
+        base_of += [i] * len(first_signs)
+        first_series.append(len(base_of))
+        first_hit.append(len(hits))
+    hits.sort()
+    member_indices = [[] for _ in base_of]
+    for g, j, _r in hits:
+        member_indices[g].append(j)
+    sid, js, signs = np.array(hits, dtype=np.intp).reshape(-1, 3).T
+    hit_base = np.array(base_of, dtype=np.intp)[sid]
+    row_bytes = len(minors) * minors.itemsize
+    sizes = [(b - a) * row_bytes for a, b in zip(first_hit, first_hit[1:])]
+    n = len(monomials)
     out = []
-    for i in range(m):
-        series = cfg.series[i]
-        signed = [zip(s.entry_indices(), relative_wedge_signs(s)) for s in series]
-        hits = [(j, r, k) for k, members in enumerate(signed) for j, r in members]
-        js, signs, sid = np.array(hits, dtype=np.intp).reshape(-1, 3).T
-        pairs = minors[:, js].T
-        pairs *= minors[:, i]  # M[T][i] M[T][j], one row per member j
+    for b0, b1 in _passes(sizes, _CHUNK_BYTES):  # one array pass per run of whole bases
+        h0, h1, g0, g1 = first_hit[b0], first_hit[b1], first_series[b0], first_series[b1]
+        hj = js[h0:h1]
+        pairs = minors[:, hj]
+        pairs *= minors[:, hit_base[h0:h1]]
+        pairs = pairs.T  # M[T][i] M[T][j], one row per member j of a series around i
         # member-major, T ascending: first-appearance order; one code per (series, T + j)
         member, t = np.nonzero(pairs)
-        code = sid[member] * len(monomials) + at[t, js[member]]
-        vals = signs[member] * pairs[member, t]
-        if len(code) and len(js) > len(series):  # a series with two members can repeat a code
+        code = (sid[h0:h1][member] - g0) * n + at[t, hj[member]]
+        vals = signs[h0:h1][member] * pairs[member, t]
+        if len(code) and h1 - h0 > g1 - g0:  # a series with two members can repeat a code
+            # each code's sum goes to its first occurrence, which alone is kept
             order = np.argsort(code, kind="stable")
-            code, vals = code[order], vals[order]
-            start = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-            first = np.argsort(order[start], kind="stable")  # back to first-occurrence order
-            code, vals = code[start][first], np.add.reduceat(vals, start)[first]
-            code, vals = code[vals != 0], vals[vals != 0]
-        counts = np.bincount(code // len(monomials), minlength=len(series)).tolist()
-        for k, (s, poly) in enumerate(zip(series, polys(code % len(monomials), vals, counts))):
-            out.append(ConstraintPoly(i, k, s.entry_indices(), poly))
+            runs = np.flatnonzero(np.diff(code[order], prepend=-1))
+            first, total = order[runs], np.add.reduceat(vals[order], runs)
+            vals[first] = total
+            keep = np.zeros(len(code), dtype=bool)
+            keep[first] = total != 0
+            code, vals = code[keep], vals[keep]
+        counts = np.bincount(code // n, minlength=g1 - g0).tolist()
+        for g, poly in enumerate(polys(code % n, vals, counts), g0):
+            i = base_of[g]
+            out.append(ConstraintPoly(i, g - first_series[i], tuple(member_indices[g]), poly))
     return ConstraintSet(symbols, cfg.covectors(), tuple(out), det)
 
 
@@ -280,7 +317,9 @@ def _merged_substitution(symbols: tuple[str, ...], images: Mapping[str, RatFunc]
     of equal images (same numerator and denominator) merged into one.
 
     After the merge a term's image depends only on its degree E_g in each
-    group g, so terms are summed per (E_g) before anything is expanded.
+    group g, so terms are summed per (E_g) before anything is expanded, as
+    integers over the lcm of the coefficients' denominators, with one
+    Fraction per merged term.
     `MultiPoly.substitute` clears the merged polynomial over prod den_g^D_g,
     D_g its largest E_g after cancellation; the unmerged one is cleared over
     prod_k den_k^d_k, d_k the largest degree in symbol k.  So the merged
@@ -300,16 +339,18 @@ def _merged_substitution(symbols: tuple[str, ...], images: Mapping[str, RatFunc]
     one = MultiPoly.const(merged_images[names[0]].vars, 1)
 
     def substitute(poly: MultiPoly) -> MultiPoly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coef in poly.terms.items():
+        ints, den = _cleared(poly.terms)
+        terms: dict[tuple[int, ...], int] = {}
+        for expo, coef in ints.items():
             key = [0] * len(members)
             for k, e in enumerate(expo):
                 key[group_of[k]] += e
             key = tuple(key)
             terms[key] = terms.get(key, 0) + coef
-        merged = MultiPoly(names, terms)
-        if merged.is_zero():
+        terms = {e: c for e, c in terms.items() if c}
+        if not terms:
             return MultiPoly.zero(one.vars)
+        merged = _from_ints(names, terms, den)
         numerator = merged.substitute(merged_images).num
         degrees = [max(col) for col in zip(*poly.terms)]
         merged_degrees = [max(col) for col in zip(*merged.terms)]
@@ -354,7 +395,7 @@ def linear_family(
 def _family_basis(cfg: VConfiguration, form: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """`linear_family` at the multiplicity-1 configuration of the vectors, read
     from `integer_rref` of integer rows.  With N = N' / l_N and N'^-1 = R / det N'
-    from `integer_inverse`, one row per series condition, sum_j r_j c_j a_i R a_j^T
+    from `integer_inverse`, one row per series of `series_split`, sum_j r_j c_j a_i R a_j^T
     (scaled by d^2 det N' / l_N, covectors over d), and one per entry (k, l),
     k <= l, of sum_a c_a a_k a_l - mu N_kl (scaled by d^2 l_N)."""
     m = len(cfg.entries)
@@ -362,12 +403,11 @@ def _family_basis(cfg: VConfiguration, form: RatMatrix) -> tuple[tuple[Fraction,
     form_ints, l_n = clear_denominators(form.entries)
     table = _pairing_numerators(ints, integer_inverse(form_ints)[0])
     rows = []
-    for i, pairings in enumerate(table):
-        for series in cfg.series[i]:
-            row = [0] * (m + 1)
-            for j, r in zip(series.entry_indices(), relative_wedge_signs(series)):
-                row[j] = r * pairings[j]
-            rows.append(row)
+    for pairings, (first_signs, members) in zip(table, cfg.series_split):
+        series_rows = [[0] * (m + 1) for _ in first_signs]
+        for j, r, _step, s in members:
+            series_rows[s][j] = r * pairings[j]
+        rows += series_rows
     for k in range(cfg.dim):
         for l in range(k, cfg.dim):
             rows.append([l_n * a[k] * a[l] for a in ints] + [-d * d * form_ints[k][l]])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ParseError
@@ -194,6 +195,15 @@ class MultiPoly:
         Terms are summed over the common denominator prod_i den_i^maxdeg_i,
         so the result's numerator vanishing is equivalent to the substituted
         expression vanishing identically.
+
+        The sum is taken on integers.  The coefficients are cleared to C_e / L
+        and each image to num_i = N_i / a_i, den_i = D_i / b_i once, so with
+        S = L prod_i (a_i b_i)^d_i, d_i = maxdeg_i, S times the term of e is
+        C_e prod_i N_i^e_i D_i^(d_i - e_i) a_i^(d_i - e_i) b_i^e_i, and one
+        Fraction over S is made per term of the result.  The products are
+        formed, and each term added to the total, in the order of the
+        expansion term by term, each dropping the terms that cancel; so the
+        result's terms come in that expansion's order.
         """
         if not self.terms:
             some = next(iter(mapping.values()))
@@ -203,27 +213,44 @@ class MultiPoly:
         if any(img.vars != param_vars for img in images):
             raise ValueError("substitution images must share one variable set")
         max_deg = [max(e[i] for e in self.terms) for i in range(len(self.vars))]
-        # precompute powers of numerators and denominators
-        num_pows = [_pow_table(img.num, d) for img, d in zip(images, max_deg)]
-        den_pows = [_pow_table(img.den, d) for img, d in zip(images, max_deg)]
+        coefs, scale = _cleared(self.terms)
+        nums = [_cleared(img.num.terms) for img in images]
+        dens = [_cleared(img.den.terms) for img in images]
         # skip num^0, den^0 and powers of a denominator 1: a product with the
         # constant 1 keeps every term and its order
-        one = MultiPoly.const(param_vars, 1)
-        has_den = [img.den != one for img in images]
-        total_num = MultiPoly.zero(param_vars)
-        for expo, coef in self.terms.items():
-            piece = MultiPoly.const(param_vars, coef)
+        one = {(0,) * len(param_vars): 1}
+        has_den = [den != (one, 1) for den in dens]
+        num_pows = [_int_pow_table(num, d) for (num, _a), d in zip(nums, max_deg)]
+        den_pows = [_int_pow_table(den, d) for (den, _b), d in zip(dens, max_deg)]
+        for (_num, a), (_den, b), d in zip(nums, dens, max_deg):
+            scale *= (a * b) ** d
+        total: dict[tuple[int, ...], int] = {}
+        for expo, coef in coefs.items():
+            piece = None
             for i, e in enumerate(expo):
+                d = max_deg[i]
                 if e:
-                    piece = piece * num_pows[i][e]
-                if has_den[i] and e != max_deg[i]:
-                    piece = piece * den_pows[i][max_deg[i] - e]
-            total_num = total_num + piece
-        total_den = one
+                    piece = _int_mul(piece, num_pows[i][e])
+                if has_den[i] and e != d:
+                    piece = _int_mul(piece, den_pows[i][d - e])
+                if e != d:
+                    coef *= nums[i][1] ** (d - e)
+                if e:
+                    coef *= dens[i][1] ** e
+            for key, c in (one if piece is None else piece).items():
+                v = total.get(key, 0) + coef * c
+                if v:
+                    total[key] = v
+                else:
+                    del total[key]
+        total_den, den_scale = one, 1
         for i, d in enumerate(max_deg):
             if has_den[i] and d:
-                total_den = total_den * den_pows[i][d]
-        return RatFunc(total_num, total_den)
+                total_den = _int_mul(total_den, den_pows[i][d])
+                den_scale *= dens[i][1] ** d
+        return RatFunc(
+            _from_ints(param_vars, total, scale), _from_ints(param_vars, total_den, den_scale)
+        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -253,11 +280,38 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def _pow_table(p: MultiPoly, up_to: int) -> list[MultiPoly]:
-    table = [MultiPoly.const(p.vars, 1)]
+# Integer polynomials: exponent tuple -> nonzero int, in term order.
+
+
+def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
+    """(T, L): the Fraction terms as integers T over the lcm L of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _int_mul(p: dict | None, q: dict) -> dict:
+    """p * q in the term order of `MultiPoly.__mul__`; None stands for 1."""
+    if p is None:
+        return q
+    terms: dict[tuple[int, ...], int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            expo = tuple(map(add, e1, e2))
+            terms[expo] = terms.get(expo, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def _int_pow_table(p: dict, up_to: int) -> list[dict | None]:
+    """p^0 (None, for 1), p, ..., p^up_to, each the product of the one before and p."""
+    table = [None]
     for _ in range(up_to):
-        table.append(table[-1] * p)
+        table.append(_int_mul(table[-1], p))
     return table
+
+
+def _from_ints(variables: tuple[str, ...], terms: dict, den: int) -> MultiPoly:
+    """The polynomial with the integer terms over den."""
+    return MultiPoly._clean(variables, {e: Fraction(c, den) for e, c in terms.items()})
 
 
 class RatFunc:

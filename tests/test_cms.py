@@ -65,6 +65,21 @@ class TestIdentity:
         with pytest.raises(DegenerateForm):
             cms_identity_residual(a2(), Metric(RatMatrix([[1, 1], [1, 1]])))
 
+    @pytest.mark.parametrize(
+        "covectors, named",
+        [
+            # x, y, y, x: the pair (0, 3) comes before (1, 2)
+            ([(1, 0), (0, 1), (0, 2), (-3, 0)], "v0 and v3"),
+            ([(1, 0), (0, 1), (0, 2), (1, 1), (-3, 0), (2, 0)], "v0 and v4"),
+            ([(1, 1), (0, 1), (1, 0), (0, -3), (2, 2)], "v0 and v4"),
+            ([(0, 1), (1, 0), (1, 1), (0, 2), (0, 3)], "v0 and v3"),
+        ],
+    )
+    def test_collinear_pair_named_lexicographically_first(self, covectors, named):
+        cfg = build_configuration(2, [(v, 1) for v in covectors])
+        with pytest.raises(CollinearPair, match=f"covectors {named} are collinear"):
+            cms_identity_residual(cfg, euclidean_metric(2))
+
 
 class TestEigenvalue:
     def test_a2_eigenvalue(self):

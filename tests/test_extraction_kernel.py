@@ -1,22 +1,32 @@
 """The integer-array extraction in `series_constraints` against the frozen
 extraction of test_exact_reference, on the Python-int path that its
 overflow guard selects for large entries or more than 62 covectors, and on
-both sides of the guard's bound; and the guard itself, which must keep the
-catalog and the root systems on int64."""
+both sides of the guard's bound; the guard itself, which must keep the
+catalog and the root systems on int64; and the split of the bases into
+array passes, which must not change a term or its place at any pass size."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trigvee import constraints
 from trigvee.catalog import catalog_get
 from trigvee.configuration import covector
-from trigvee.constraints import _minor_dtype
+from trigvee.constraints import _minor_dtype, _passes, series_constraints
 from trigvee.exactnum import clear_denominators
 
-from test_exact_reference import CATALOG, ROOT_SYSTEMS, assert_same_extraction, rank
+from test_exact_reference import (
+    CATALOG,
+    ROOT_SYSTEMS,
+    assert_same_constraint_set,
+    assert_same_extraction,
+    rank,
+    reference_series_constraints,
+)
 
 
 def guard(vectors):
@@ -84,3 +94,87 @@ def test_extraction_matches_frozen_across_the_guard(vectors):
     assume(all(any(v) for v in vectors) and len(signed) == 2 * len(vectors))
     assume(rank(vectors) == len(vectors[0]))
     assert_same_extraction(vectors)
+
+
+# ---------------------------------------------------------------------------
+# Array passes over runs of whole bases
+# ---------------------------------------------------------------------------
+
+ONE_BASE, ALL_BASES = 0, 1 << 62  # pass bounds: every base alone, all in one pass
+
+
+def test_passes_split_whole_bases_in_order():
+    assert _passes([5, 5, 5], 10) == [(0, 2), (2, 3)]
+    assert _passes([20, 1, 1], 10) == [(0, 1), (1, 3)]
+    assert _passes([1, 1, 20, 1], 10) == [(0, 2), (2, 3), (3, 4)]
+    assert _passes([0, 0, 0], 0) == [(0, 3)]  # no series hits: one empty pass
+    assert _passes([3, 4], ONE_BASE) == [(0, 1), (1, 2)]
+    assert _passes([3, 4], ALL_BASES) == [(0, 2)]
+
+
+def extract_in_passes(monkeypatch, vectors, bound):
+    """`series_constraints(vectors)` with the pass bound set to `bound`, and
+    the runs of bases it made: they must cover the bases in order, whole,
+    each within the bound unless it holds one base."""
+    calls = []
+
+    def recorded(sizes, chunk_bytes):
+        runs = _passes(sizes, chunk_bytes)
+        calls.append((sizes, chunk_bytes, runs))
+        return runs
+
+    monkeypatch.setattr(constraints, "_CHUNK_BYTES", bound)
+    monkeypatch.setattr(constraints, "_passes", recorded)
+    cs = series_constraints(vectors)
+    ((sizes, chunk_bytes, runs),) = calls
+    assert chunk_bytes == bound and len(sizes) == len(vectors)
+    assert [b0 for b0, _b1 in runs] == [0] + [b1 for _b0, b1 in runs[:-1]]
+    assert runs[-1][1] == len(vectors)
+    for b0, b1 in runs:
+        assert b1 - b0 == 1 or sum(sizes[b0:b1]) <= bound
+    # every polynomial of a base comes from the one pass that holds the base
+    bases = [c.base_index for c in cs.polynomials]
+    assert bases == sorted(bases)
+    return cs, runs
+
+
+def assert_same_at_every_bound(monkeypatch, vectors):
+    ref = reference_series_constraints(vectors)
+    for bound, passes in ((ONE_BASE, None), (ALL_BASES, 1)):
+        cs, runs = extract_in_passes(monkeypatch, vectors, bound)
+        assert_same_constraint_set(cs, ref)  # the terms and their order
+        for got, want in zip(cs.polynomials, ref.polynomials):
+            assert list(got.poly.terms) == list(want.poly.terms)
+        if passes is None:  # one pass per base with a series
+            assert all(b1 - b0 == 1 for b0, b1 in runs) or cs.polynomials == ()
+        else:
+            assert len(runs) == passes
+    return cs
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_passes_keep_catalog_extraction(monkeypatch, name):
+    assert_same_at_every_bound(monkeypatch, list(catalog_get(name).cfg.covectors()))
+
+
+@pytest.mark.parametrize("name", ["B3", "A4", "B4", "A5"])
+def test_passes_keep_root_system_extraction(monkeypatch, name):
+    cs = assert_same_at_every_bound(monkeypatch, ROOT_SYSTEMS[name])
+    assert max(len(c.member_indices) for c in cs.polynomials) > 1
+
+
+def test_passes_with_no_series_hits(monkeypatch):
+    """In dimension 1 every covector is parallel to every base: no series."""
+    cs = assert_same_at_every_bound(monkeypatch, [(1,), (2,), (Fraction(-1, 3),)])
+    assert cs.polynomials == () and not cs.nondegeneracy.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_covector_sets())
+def test_passes_keep_extraction_of_multi_member_series(vectors):
+    signed = set(vectors) | {tuple(-x for x in v) for v in vectors}
+    assume(all(any(v) for v in vectors) and len(signed) == 2 * len(vectors))
+    assume(rank(vectors) == len(vectors[0]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cs = assert_same_at_every_bound(monkeypatch, vectors)
+    assert any(len(c.member_indices) > 1 for c in cs.polynomials)
