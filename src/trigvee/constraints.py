@@ -41,9 +41,10 @@ from .multipoly import MultiPoly, RatFunc, _cleared, _from_ints
 from .veecheck import check_series_condition
 
 # The most bytes of products M[T][i] M[T][j] that one extraction pass forms:
-# all bases of B3 and A4 take one pass, and B4 and A5 took no less time in
-# larger passes (up to all bases in one), which hold more memory at once
-_CHUNK_BYTES = 1 << 18
+# all bases of B3 and A4 take one pass, and B4 and A5 (one base a pass) ran
+# no faster in larger passes, which raised the peak memory (by about 4 MB
+# with all their bases in one pass)
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
