@@ -216,7 +216,7 @@ def series_constraints(
     sid, js, signs = np.array(hits, dtype=np.intp).reshape(-1, 3).T
     hit_base = np.array(base_of, dtype=np.intp)[sid]
     row_bytes = len(minors) * minors.itemsize
-    sizes = [(b - a) * row_bytes for a, b in zip(first_hit, first_hit[1:])]
+    sizes = [(h1 - h0) * row_bytes for h0, h1 in zip(first_hit, first_hit[1:])]
     n = len(monomials)
     out = []
     for b0, b1 in _passes(sizes, _CHUNK_BYTES):  # one array pass per run of whole bases

@@ -18,14 +18,11 @@ from trigvee.constraints import series_constraints, verify_family
 from trigvee.errors import DegenerateParametrization
 from trigvee.multipoly import MultiPoly, RatFunc
 
-from test_exact_reference import items, reference_substitute
+from test_exact_reference import ROOT_SYSTEMS, items, reference_substitute
 
 PARAMS = ("s", "t")
-B2 = [(1, 0), (0, 1), (1, 1), (1, -1)]
+B2, B3 = ROOT_SYSTEMS["B2"], ROOT_SYSTEMS["B3"]
 PROP4 = [(1, 0), (2, 0), (0, 1), (1, 1), (1, -1)]
-B3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [
-    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)
-]
 
 
 def reference_merged_substitution(symbols, images):
