@@ -437,6 +437,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_lexing_error_in_later_set_wins(self, b2sym_file, capsys):
+        """Every --set expression is lexed before any is parsed, so a bad
+        character in a later one is reported over a parse error in an earlier."""
+        argv = ["family", b2sym_file, "--set", "c1=(t", "--set", "c2=$"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unexpected character '$' in expression\n"
+
     def test_set_unary_plus_passes(self, a2sym_file, capsys):
         assert main(["family", a2sym_file, "--set", "a=+t", "--set", "b=t"]) == 0
         captured = capsys.readouterr()

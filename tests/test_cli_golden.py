@@ -38,6 +38,10 @@ COMMANDS = [
     "series b2fail.vee",
     "constraints b2sym.vee",
     "family b2sym.vee --set c1=t --set c2=t",
+    # every image constant (the family's variable is the placeholder _t), then
+    # images that name another symbol of the file
+    "family b2sym.vee --set c1=1 --set c2=1 --set cp=2 --set cm=3",
+    "family b2sym.vee --set c1=cp --set c2=cm --report-kv",
     # failing families: images with a denominator, then two symbols sharing one
     "family b2sym.vee --set c1=1/(t+1) --set c2=2/(t+1) --set cp=t",
     "family B3sym.vee --set c4=t/(t+1) --set c6=t/(t+1) --set c1=1 --set c2=1 --set c3=2"
@@ -54,6 +58,7 @@ COMMANDS = [
     "catalog show Prop5 --param t=2 --param s=1",
     "catalog show Prop4 --param c1=5",
     "catalog export B2 --param c1=3/2 --param c2=3/2 --param cp=2 --param cm=5",
+    "catalog export B2 --report-kv --param c1=3/2 --param c2=3/2 --param cp=2 --param cm=5",
 ]
 
 
