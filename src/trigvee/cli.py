@@ -30,7 +30,8 @@ from .exactnum import RatMatrix
 from .multipoly import expression_variables, parse_expression
 from .veecheck import check_series_condition, full_check, solve_lambda_squared
 from .veefile import (
-    _RATIONAL_RE, ConfigFile, config_file_from_configuration, parse_config_file, render_config_file
+    ConfigFile, config_file_from_configuration, parse_config_file, parse_rational,
+    render_config_file,
 )
 from .wdvv import wdvv_residual
 
@@ -99,12 +100,10 @@ def _load_symbolic(path: str) -> ConfigFile:
 
 def _rational_arg(token: str, context: str) -> Fraction:
     """A rational spelled as in a .vee file: `[-]digits[/digits]`, ASCII digits."""
-    if _RATIONAL_RE.match(token):
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InvalidParams(f"{context}: {token!r} is not a rational number")
+    try:
+        return parse_rational(token)
+    except ParseError:
+        raise InvalidParams(f"{context}: {token!r} is not a rational number") from None
 
 
 def _load_metric(spec: str, cfg: VConfiguration) -> Metric:
@@ -138,10 +137,6 @@ def _check_sampling(args) -> None:
         raise InvalidParams(f"--margin must be a finite number, got {args.margin}")
 
 
-def _entry_name(cfg: VConfiguration, index: int) -> str:
-    return cfg.entries[index].label
-
-
 def _lambda_text(sol) -> str:
     if sol.status == "solved":
         return str(sol.lambda2)
@@ -150,15 +145,13 @@ def _lambda_text(sol) -> str:
     return "NO SOLUTION"
 
 
-def cmd_check(args) -> int:
-    report = Report(args.report_kv)
+def cmd_check(args, report: Report) -> int:
     _, cfg = _load_numeric(args.file)
     result = full_check(cfg)
     if result.degenerate:
         report.line("trig-vee: FAIL (degenerate form)")
         report.kv("trig_vee", "fail")
         report.kv("degenerate", "yes")
-        report.emit()
         return 1
     sol = result.lambda_solution
     verdict = "PASS" if result.is_trig_vee else "FAIL"
@@ -166,9 +159,9 @@ def cmd_check(args) -> int:
     report.line(f"trig-vee: {verdict}, irreducible: {irr}, lambda2 = {_lambda_text(sol)}")
     if not result.series.passed:
         for f in result.series.failures():
-            members = ",".join(_entry_name(cfg, j) for j in f.member_indices)
+            members = ",".join(cfg.entries[j].label for j in f.member_indices)
             report.line(
-                f"series failure: base {_entry_name(cfg, f.base_index)} "
+                f"series failure: base {cfg.entries[f.base_index].label} "
                 f"members ({members}) residual {f.residual}"
             )
     if sol.status == "no_solution" and sol.witness is not None:
@@ -183,18 +176,15 @@ def cmd_check(args) -> int:
     report.kv("lambda2_status", sol.status)
     if sol.status == "solved":
         report.kv("lambda2", sol.lambda2)
-    report.emit()
     return 0 if result.defines_wdvv_solution else 1
 
 
-def cmd_series(args) -> int:
-    report = Report(args.report_kv)
+def cmd_series(args, report: Report) -> int:
     _, cfg = _load_numeric(args.file)
     if cfg.gram_det == 0:
         report.line("series: FAIL (degenerate form)")
         report.kv("series", "fail")
         report.kv("degenerate", "yes")
-        report.emit()
         return 1
     rep = check_series_condition(cfg)
     total = len(rep.totals)
@@ -204,21 +194,19 @@ def cmd_series(args) -> int:
     else:
         report.line(f"series: FAIL ({len(bad)} of {total} residuals nonzero)")
         for f in bad:
-            members = ",".join(_entry_name(cfg, j) for j in f.member_indices)
+            members = ",".join(cfg.entries[j].label for j in f.member_indices)
             report.line(
-                f"base {_entry_name(cfg, f.base_index)} series {f.series_index} "
+                f"base {cfg.entries[f.base_index].label} series {f.series_index} "
                 f"members ({members}): residual {f.residual}"
             )
     report.kv("series", "pass" if rep.passed else "fail")
     report.kv("series_checked", total)
     for f in bad:
         report.kv(f"residual_{f.base_index}_{f.series_index}", f.residual)
-    report.emit()
     return 0 if rep.passed else 1
 
 
-def cmd_lambda(args) -> int:
-    report = Report(args.report_kv)
+def cmd_lambda(args, report: Report) -> int:
     _, cfg = _load_numeric(args.file)
     sol = solve_lambda_squared(cfg)
     report.line(f"lambda2 = {_lambda_text(sol)}")
@@ -228,12 +216,10 @@ def cmd_lambda(args) -> int:
     report.kv("lambda2_status", sol.status)
     if sol.status == "solved":
         report.kv("lambda2", sol.lambda2)
-    report.emit()
     return 0 if sol.status in ("solved", "any_lambda") else 1
 
 
-def cmd_wdvv(args) -> int:
-    report = Report(args.report_kv)
+def cmd_wdvv(args, report: Report) -> int:
     _check_sampling(args)
     cf, cfg = _load_numeric(args.file)
     if cf.lambda2 is not None:
@@ -259,12 +245,10 @@ def cmd_wdvv(args) -> int:
     report.kv("seed", args.seed)
     report.kv("residual", f"{res.aggregate:.16e}")
     report.kv("wdvv", "pass" if ok else "fail")
-    report.emit()
     return 0 if ok else 1
 
 
-def cmd_cms(args) -> int:
-    report = Report(args.report_kv)
+def cmd_cms(args, report: Report) -> int:
     _check_sampling(args)
     _, cfg = _load_numeric(args.file)
     metric = _load_metric(args.metric, cfg)
@@ -289,12 +273,10 @@ def cmd_cms(args) -> int:
     report.kv("metric_series", "pass" if series.passed else "fail")
     report.kv("points", args.points)
     report.kv("seed", args.seed)
-    report.emit()
     return 0 if ok else 1
 
 
-def cmd_constraints(args) -> int:
-    report = Report(args.report_kv)
+def cmd_constraints(args, report: Report) -> int:
     cf = _load_symbolic(args.file)
     cs = series_constraints(cf.vectors(), symbols=cf.symbols())
     report.line(f"{len(cs.polynomials)} constraint polynomials in {', '.join(cs.symbols)}")
@@ -303,12 +285,10 @@ def cmd_constraints(args) -> int:
         report.kv(f"constraint_{k}", c.poly)
     report.line(f"nondegeneracy: {cs.nondegeneracy}")
     report.kv("nondegeneracy", cs.nondegeneracy)
-    report.emit()
     return 0
 
 
-def cmd_family(args) -> int:
-    report = Report(args.report_kv)
+def cmd_family(args, report: Report) -> int:
     cf = _load_symbolic(args.file)
     assignments: dict[str, str] = {}
     for item in args.set or []:
@@ -319,19 +299,16 @@ def cmd_family(args) -> int:
         if sym not in cf.symbols():
             raise InvalidParams(f"--set: unknown multiplicity symbol {sym!r}")
         assignments[sym] = expr
-    variables = sorted(
-        set().union(*(expression_variables(e) for e in assignments.values()))
-        | (set(cf.symbols()) - set(assignments))
-    ) or ["_t"]
+    # every expression is lexed before any is parsed
+    names = {sym: sorted(expression_variables(expr)) for sym, expr in assignments.items()}
     parametrization = {
-        sym: parse_expression(expr, variables) for sym, expr in assignments.items()
+        sym: parse_expression(assignments[sym], variables) for sym, variables in names.items()
     }
     try:
         verdict = verify_family(cf.vectors(), parametrization, symbols=cf.symbols())
     except DegenerateParametrization as exc:
         report.line(f"family: FAIL ({exc})")
         report.kv("family", "degenerate")
-        report.emit()
         return 1
     if verdict.passed:
         report.line("family: PASS (all constraints vanish identically)")
@@ -341,12 +318,10 @@ def cmd_family(args) -> int:
             report.line(f"base {cf.symbols()[c.base_index]} series {c.series_index}: {residue}")
     report.kv("family", "pass" if verdict.passed else "fail")
     report.kv("failing", len(verdict.failing))
-    report.emit()
     return 0 if verdict.passed else 1
 
 
-def cmd_search(args) -> int:
-    report = Report(args.report_kv)
+def cmd_search(args, report: Report) -> int:
     _check_count("--starts", args.starts)
     cf = _load_symbolic(args.file)
     fix = args.fix or cf.symbols()[0]
@@ -358,7 +333,6 @@ def cmd_search(args) -> int:
     if not solutions:
         report.line("search: no exactly-verified solution found (existence undecided)")
         report.kv("solutions", 0)
-        report.emit()
         return 1
     report.line(f"search: {len(solutions)} exactly-verified solution(s), {fix} fixed to 1")
     for k, sol in enumerate(solutions):
@@ -367,7 +341,6 @@ def cmd_search(args) -> int:
         for sym, val in sol.items():
             report.kv(f"solution_{k}_{sym}", val)
     report.kv("solutions", len(solutions))
-    report.emit()
     return 0
 
 
@@ -381,13 +354,11 @@ def _parse_catalog_params(items) -> dict[str, Fraction]:
     return params
 
 
-def cmd_catalog(args) -> int:
-    report = Report(args.report_kv)
+def cmd_catalog(args, report: Report) -> int:
     if args.action == "list":
         for name, desc in catalog_mod.catalog_list():
             report.line(f"{name}: {desc}")
             report.kv(f"entry_{name}", desc)
-        report.emit()
         return 0
     if not args.name:
         raise InvalidParams(f"catalog {args.action} needs an entry name")
@@ -409,10 +380,9 @@ def cmd_catalog(args) -> int:
         report.kv("name", entry.name)
         report.kv("dim", entry.cfg.dim)
         report.kv("covectors", len(entry.cfg.entries))
-        report.emit()
         return 0
     cf = config_file_from_configuration(entry.cfg, lambda2=entry.expected_lambda2)
-    sys.stdout.write(render_config_file(cf))
+    report.line(render_config_file(cf).removesuffix("\n"))
     return 0
 
 
@@ -506,8 +476,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    report = Report(args.report_kv)
     try:
-        return args.func(args)
+        code = args.func(args, report)
+        report.emit()
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

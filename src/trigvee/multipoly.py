@@ -134,13 +134,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             c = as_rational(other)
             return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
-        other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, terms)
+        (p, a), (q, b) = _cleared(self.terms), _cleared(self._coerce(other).terms)
+        return _from_ints(self.vars, _int_mul(p, q), a * b)
 
     __rmul__ = __mul__
 
@@ -290,7 +285,7 @@ def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
 
 
 def _int_mul(p: dict | None, q: dict) -> dict:
-    """p * q in the term order of `MultiPoly.__mul__`; None stands for 1."""
+    """p * q, each term placed where its exponent first occurs; None stands for 1."""
     if p is None:
         return q
     terms: dict[tuple[int, ...], int] = {}
@@ -424,9 +419,8 @@ def _height_bits(p: MultiPoly) -> int:
     """Bits b such that p^k's coefficients are ratios of integers below 2^(k b):
     p = q / L with L the lcm of the denominators, and q^k's coefficients stay
     below the k-th power of the sum of q's |coefficients|."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    total = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
-    return max(total.bit_length(), den.bit_length())
+    ints, den = _cleared(p.terms)
+    return max(sum(map(abs, ints.values())).bit_length(), den.bit_length())
 
 
 def _tokenize(text: str) -> list[str]:

@@ -14,13 +14,13 @@ feed the constraint and search tools instead of the exact checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import VConfiguration, build_configuration
 from .errors import DimensionMismatch, ParseError, VeeError
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _SYMBOL_RE = re.compile(r"^\?[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -29,7 +29,6 @@ class FileEntry:
     coords: tuple[Fraction, ...]
     mult: Fraction | None
     symbol: str | None
-    line: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,12 @@ class ConfigFile:
             raise VeeError(
                 "configuration has symbolic multiplicities; use the constraint tools"
             )
-        return build_configuration(
-            self.dim, [(e.coords, e.mult, f"v{k}") for k, e in enumerate(self.entries)]
-        )
+        return build_configuration(self.dim, [(e.coords, e.mult) for e in self.entries])
 
 
-def _parse_rational(token: str, line: int, column: int) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+def parse_rational(token: str, line: int | None = None, column: int | None = None) -> Fraction:
+    """The rational <q> of the grammar; ParseError, at `line` and `column`, otherwise."""
+    if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"expected a rational number, got {token!r}", line, column)
     try:
         return Fraction(token)
@@ -94,7 +92,7 @@ def parse_config_file(text: str) -> ConfigFile:
                     f"line {lineno}: expected 'vector <{dim} rationals> mult <value>'"
                 )
             coords = tuple(
-                _parse_rational(tok, lineno, k + 2) for k, tok in enumerate(tokens[1 : 1 + dim])
+                parse_rational(tok, lineno, k + 2) for k, tok in enumerate(tokens[1 : 1 + dim])
             )
             if all(x == 0 for x in coords):
                 raise ParseError("zero covector", lineno, 2)
@@ -102,12 +100,12 @@ def parse_config_file(text: str) -> ConfigFile:
             if _SYMBOL_RE.match(mtok):
                 if any(e.symbol == mtok[1:] for e in entries):
                     raise ParseError(f"repeated multiplicity symbol {mtok!r}", lineno, dim + 3)
-                entries.append(FileEntry(coords, None, mtok[1:], lineno))
+                entries.append(FileEntry(coords, None, mtok[1:]))
             else:
-                mult = _parse_rational(mtok, lineno, dim + 3)
+                mult = parse_rational(mtok, lineno, dim + 3)
                 if mult == 0:
                     raise ParseError("zero multiplicity", lineno, dim + 3)
-                entries.append(FileEntry(coords, mult, None, lineno))
+                entries.append(FileEntry(coords, mult, None))
         elif head == "lambda2":
             if dim is None:
                 raise ParseError("dim must come before lambda2", lineno, 1)
@@ -115,7 +113,7 @@ def parse_config_file(text: str) -> ConfigFile:
                 raise ParseError("duplicate lambda2 directive", lineno, 1)
             if len(tokens) != 2:
                 raise ParseError("usage: lambda2 <rational>", lineno, 1)
-            lambda2 = _parse_rational(tokens[1], lineno, 2)
+            lambda2 = parse_rational(tokens[1], lineno, 2)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, 1)
 
@@ -140,8 +138,5 @@ def render_config_file(cf: ConfigFile) -> str:
 def config_file_from_configuration(
     cfg: VConfiguration, lambda2: Fraction | None = None
 ) -> ConfigFile:
-    entries = tuple(
-        FileEntry(coords=e.covector, mult=e.mult, symbol=None, line=i + 2)
-        for i, e in enumerate(cfg.entries)
-    )
+    entries = tuple(FileEntry(coords=e.covector, mult=e.mult, symbol=None) for e in cfg.entries)
     return ConfigFile(dim=cfg.dim, entries=entries, lambda2=lambda2)

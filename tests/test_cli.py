@@ -15,6 +15,7 @@ from trigvee.multipoly import parse_expression
 from trigvee.veefile import (
     config_file_from_configuration,
     parse_config_file,
+    parse_rational,
     render_config_file,
 )
 from trigvee.wdvv import wdvv_residual
@@ -56,6 +57,16 @@ class TestFileFormat:
             assert parse_config_file(render_config_file(cf)) == cf
         symbolic = parse_config_file("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult 2/3\n")
         assert parse_config_file(render_config_file(symbolic)) == symbolic
+
+    def test_parse_rational(self):
+        assert parse_rational("-1/2") == F(-1, 2)
+        with pytest.raises(ParseError, match=r"^zero denominator \(line 3, column 4\)$"):
+            parse_rational("1/0", 3, 4)
+
+    @pytest.mark.parametrize("token", ["3\n", "-1/2\n"])
+    def test_parse_rational_refuses_trailing_newline(self, token):
+        with pytest.raises(ParseError, match="^expected a rational number"):
+            parse_rational(token)
 
     def test_zero_covector_rejected_at_parse(self):
         with pytest.raises(ParseError) as err:

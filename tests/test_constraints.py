@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigvee import constraints
 from trigvee.catalog import catalog_get
@@ -19,6 +21,8 @@ from trigvee.multipoly import MultiPoly, RatFunc
 from trigvee.veecheck import check_series_condition
 
 from conftest import rand_nonzero_fraction
+from test_exact_reference import items
+from test_integer_substitution import nonzero_fractions, polys
 
 F = Fraction
 
@@ -290,6 +294,58 @@ class TestVerifyFamily:
             for _ in range(3)
         }
         assert results == {False}
+
+
+def over_own_variables(f: RatFunc) -> RatFunc:
+    """f over the sorted variables it names, as `vee family` parses an image."""
+    own = sorted({v for p in (f.num, f.den) for e in p.terms for v, k in zip(p.vars, e) if k})
+    at = [f.num.vars.index(v) for v in own]
+
+    def shrink(p):
+        return MultiPoly(own, {tuple(e[i] for i in at): c for e, c in p.terms.items()})
+
+    return RatFunc(shrink(f.num), shrink(f.den))
+
+
+@st.composite
+def family_images(draw, symbols):
+    """Images of some of the symbols over s, t and the symbols themselves:
+    constants, polynomials and quotients; in some maps every image is a
+    constant and every symbol is assigned."""
+    names = ("s", "t") + symbols
+    constant = nonzero_fractions.map(lambda c: RatFunc.constant(names, c))
+    if draw(st.booleans()):
+        return {sym: draw(constant) for sym in symbols}
+    poly = polys(names, 3, top=2).map(RatFunc.from_poly)
+    quotient = st.builds(lambda n, d: RatFunc(n, d), polys(names, 3, top=2), polys(names, 2, top=1))
+    assigned = draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))
+    return {sym: draw(st.one_of(constant, poly, quotient)) for sym in assigned}
+
+
+def family_outcome(vectors, images, symbols):
+    try:
+        verdict = verify_family(vectors, images, symbols)
+    except DegenerateParametrization:
+        return "degenerate"
+    return verdict.failing, [items(r) for r in verdict.residual_numerators]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_images_over_their_own_variables_match_images_over_the_union(data):
+    """verify_family forms the family's variables itself: images over the
+    variables each names give the verdict of images over their sorted union
+    with the unassigned symbols (or the placeholder _t), term for term."""
+    cases = [(B2_VECTORS, B2_SYMBOLS), (PROP4_VECTORS, ("m1", "m2", "m3", "m4", "m5"))]
+    vectors, symbols = data.draw(st.sampled_from(cases))
+    images = {sym: over_own_variables(f) for sym, f in data.draw(family_images(symbols)).items()}
+    union = sorted(
+        set().union(*(f.num.vars for f in images.values())) | (set(symbols) - set(images))
+    ) or ["_t"]
+    widened = {
+        sym: RatFunc(f.num.with_vars(union), f.den.with_vars(union)) for sym, f in images.items()
+    }
+    assert family_outcome(vectors, images, symbols) == family_outcome(vectors, widened, symbols)
 
 
 class TestSearch:

@@ -4,9 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigvee.errors import ParseError
 from trigvee.multipoly import MultiPoly, RatFunc, expression_variables, parse_expression
+
+from test_exact_reference import items
 
 F = Fraction
 VARS = ("a", "b", "c")
@@ -34,6 +38,45 @@ def test_power_and_degree():
     assert p.degree_in("b") == 3
     assert p.homogeneous_degree() == 3
     assert (p + 1).homogeneous_degree() is None
+
+
+def reference_mul(p, q):
+    """The Fraction product loop that `MultiPoly.__mul__` replaced, kept as the reference."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
+    return MultiPoly(p.vars, terms)
+
+
+PQ = ("s", "t")
+coefficients = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+polys = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6),
+    st.dictionaries(st.just((0, 0)), coefficients, max_size=1),  # constants, 0 among them
+).map(lambda t: MultiPoly(PQ, t))
+
+
+def mirrored(p):
+    """p(-s, t): its product with p is even in s, so the odd terms cancel."""
+    return MultiPoly(PQ, {e: -c if e[0] % 2 else c for e, c in p.terms.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(polys, polys), polys.map(lambda p: (p, mirrored(p)))))
+def test_product_matches_fraction_loop(pair):
+    p, q = pair
+    assert items(p * q) == items(reference_mul(p, q))
+
+
+def test_product_cancellation_constants_and_zero():
+    a, b = var("a"), var("b")
+    half = MultiPoly.const(VARS, F(1, 2))
+    cases = [(a + b, a - b), (half, a * b - F(2, 3)), (MultiPoly.zero(VARS), a), (a, half - half)]
+    for p, q in cases:
+        assert items(p * q) == items(reference_mul(p, q))
+    assert list(((a + b) * (a - b)).terms) == [(2, 0, 0), (0, 2, 0)]
 
 
 def test_evaluate_exact():
