@@ -317,7 +317,7 @@ def family_images(draw, symbols):
     if draw(st.booleans()):
         return {sym: draw(constant) for sym in symbols}
     poly = polys(names, 3, top=2).map(RatFunc.from_poly)
-    quotient = st.builds(lambda n, d: RatFunc(n, d), polys(names, 3, top=2), polys(names, 2, top=1))
+    quotient = st.builds(RatFunc, polys(names, 3, top=2), polys(names, 2, top=1))
     assigned = draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))
     return {sym: draw(st.one_of(constant, poly, quotient)) for sym in assigned}
 
