@@ -29,6 +29,21 @@ B2_SYMBOLIC = (
     "dim 2\nvector 1 0 mult ?c1\nvector 0 1 mult ?c2\nvector 1 1 mult ?cp\nvector 1 -1 mult ?cm\n"
 )
 
+# Prop5's covectors, whose cleared integer rows generate a proper sublattice
+# of Z^2, so that a Hermite basis of their span gives them other integer
+# coordinates: at multiplicities 1, 5, 1, 3, 3, 1, 2 (not a vee-system) and
+# with symbolic multiplicities.  No output may depend on those coordinates.
+PROP5_VECTORS = ("1 0", "0 1", "0 2", "1/2 1/2", "1/2 -1/2", "1/2 3/2", "1/2 -3/2")
+PROP5_FAIL = "dim 2\n" + "".join(
+    f"vector {v} mult {c}\n" for v, c in zip(PROP5_VECTORS, (1, 5, 1, 3, 3, 1, 2))
+)
+PROP5_SYMBOLIC = "dim 2\n" + "".join(
+    f"vector {v} mult ?c{k}\n" for k, v in enumerate(PROP5_VECTORS, 1)
+)
+
+# four covectors whose cleared rows generate a proper sublattice of Z^2 too
+SKEW = "dim 2\nvector 1/3 2/5 mult 1\nvector 1 -1 mult 1\nvector 3/2 0 mult 1\nvector 0 7/3 mult 1\n"
+
 COMMANDS = [
     f"{command} {name}.vee"
     for name, _ in catalog_list()
@@ -36,6 +51,10 @@ COMMANDS = [
 ] + [
     "check b2fail.vee",
     "series b2fail.vee",
+    "check prop5fail.vee",
+    "series --report-kv prop5fail.vee",
+    "check skew.vee",
+    "series skew.vee",
     "constraints b2sym.vee",
     "family b2sym.vee --set c1=t --set c2=t",
     # every image constant (the family's variable is the placeholder _t), then
@@ -48,6 +67,8 @@ COMMANDS = [
     " --set c5=1 --set c7=1 --set c8=1 --set c9=1",
     "constraints B3sym.vee",
     "search b2sym.vee --fix cp",
+    "constraints prop5sym.vee",
+    "search --report-kv prop5sym.vee",
 ] + [f"search --report-kv {name}sym.vee" for name in SYMBOLIC] + [
     "catalog list",
 ] + [f"catalog show {name}" for name, _ in catalog_list()] + [
@@ -73,7 +94,8 @@ def write_inputs(directory: Path) -> None:
     """The 13 catalog exports as NAME.vee, the symbolic B2 as b2sym.vee, the
     symbolic exports of SYMBOLIC as NAMEsym.vee, and B2 at c2 = 2, which is
     not a vee-system, as b2fail.vee: its `check` and `series` blocks pin the
-    `series failure:` lines."""
+    `series failure:` lines.  Also PROP5_FAIL, PROP5_SYMBOLIC and SKEW as
+    prop5fail.vee, prop5sym.vee and skew.vee."""
     for name, _ in catalog_list():
         text = export(name)
         (directory / f"{name}.vee").write_text(text)
@@ -83,6 +105,9 @@ def write_inputs(directory: Path) -> None:
             (directory / f"{name}sym.vee").write_text(symbolic)
     (directory / "b2sym.vee").write_text(B2_SYMBOLIC)
     (directory / "b2fail.vee").write_text(export("B2", "--param", "c2=2"))
+    (directory / "prop5fail.vee").write_text(PROP5_FAIL)
+    (directory / "prop5sym.vee").write_text(PROP5_SYMBOLIC)
+    (directory / "skew.vee").write_text(SKEW)
 
 
 def run(command: str, directory: Path) -> str:
