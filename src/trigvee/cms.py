@@ -200,7 +200,7 @@ class CmsToVeeResult:
 
 
 def _scalar_blocks(cfg: VConfiguration, table: IntPairing) -> dict[Fraction, list[tuple[int, ...]]]:
-    """The covectors' lattice coordinates grouped by the scalar mu_i with
+    """The covectors' cleared integer rows grouped by the scalar mu_i with
     M a_i^T = mu_i G^-1 a_i^T, given the metric's pairing table.
 
     As the covectors span, row i of the metric's pairing table is then mu_i
@@ -210,10 +210,10 @@ def _scalar_blocks(cfg: VConfiguration, table: IntPairing) -> dict[Fraction, lis
     """
     (m_table, m_den), (v_table, v_den) = table, cfg.integer_pairing
     blocks: dict[Fraction, list[tuple[int, ...]]] = {}
-    for coords, mrow, vrow in zip(cfg.lattice_coords, m_table, v_table):
+    for row, mrow, vrow in zip(cfg.integer_covectors[0], m_table, v_table):
         # exists: G^-1 a^T is nonzero and the covectors span
         k = next(k for k, x in enumerate(vrow) if x != 0)
-        blocks.setdefault(Fraction(mrow[k] * v_den, vrow[k] * m_den), []).append(coords)
+        blocks.setdefault(Fraction(mrow[k] * v_den, vrow[k] * m_den), []).append(row)
     return blocks
 
 
@@ -229,7 +229,7 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     summed over the series of a, it is the 2-form identity
     sum_b c_b (a,b) a^b = a ^ (G M a^T) = 0 for every covector a.  The
     scalars are all the eigenvalues of T, and each eigenspace's dimension is
-    the rank of the lattice coordinates of the covectors with its scalar.
+    the rank of the cleared integer rows of the covectors with its scalar.
 
     Each vee residual is the metric residual divided by mu_i, so all vanish
     with the metric ones: the metric report is the intrinsic report.

@@ -2,13 +2,14 @@
 
 A configuration is a finite list of nonzero rational covectors with nonzero
 rational multiplicities.  Building one caches the bilinear form
-G = sum_a c_a a^T a, its determinant, and an integer lattice basis for the
-covectors.  The build is the one place that clears the covectors and the
-multiplicities to integers, kept as `integer_covectors` and `integer_mults`;
-every exact kernel reads them and keeps its own scale.  G is summed over
-them, kept as the integer Gram `integer_gram`, and becomes Fractions only
-entry by entry at the end.  The form identifies vectors and covectors; all
-pairings of covectors below go through its inverse (the "vee product").
+G = sum_a c_a a^T a and its determinant.  The build is the one place that
+clears the covectors and the multiplicities to integers, kept as
+`integer_covectors` and `integer_mults`; every exact kernel reads them and
+keeps its own scale, and the cleared rows are the configuration's only
+integer coordinates.  G is summed over them, kept as the integer Gram
+`integer_gram`, and becomes Fractions only entry by entry at the end.  The
+form identifies vectors and covectors; all pairings of covectors below go
+through its inverse (the "vee product").
 The build eliminates the integer Gram once, fraction-free, by
 `integer_inverse`; that one pass gives both `gram_det` and the integer
 inverse `integer_gram_inverse`, from which the Fraction matrix
@@ -23,10 +24,12 @@ The numeric checks read the float view `floats`, also cached.
 
 The split of the covectors into series around every base is built on first
 read and cached, as plain integers, in `series_split`; the series check
-sums its residuals from it directly.  Each covector b with lattice
-coordinates (b_0, ..., b_{r-1}) is packed into one Python int,
-enc(b) = sum_t b_t B^(r-1-t), with B = 2D + 1, D = h^2 + 2h and h the
-largest |lattice coordinate|.  Around a base a, signed so that its pivot
+sums its residuals from it directly.  Whether b1 - b2 or b1 + b2 is an
+integer multiple of a base does not depend on the integer coordinates, so
+the split runs on the cleared rows.  Each covector b with cleared row
+(b_0, ..., b_{n-1}) is packed into one Python int,
+enc(b) = sum_t b_t B^(n-1-t), with B = 2D + 1, D = h^2 + 2h and h the
+largest |cleared entry|.  Around a base a, signed so that its pivot
 (first nonzero) coordinate a_p is positive, a covector b is reduced to
 rep = b - k a with k = b_p // a_p, and -b to neg = a - rep (or -rep when
 rep_p = 0); the lexicographically smaller of the two is the key of b's
@@ -35,8 +38,8 @@ entry of neg at most h^2 + 2h = D in absolute value, so every key lies in
 the box of integer vectors with entries in [-D, D], the digits of enc.  On
 that box enc is injective and preserves the lexicographic order: where two
 digit vectors first differ, at place t, they differ by at least
-B^(r-1-t) there, while the later places differ in all by at most
-2D (B^(r-1-t) - 1) / (B - 1) = B^(r-1-t) - 1.  So, as enc is linear,
+B^(n-1-t) there, while the later places differ in all by at most
+2D (B^(n-1-t) - 1) / (B - 1) = B^(n-1-t) - 1.  So, as enc is linear,
 enc(rep) is one multiply-subtract enc(b) - k enc(a), enc(neg) is
 enc(a) - enc(rep) or -enc(rep), and `rep <= neg` is one integer
 comparison.  The `SeriesMember` and `AlphaSeries` records, with the residue
@@ -66,9 +69,7 @@ from .exactnum import (
     RatMatrix,
     as_rational,
     clear_denominators,
-    integer_hnf,
     integer_inverse,
-    integer_lattice_coordinates,
     integer_rref,
 )
 
@@ -144,8 +145,9 @@ class AlphaSeries(NamedTuple):
     """A maximal series of covectors relative to a base covector.
 
     Any two members b1, b2 satisfy b1 - b2 = k * base or b1 + b2 = k * base
-    with k an integer in lattice coordinates; the residue is the canonical
-    representative of the common class modulo integer steps of the base.
+    with k an integer; the residue is the canonical representative of the
+    common class modulo integer steps of the base, as a cleared integer row
+    (see `VConfiguration.integer_covectors`).
     """
 
     base_index: int
@@ -177,8 +179,6 @@ class VConfiguration:
     entries: tuple[ConfigEntry, ...]
     gram: RatMatrix
     gram_det: Fraction
-    lattice_basis: tuple[Covector, ...]
-    lattice_coords: tuple[tuple[int, ...], ...]
     # (A', d): the covectors as integer rows over the lcm d of their denominators
     integer_covectors: IntRows = field(compare=False, repr=False)
     # (c', l_c): the multiplicities as integers over the lcm l_c of their denominators
@@ -225,7 +225,7 @@ class VConfiguration:
         with r the sign of j relative to the first member of its series s and
         r * first_signs[s] * b_j + step * a_i the residue.  Series are numbered
         in order of first appearance."""
-        coords = self.lattice_coords
+        coords, _d = self.integer_covectors
         h = max(abs(x) for b in coords for x in b)
         radix = 2 * (h * h + 2 * h) + 1
         encs = []
@@ -294,9 +294,9 @@ class VConfiguration:
 
     @cached_property
     def directions(self) -> tuple[tuple[int, ...], ...]:
-        """Each covector's primitive lattice direction, first nonzero entry
+        """Each covector's primitive integer direction, first nonzero entry
         positive: two covectors are parallel exactly when these are equal."""
-        return tuple(primitive(coords) for coords in self.lattice_coords)
+        return tuple(primitive(row) for row in self.integer_covectors[0])
 
     def covectors(self) -> tuple[Covector, ...]:
         return tuple(e.covector for e in self.entries)
@@ -391,20 +391,11 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     except SingularMatrix:
         adjugate = None
 
-    # the lattice basis is the HNF of the cleared covectors A' over d; the
-    # coordinates of a covector in it are those of its row of A' in the HNF
-    int_basis = integer_hnf(vecs)
-    coords_list = integer_lattice_coordinates(int_basis, vecs)
-    # always succeeds: the basis generates the Z-span of these covectors
-    assert None not in coords_list
-
     return VConfiguration(
         dim=dim,
         entries=tuple(built),
         gram=gram,
         gram_det=Fraction(adjugate[1] if adjugate else 0, scale**dim),
-        lattice_basis=tuple(tuple(Fraction(x, d) for x in row) for row in int_basis),
-        lattice_coords=tuple(coords_list),
         integer_covectors=(tuple(map(tuple, vecs)), d),
         integer_mults=(tuple(mults), l_c),
         integer_gram=(tuple(map(tuple, int_gram)), scale),
@@ -464,16 +455,16 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
     """Partition the entries non-parallel to the base covector into series.
 
     Two covectors share a series exactly when their difference or sum is an
-    integer multiple of the base in lattice coordinates.  Entries parallel
-    to the base (including the base itself) belong to no series.  The records
-    are built from the cached `series_split`; each residue is read off the
-    first member of its series as sign * b + step * a.
+    integer multiple of the base.  Entries parallel to the base (including
+    the base itself) belong to no series.  The records are built from the
+    cached `series_split`; each residue is read off the cleared rows of the
+    first member of its series and of the base as sign * b + step * a.
     """
     first_signs, members = cfg.series_split[base_index]
     grouped: list[list[SeriesMember]] = [[] for _ in first_signs]
     for j, r, step, s in members:
         grouped[s].append(SeriesMember(j, r * first_signs[s], step))
-    coords = cfg.lattice_coords
+    coords, _d = cfg.integer_covectors
     a = coords[base_index]
     out = []
     for ms in grouped:

@@ -36,7 +36,14 @@ from .errors import (
     VeeError,
     ZeroMultiplicity,
 )
-from .exactnum import RatMatrix, as_rational, clear_denominators, integer_inverse, integer_rref
+from .exactnum import (
+    RatMatrix,
+    as_rational,
+    clear_denominators,
+    integer_inverse,
+    integer_rank,
+    integer_rref,
+)
 from .multipoly import MultiPoly, RatFunc, _cleared, _from_ints
 from .veecheck import check_series_condition
 
@@ -133,8 +140,10 @@ def _unit_configuration(
         raise SpanDeficient("empty vector set")
     dim = len(vecs[0])
     cfg = build_configuration(dim, [(v, 1) for v in vecs])
-    if len(cfg.lattice_basis) < dim:
-        raise SpanDeficient(f"vectors span only {len(cfg.lattice_basis)} of {dim} dimensions")
+    # G(1, ..., 1) = sum_a a^T a is positive definite exactly when they span
+    if cfg.gram_det == 0:
+        rank = integer_rank(cfg.integer_covectors[0])
+        raise SpanDeficient(f"vectors span only {rank} of {dim} dimensions")
     m = len(vecs)
     if symbols is None:
         return cfg, tuple(f"c{i + 1}" for i in range(m))

@@ -7,7 +7,7 @@ entries cleared to one denominator, through one fraction-free Gauss-Jordan
 kernel, `integer_rref`: reduced echelon forms, ranks, determinants and
 inverses are all read from it, since the reduced echelon form is unique.
 The Hermite normal form, which works over Z rather than Q, is the only
-other elimination.
+other elimination; it serves `hnf_basis` alone.
 """
 
 from __future__ import annotations
@@ -257,29 +257,16 @@ def lattice_coordinates(
     (as produced by hnf_basis).  Basis and v are scaled to integers over one
     common denominator, which leaves the coordinates unchanged.
     """
-    rows, _den = clear_denominators([*basis, [as_rational(x) for x in v]])
-    return integer_lattice_coordinates(rows[:-1], rows[-1:])[0]
-
-
-def integer_lattice_coordinates(
-    basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
-) -> list[tuple[int, ...] | None]:
-    """lattice_coordinates of each integer row in an integer echelon basis,
-    each basis row's pivot found once."""
-    pivots = [next((j for j, x in enumerate(b) if x != 0), None) for b in basis]
-    if None in pivots:
-        return [None] * len(rows)
-
-    def coordinates(v: Sequence[int]) -> tuple[int, ...] | None:
-        work = list(v)
-        coords: list[int] = []
-        for b, p in zip(basis, pivots):
-            q, r = divmod(work[p], b[p])
-            if r:
-                return None
-            coords.append(q)
-            if q:
-                work = [a - q * bb for a, bb in zip(work, b)]
-        return None if any(work) else tuple(coords)
-
-    return [coordinates(v) for v in rows]
+    *rows, work = clear_denominators([*basis, [as_rational(x) for x in v]])[0]
+    coords: list[int] = []
+    for b in rows:
+        p = next((j for j, x in enumerate(b) if x != 0), None)
+        if p is None:
+            return None
+        q, r = divmod(work[p], b[p])
+        if r:
+            return None
+        coords.append(q)
+        if q:
+            work = [a - q * bb for a, bb in zip(work, b)]
+    return None if any(work) else tuple(coords)

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigvee import configuration
+from trigvee import configuration, exactnum
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import (
     Metric,
@@ -39,10 +39,12 @@ from trigvee.errors import (
     ZeroCovector,
     ZeroMultiplicity,
 )
+from trigvee.constraints import find_multiplicities, series_constraints, verify_family
 from trigvee.exactnum import RatMatrix, clear_denominators
 from trigvee.veecheck import check_rational_vee, full_check
 
 from conftest import rand_configuration, rand_fraction, rand_nonzero_fraction
+from test_integer_kernels import a_roots, b_roots
 
 F = Fraction
 
@@ -99,22 +101,34 @@ class TestBuild:
         cfg = build_configuration(2, [((1, 0), 1), ((2, 0), 1), ((0, 1), 1)])
         assert len(cfg) == 3
 
-    def test_lattice_coords_are_integers(self):
-        half = F(1, 2)
-        cfg = build_configuration(
-            2,
-            [
-                ((1, 0), F(1, 7)),
-                ((0, 1), 5),
-                ((0, 2), 1),
-                ((half, half), 3),
-                ((half, -half), 3),
-                ((half, 3 * half), 1),
-                ((half, -3 * half), 1),
-            ],
-        )
-        assert cfg.lattice_basis == ((half, half), (F(0), F(1)))
-        assert cfg.lattice_coords[0] == (2, -1)
+
+def test_no_build_runs_a_hermite_elimination(monkeypatch):
+    """The cleared rows are the configuration's only integer coordinates: no
+    build, check, extraction or search calls `exactnum.integer_hnf`."""
+    calls = []
+    original = exactnum.integer_hnf
+
+    def counted(mat):
+        calls.append(len(mat))
+        return original(mat)
+
+    for module in list(sys.modules.values()):  # each trigvee module holding the name
+        if module.__name__.startswith("trigvee") and vars(module).get("integer_hnf") is original:
+            monkeypatch.setattr(module, "integer_hnf", counted)
+    for name, _ in catalog_list():
+        catalog_get(name)
+    for n in range(2, 9):
+        build_configuration(n, [(r, 1) for r in a_roots(n)])
+        build_configuration(n, [(r, 1) for r in b_roots(n)])
+    for name in ("B3", "Prop5"):
+        cfg = catalog_get(name).cfg
+        vectors = [e.covector for e in cfg.entries]
+        assert full_check(cfg).is_trig_vee
+        series_constraints(vectors)
+        assert find_multiplicities(vectors)
+        point = {f"c{k}": e.mult for k, e in enumerate(cfg.entries, 1)}
+        assert verify_family(vectors, point).passed
+    assert calls == []
 
 
 def reference_gram(dim, entries):
@@ -354,17 +368,17 @@ class TestAlphaSeries:
         assert groups == [(1, 2, 3, 4), (5,)]
 
     def test_member_relations_hold(self):
-        # sign * member + step * base = residue, exactly, in lattice coords;
+        # sign * member + step * base = residue, exactly, in cleared rows;
         # the mirrored system exercises bases with negative leading coordinate
         mirrored = build_configuration(
             2, [((-1, 0), 1), ((0, -1), 1), ((-1, -1), 1), ((-1, 1), 1)]
         )
         for cfg in (a2(), b2(), g2(), mirrored):
             for i in range(len(cfg.entries)):
-                base = cfg.lattice_coords[i]
+                base = cfg.integer_covectors[0][i]
                 for series in alpha_series(cfg, i):
                     for m in series.members:
-                        member = cfg.lattice_coords[m.entry_index]
+                        member = cfg.integer_covectors[0][m.entry_index]
                         combo = tuple(
                             m.sign * x + m.step * a for x, a in zip(member, base)
                         )

@@ -17,7 +17,7 @@ import sympy
 import trigvee.constraints as constraints
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.configuration import build_configuration, relative_wedge_signs
-from trigvee.constraints import find_multiplicities, linear_family
+from trigvee.constraints import find_multiplicities, linear_family, series_constraints
 from trigvee.errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -181,17 +181,37 @@ def test_identity_family_is_skipped_when_proportional(monkeypatch):
     [
         (lambda f: f([]), SpanDeficient, "empty vector set"),
         (lambda f: f([(1, 2), (2, 4)]), SpanDeficient, "vectors span only 1 of 2 dimensions"),
+        (
+            lambda f: f([(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+            SpanDeficient,
+            "vectors span only 2 of 3 dimensions",
+        ),
+        (
+            lambda f: f([(Fraction(1, 2), 1), (1, 2)]),
+            SpanDeficient,
+            "vectors span only 1 of 2 dimensions",
+        ),
         (lambda f: f(B2_VECTORS, symbols=("a", "b")), ValueError, "need one symbol per vector"),
         (lambda f: f(B2_VECTORS, symbols="abca"), ValueError, "symbols must be distinct"),
     ],
-    ids=["empty", "rank-deficient", "symbol-count", "repeated-symbols"],
+    ids=[
+        "empty",
+        "rank-deficient",
+        "rank-2-of-3",
+        "rational-rank-1",
+        "symbol-count",
+        "repeated-symbols",
+    ],
 )
 def test_bad_vectors_and_symbols(call, error, message):
-    """The same errors and messages from the search and from linear_family."""
+    """The same errors and messages from the search, from linear_family and
+    from the constraint extraction."""
     with pytest.raises(error, match=f"^{message}$"):
         call(find_multiplicities)
     with pytest.raises(error, match=f"^{message}$"):
         call(lambda vectors, symbols=None: linear_family(vectors, [[1, 0], [0, 1]], symbols))
+    with pytest.raises(error, match=f"^{message}$"):
+        call(series_constraints)
 
 
 def test_search_argument_errors_and_their_order():

@@ -49,13 +49,13 @@ def reference_alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaS
         return tuple(x - k * y for x, y in zip(b, a)), -k
 
     direction = cfg.directions[base_index]
-    a = cfg.lattice_coords[base_index]
+    a = cfg.integer_covectors[0][base_index]
     pivot = next(j for j, x in enumerate(a) if x != 0)
     flipped = a[pivot] < 0
     if flipped:
         a = tuple(-x for x in a)
     groups = {}
-    for j, (b, d) in enumerate(zip(cfg.lattice_coords, cfg.directions)):
+    for j, (b, d) in enumerate(zip(cfg.integer_covectors[0], cfg.directions)):
         if d == direction:
             continue
         rep_pos, step_pos = coset_rep(b, a, pivot)
@@ -104,7 +104,7 @@ def configurations(draw):
 @settings(max_examples=150, deadline=None)
 @given(configurations())
 def test_split_is_the_coset_partition(cfg):
-    coords = cfg.lattice_coords
+    coords = cfg.integer_covectors[0]
     for i, series in enumerate(cfg.series):
         assert series == alpha_series(cfg, i) == reference_alpha_series(cfg, i)
         label = {j: s for s, ser in enumerate(series) for j in ser.entry_indices()}
@@ -123,12 +123,12 @@ def test_split_is_the_coset_partition(cfg):
 
 
 def test_split_reference_on_negative_and_non_unit_bases():
-    """Bases with a negative leading lattice coordinate and with a pivot
+    """Bases with a negative leading cleared entry and with a pivot
     coordinate above 1 both occur, so both branches of the -b coset run."""
     cfg = build_configuration(
         2, [((2, 0), 1), ((0, 1), 1), ((1, 1), 1), ((-1, 2), 1), ((3, -1), 1), ((-2, -3), 1)]
     )
-    pivots = [next(x for x in c if x) for c in cfg.lattice_coords]
+    pivots = [next(x for x in c if x) for c in cfg.integer_covectors[0]]
     assert any(p < 0 for p in pivots) and any(abs(p) > 1 for p in pivots)
     for i in range(len(cfg.entries)):
         assert cfg.series[i] == reference_alpha_series(cfg, i)
@@ -329,7 +329,7 @@ def vee_pairing_product(cfg):
 @given(wide_configurations())
 def test_split_and_totals_on_wide_entries(cfg):
     """The packed-key split matches the tuple reference whatever the size of
-    the lattice coordinates, and the integer totals the Fraction sums."""
+    the cleared rows, and the integer totals the Fraction sums."""
     assert cfg.series == tuple(reference_alpha_series(cfg, i) for i in range(len(cfg.entries)))
     report = check_series_with_metric(cfg, euclidean_metric(cfg.dim))
     expected = reference_residuals(cfg, cov_dot)
