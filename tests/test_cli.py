@@ -1,12 +1,13 @@
 """File format round trips and CLI behavior, including exit codes."""
 
 import io
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from trigvee.catalog import catalog_get
+from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cli import main
 from trigvee.cms import cms_identity_residual, vee_form_metric
 from trigvee.constraints import find_multiplicities
@@ -655,3 +656,22 @@ class TestCli:
         assert main(["check", a2_file, "--report-kv"]) == 0
         assert capsys.readouterr().out == first
         assert "lambda2 = 36" in first
+
+
+@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+def test_lambda_report_kv_lines_are_stable_pairs(name, tmp_path, capsys):
+    """Every `key = value` line of `vee lambda --report-kv` is one stable
+    pair, a key and a one-token value, and no key repeats: the human line
+    must not read as a pair."""
+    assert main(["catalog", "export", name]) == 0
+    path = tmp_path / f"{name}.vee"
+    path.write_text(capsys.readouterr().out)
+    main(["lambda", str(path), "--report-kv"])
+    keys = []
+    for line in capsys.readouterr().out.splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep:
+            assert re.fullmatch(r"[a-z][a-z0-9_]*", key) and re.fullmatch(r"\S+", value), line
+            keys.append(key)
+    assert "lambda2_status" in keys
+    assert len(keys) == len(set(keys))
