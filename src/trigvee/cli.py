@@ -209,7 +209,7 @@ def cmd_series(args, report: Report) -> int:
 def cmd_lambda(args, report: Report) -> int:
     _, cfg = _load_numeric(args.file)
     sol = solve_lambda_squared(cfg)
-    report.line(f"lambda2 = {_lambda_text(sol)}")
+    report.line(f"lambda2: {_lambda_text(sol)}")
     if sol.witness is not None:
         w = sol.witness
         report.line(f"mismatch at 2-form component {w.component}: {w.lhs} != {w.rhs}")
