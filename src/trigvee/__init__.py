@@ -14,7 +14,6 @@ from .cms import (
     check_series_with_metric,
     cms_identity_residual,
     cms_to_vee,
-    eigenvalue_estimate,
     euclidean_metric,
     solve_capital_lambda,
     vee_form_metric,
@@ -44,7 +43,7 @@ from .constraints import (
     verify_family,
 )
 from .errors import VeeError
-from .exactnum import RatMatrix, Rational, hnf_basis, mat_inverse
+from .exactnum import RatMatrix, hnf_basis, mat_inverse
 from .multipoly import MultiPoly, RatFunc, parse_expression
 from .veecheck import (
     FullCheckReport,

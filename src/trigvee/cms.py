@@ -165,22 +165,6 @@ def cms_identity_residual(
     )
 
 
-def eigenvalue_estimate(
-    cfg: VConfiguration,
-    metric: Metric,
-    num_points: int = 10,
-    seed: int = 0,
-    margin_floor: float = 0.1,
-) -> tuple[complex, float]:
-    """Mean and max deviation of (L psi)/psi over sample points.
-
-    Only meaningful when the pair identity is constant (the factorized
-    eigenfunction exists); otherwise the deviation exposes the failure.
-    """
-    report = cms_identity_residual(cfg, metric, num_points, seed, margin_floor)
-    return report.eigenvalue_estimate, report.eigenvalue_deviation
-
-
 def check_series_with_metric(cfg: VConfiguration, metric: Metric) -> SeriesCheckReport:
     """Series condition with (a,b) taken from the supplied metric.
 

@@ -113,11 +113,6 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def is_parallel(u: Covector, v: Covector) -> bool:
-    """True when u and v span the same line (both assumed nonzero)."""
-    return all(x == 0 for x in wedge_coeffs(u, v))
-
-
 @dataclass(frozen=True)
 class ConfigEntry:
     covector: Covector
@@ -475,16 +470,6 @@ def alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...
     # members are appended in index order, and each series is created by its
     # first member, so both come out sorted by entry index
     return tuple(out)
-
-
-def relative_wedge_signs(series: AlphaSeries) -> tuple[int, ...]:
-    """Signs r with member = r * (first member) modulo the base direction.
-
-    For members of one series, base ^ member = r * (base ^ first_member),
-    so these signs turn the series 2-form condition into a scalar sum.
-    """
-    s0 = series.members[0].sign
-    return tuple([m.sign * s0 for m in series.members])
 
 
 def decompose_components(cfg: VConfiguration) -> list[VConfiguration]:

@@ -18,14 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
-# The exact scalar type.  Fraction keeps values in lowest terms with a
-# positive denominator, which is exactly the normalization we rely on
-# for equality tests.
-Rational = Fraction
-
-
 def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '-3/7' and Fractions to an exact Rational."""
+    """Coerce ints, strings like '-3/7' and Fractions to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -40,7 +34,7 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[in
 
 
 class RatMatrix:
-    """Immutable dense matrix with Rational entries (row-major)."""
+    """Immutable dense matrix with Fraction entries (row-major)."""
 
     __slots__ = ("rows", "cols", "entries")
 

@@ -70,20 +70,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        idx = self.vars.index(name)
-        return max((e[idx] for e in self.terms), default=0)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common total degree of all terms, or None if inhomogeneous/zero."""
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         # graded lexicographic, highest first
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

@@ -11,7 +11,6 @@ from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import (
     check_series_with_metric,
     cms_identity_residual,
-    eigenvalue_estimate,
     euclidean_metric,
     vee_form_metric,
 )
@@ -134,10 +133,10 @@ def test_criterion_5_cms_identity_and_eigenvalues():
     assert abs(rep.mean - (-F(2, 3))) < 1e-10
     g2 = catalog_get("G2").cfg
     assert cms_identity_residual(g2, vee_form_metric(g2), 10, seed=2).max_deviation < 1e-9
-    mu, _ = eigenvalue_estimate(a2, vee_form_metric(a2), 10, seed=2)
+    mu = cms_identity_residual(a2, vee_form_metric(a2), 10, seed=2).eigenvalue_estimate
     assert abs(mu - F(8, 3)) < 1e-8
     one = catalog_get("A1").cfg
-    mu1, _ = eigenvalue_estimate(one, euclidean_metric(1), 10, seed=0)
+    mu1 = cms_identity_residual(one, euclidean_metric(1), 10, seed=0).eigenvalue_estimate
     assert abs(mu1 - 1) < 1e-10
     print("ACCEPTANCE 5: PASS - CMS constant -2/3, G2 constancy, mu = 8/3 and mu = 1")
 

@@ -9,7 +9,6 @@ from trigvee.cms import (
     check_series_with_metric,
     cms_identity_residual,
     cms_to_vee,
-    eigenvalue_estimate,
     euclidean_metric,
     solve_capital_lambda,
     vee_form_metric,
@@ -84,21 +83,21 @@ class TestIdentity:
 class TestEigenvalue:
     def test_a2_eigenvalue(self):
         # derived oracle: mu = sum c^2 (a,a) - constant = 3*(2/3) + 2/3 = 8/3
-        mu, dev = eigenvalue_estimate(a2(), vee_form_metric(a2()), 10, seed=2)
-        assert abs(mu - F(8, 3)) < 1e-8
-        assert dev < 1e-8
+        rep = cms_identity_residual(a2(), vee_form_metric(a2()), 10, seed=2)
+        assert abs(rep.eigenvalue_estimate - F(8, 3)) < 1e-8
+        assert rep.eigenvalue_deviation < 1e-8
 
     def test_dim1_single_covector(self):
         one = build_configuration(1, [((1,), 1)])
-        mu, dev = eigenvalue_estimate(one, euclidean_metric(1), 10, seed=0)
-        assert abs(mu - 1) < 1e-10
-        assert dev < 1e-10
+        rep = cms_identity_residual(one, euclidean_metric(1), 10, seed=0)
+        assert abs(rep.eigenvalue_estimate - 1) < 1e-10
+        assert rep.eigenvalue_deviation < 1e-10
 
     def test_seed_consistency(self):
         cfg = g2()
         mv = vee_form_metric(cfg)
-        mu1, _ = eigenvalue_estimate(cfg, mv, 10, seed=5)
-        mu2, _ = eigenvalue_estimate(cfg, mv, 10, seed=17)
+        mu1 = cms_identity_residual(cfg, mv, 10, seed=5).eigenvalue_estimate
+        mu2 = cms_identity_residual(cfg, mv, 10, seed=17).eigenvalue_estimate
         assert abs(mu1 - mu2) < 1e-8
 
 

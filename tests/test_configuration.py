@@ -26,10 +26,10 @@ from trigvee.configuration import (
     decompose_components,
     direct_sum,
     dual_vector,
-    is_parallel,
     positive_system,
     signed_covectors,
     vee_product,
+    wedge_coeffs,
 )
 from trigvee.errors import (
     DegenerateForm,
@@ -264,7 +264,7 @@ class TestPairingTables:
             for i in range(len(covs)):
                 for j in range(len(covs)):
                     same = cfg.directions[i] == cfg.directions[j]
-                    assert same == is_parallel(covs[i], covs[j])
+                    assert same == (not any(wedge_coeffs(covs[i], covs[j])))
 
 
 def _fractional_configurations():
@@ -385,8 +385,6 @@ class TestAlphaSeries:
                         assert combo == series.residue
 
     def test_partition(self):
-        from trigvee.configuration import is_parallel
-
         for cfg in (a2(), b2(), g2()):
             for i in range(len(cfg.entries)):
                 seen = [
@@ -398,7 +396,7 @@ class TestAlphaSeries:
                     j
                     for j in range(len(cfg.entries))
                     if j != i
-                    and not is_parallel(cfg.entries[j].covector, cfg.entries[i].covector)
+                    and any(wedge_coeffs(cfg.entries[j].covector, cfg.entries[i].covector))
                 ]
                 assert sorted(seen) == expected
                 assert len(seen) == len(set(seen))

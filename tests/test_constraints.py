@@ -131,7 +131,7 @@ class TestExtraction:
             cs = series_constraints(vectors)
             for p in [c.poly for c in cs.polynomials] + [cs.nondegeneracy]:
                 if not p.is_zero():
-                    assert p.homogeneous_degree() == n
+                    assert {sum(expo) for expo in p.terms} == {n}
                     assert all(e <= 1 for expo in p.terms for e in expo)
 
     def test_span_deficient_rejected(self):

@@ -45,7 +45,6 @@ from trigvee.configuration import (
     build_configuration,
     covector,
     direct_sum,
-    relative_wedge_signs,
     vee_product,
     wedge_coeffs,
 )
@@ -356,8 +355,8 @@ def reference_series_constraints(vectors):
         with_i = [(mask, row) for mask, row in minors if row[i]]
         for s_idx, series in enumerate(cfg.series[i]):
             acc = {}
-            for member, r in zip(series.members, relative_wedge_signs(series)):
-                j = member.entry_index
+            for member in series.members:
+                j, r = member.entry_index, member.sign * series.members[0].sign
                 for mask, row in with_i:
                     if row[j]:
                         key = mask | 1 << j

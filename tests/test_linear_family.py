@@ -16,7 +16,7 @@ import sympy
 
 import trigvee.constraints as constraints
 from trigvee.catalog import catalog_get, catalog_list
-from trigvee.configuration import build_configuration, relative_wedge_signs
+from trigvee.configuration import build_configuration
 from trigvee.constraints import find_multiplicities, linear_family, series_constraints
 from trigvee.errors import (
     DegenerateForm,
@@ -76,8 +76,9 @@ def sympy_nullspace(vectors, form):
     for i in range(m):
         for series in cfg.series[i]:
             row = [0] * (m + 1)
-            for j, r in zip(series.entry_indices(), relative_wedge_signs(series)):
-                row[j] = r * pairing[i, j]
+            for member in series.members:
+                j = member.entry_index
+                row[j] = member.sign * series.members[0].sign * pairing[i, j]
             rows.add(tuple(row))
     for k in range(n):
         for l in range(k, n):

@@ -34,10 +34,10 @@ def test_arithmetic_and_normalization():
 def test_power_and_degree():
     a, b = var("a"), var("b")
     p = (a + 2 * b) ** 3
-    assert p.total_degree() == 3
-    assert p.degree_in("b") == 3
-    assert p.homogeneous_degree() == 3
-    assert (p + 1).homogeneous_degree() is None
+    # the total degrees of the terms: homogeneous of degree 3, then not
+    assert {sum(e) for e in p.terms} == {3}
+    assert max(e[p.vars.index("b")] for e in p.terms) == 3
+    assert {sum(e) for e in (p + 1).terms} == {0, 3}
 
 
 def reference_mul(p, q):
@@ -130,7 +130,7 @@ class TestExpressionParser:
     def test_power_size_bound(self):
         # at most 10000 bits: 2 bits per factor 2 or (1 + t), 1 per factor t
         assert parse_expression("2^5000", ("t",)).num.evaluate({"t": 0}) == 2**5000
-        assert parse_expression("t^10000", ("t",)).num.degree_in("t") == 10000
+        assert max(e[0] for e in parse_expression("t^10000", ("t",)).num.terms) == 10000
         for expr in ("2^5001", "(1 + t)^5001", "2^99999999"):
             with pytest.raises(ParseError, match="power too large"):
                 parse_expression(expr, ("t",))

@@ -22,7 +22,6 @@ from trigvee.configuration import (
     build_configuration,
     cov_dot,
     dual_vector,
-    relative_wedge_signs,
     vee_product,
 )
 from trigvee.exactnum import RatMatrix
@@ -141,8 +140,9 @@ def reference_residuals(cfg: VConfiguration, product):
     for i, a in enumerate(cfg.covectors()):
         for s_idx, series in enumerate(reference_alpha_series(cfg, i)):
             total = Fraction(0)
-            for member, r in zip(series.members, relative_wedge_signs(series)):
+            for member in series.members:
                 e = cfg.entries[member.entry_index]
+                r = member.sign * series.members[0].sign
                 total += e.mult * product(a, e.covector) * r
             out.append((i, s_idx, series.residue, series.entry_indices(), total))
     return out
@@ -212,8 +212,9 @@ def eager_series_residuals(cfg: VConfiguration, pairing) -> SeriesCheckReport:
     for i, row in enumerate(table):
         for s_idx, series in enumerate(cfg.series[i]):
             members = series.entry_indices()
+            s0 = series.members[0].sign
             total = sum(
-                r * mults[j] * row[j] for j, r in zip(members, relative_wedge_signs(series))
+                m.sign * s0 * mults[m.entry_index] * row[m.entry_index] for m in series.members
             )
             residuals.append(
                 SeriesResidual(
