@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
+
 def as_rational(x) -> Fraction:
     """Coerce ints, strings like '-3/7' and Fractions to an exact Fraction."""
     if isinstance(x, Fraction):
