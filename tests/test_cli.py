@@ -675,3 +675,24 @@ def test_lambda_report_kv_lines_are_stable_pairs(name, tmp_path, capsys):
             keys.append(key)
     assert "lambda2_status" in keys
     assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize(
+    "name, pair",
+    [
+        ("Prop4", "v0 and v1"),
+        ("Prop5", "v1 and v2"),
+        ("G2timesScaledA2", "v0 and v6"),
+        ("TenVector", "v0 and v1"),
+    ],
+)
+def test_cms_on_collinear_covectors_is_an_input_error(name, pair, tmp_path, capsys):
+    """Collinear covectors are outside the hypotheses of `vee cms`: a usage
+    error (exit 2), not a refuted identity (exit 1)."""
+    assert main(["catalog", "export", name]) == 0
+    path = tmp_path / f"{name}.vee"
+    path.write_text(capsys.readouterr().out)
+    assert main(["cms", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: covectors {pair} are collinear\n"
