@@ -17,6 +17,7 @@ from .cms import Metric, check_series_with_metric, cms_identity_residual, vee_fo
 from .configuration import VConfiguration
 from .constraints import find_multiplicities, series_constraints, verify_family
 from .errors import (
+    CollinearPair,
     DegenerateParametrization,
     DimensionMismatch,
     InvalidParams,
@@ -36,7 +37,8 @@ from .veefile import (
 from .wdvv import wdvv_residual
 
 _INPUT_ERRORS = (
-    ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity, SamplingExhausted
+    ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity, SamplingExhausted,
+    CollinearPair,
 )
 
 
