@@ -29,7 +29,6 @@ from .configuration import (
     covector,
     decompose_components,
     direct_sum,
-    dual_vector,
     positive_system,
     signed_covectors,
     vee_product,

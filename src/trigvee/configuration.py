@@ -93,10 +93,6 @@ def cov_neg(v: Covector) -> Covector:
     return tuple(-x for x in v)
 
 
-def cov_dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((as_rational(a) * as_rational(b) for a, b in zip(u, v)), Fraction(0))
-
-
 def wedge_coeffs(u: Sequence, v: Sequence) -> tuple:
     """Coefficients of u ^ v in the ordered basis e^i ^ e^j, i < j (ints for
     integer u and v)."""
@@ -398,14 +394,9 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     )
 
 
-def dual_vector(cfg: VConfiguration, v: Sequence) -> tuple[Fraction, ...]:
-    """The vector dual to covector v under the form: gram . result = v^T."""
-    return cfg.gram_inverse.mat_vec(v)
-
-
 def vee_product(cfg: VConfiguration, u: Sequence, v: Sequence) -> Fraction:
     """Inner product of covectors induced by the form: u . G^-1 . v^T."""
-    return cov_dot(u, dual_vector(cfg, v))
+    return sum((as_rational(a) * b for a, b in zip(u, cfg.gram_inverse.mat_vec(v))), Fraction(0))
 
 
 def positive_system(cfg: VConfiguration, functional: Sequence | None = None) -> PositiveSystem:

@@ -242,26 +242,3 @@ def hnf_basis(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...
     basis = tuple(tuple(Fraction(v, den) for v in row) for row in hnf)
     return basis, len(basis)
 
-
-def lattice_coordinates(
-    basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]
-) -> tuple[int, ...] | None:
-    """Integer coordinates of v in an echelon basis, or None if v is outside.
-
-    The basis must be in echelon form with strictly increasing pivot columns
-    (as produced by hnf_basis).  Basis and v are scaled to integers over one
-    common denominator, which leaves the coordinates unchanged.
-    """
-    *rows, work = clear_denominators([*basis, [as_rational(x) for x in v]])[0]
-    coords: list[int] = []
-    for b in rows:
-        p = next((j for j, x in enumerate(b) if x != 0), None)
-        if p is None:
-            return None
-        q, r = divmod(work[p], b[p])
-        if r:
-            return None
-        coords.append(q)
-        if q:
-            work = [a - q * bb for a, bb in zip(work, b)]
-    return None if any(work) else tuple(coords)

@@ -25,7 +25,6 @@ from trigvee.configuration import (
     build_configuration,
     decompose_components,
     direct_sum,
-    dual_vector,
     positive_system,
     signed_covectors,
     vee_product,
@@ -175,9 +174,9 @@ def test_gram_matches_fraction_reference(case):
 
 class TestDualsAndProducts:
     def test_dual_examples(self):
-        assert dual_vector(a2(), (1, 0)) == (F(2, 3), F(-1, 3))
-        assert dual_vector(b2(), (1, 1)) == (F(1, 3), F(1, 3))
-        assert dual_vector(a2(), (0, 0)) == (F(0), F(0))
+        assert a2().gram_inverse.mat_vec((1, 0)) == (F(2, 3), F(-1, 3))
+        assert b2().gram_inverse.mat_vec((1, 1)) == (F(1, 3), F(1, 3))
+        assert a2().gram_inverse.mat_vec((0, 0)) == (F(0), F(0))
 
     def test_vee_product_examples(self):
         cfg = a2()
@@ -188,7 +187,7 @@ class TestDualsAndProducts:
     def test_degenerate_raises(self):
         cfg = build_configuration(2, [((1, 0), 1)])
         with pytest.raises(DegenerateForm):
-            dual_vector(cfg, (1, 0))
+            cfg.gram_inverse.mat_vec((1, 0))
 
     def test_dual_linearity_random(self, rng):
         from conftest import rand_configuration
@@ -200,8 +199,9 @@ class TestDualsAndProducts:
             u = tuple(F(rng.randint(-5, 5)) for _ in range(cfg.dim))
             v = tuple(F(rng.randint(-5, 5)) for _ in range(cfg.dim))
             s = F(rng.randint(-4, 4))
-            lhs = dual_vector(cfg, tuple(a + s * b for a, b in zip(u, v)))
-            du, dv = dual_vector(cfg, u), dual_vector(cfg, v)
+            dual = cfg.gram_inverse.mat_vec
+            lhs = dual(tuple(a + s * b for a, b in zip(u, v)))
+            du, dv = dual(u), dual(v)
             assert lhs == tuple(a + s * b for a, b in zip(du, dv))
             # gram . dual composes to the identity
             assert cfg.gram.mat_vec(du) == u

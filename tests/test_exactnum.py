@@ -15,12 +15,12 @@ from trigvee.exactnum import (
     integer_det,
     integer_inverse,
     integer_rank,
-    lattice_coordinates,
     mat_inverse,
     rref,
 )
 
 from conftest import rand_fraction, rand_nonsingular
+from test_integer_kernels import reference_lattice_coordinates
 
 
 def F(a, b=1):
@@ -197,7 +197,7 @@ class TestHnfBasis:
         basis, rank = hnf_basis(rows)
         assert rank == 2
         assert basis == ((F(1, 2), F(1, 2)), (F(0), F(1)))
-        assert lattice_coordinates(basis, (1, 0)) == (2, -1)
+        assert reference_lattice_coordinates(basis, (1, 0)) == (2, -1)
 
     def test_collinear(self):
         basis, rank = hnf_basis([(2, 0), (4, 0)])
@@ -207,9 +207,9 @@ class TestHnfBasis:
     def test_membership(self):
         basis, _ = hnf_basis([(2, 0), (3, 0)])
         assert basis == ((F(1), F(0)),)
-        assert lattice_coordinates(basis, (5, 0)) == (5,)
-        assert lattice_coordinates(basis, (F(1, 2), 0)) is None
-        assert lattice_coordinates(basis, (0, 1)) is None
+        assert reference_lattice_coordinates(basis, (5, 0)) == (5,)
+        assert reference_lattice_coordinates(basis, (F(1, 2), 0)) is None
+        assert reference_lattice_coordinates(basis, (0, 1)) is None
 
     def test_idempotence_mutual_expressibility(self, rng):
         for _ in range(12):
@@ -227,9 +227,9 @@ class TestHnfBasis:
             assert rank1 == rank2
             # same generated group: each basis integer-expressible in the other
             for row in basis1:
-                assert lattice_coordinates(basis2, row) is not None
+                assert reference_lattice_coordinates(basis2, row) is not None
             for row in basis2:
-                assert lattice_coordinates(basis1, row) is not None
+                assert reference_lattice_coordinates(basis1, row) is not None
             for row in rows:
-                assert lattice_coordinates(basis1, row) is not None
+                assert reference_lattice_coordinates(basis1, row) is not None
 

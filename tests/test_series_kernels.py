@@ -20,8 +20,6 @@ from trigvee.configuration import (
     VConfiguration,
     alpha_series,
     build_configuration,
-    cov_dot,
-    dual_vector,
     vee_product,
 )
 from trigvee.exactnum import RatMatrix
@@ -38,6 +36,11 @@ from test_integer_kernels import a_roots, b_roots
 from test_numeric_reference import reference_sample_points, reference_third_derivative_matrices
 
 F = Fraction
+
+
+def fraction_dot(u, v):
+    """The exact dot product of two rational vectors."""
+    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
 
 
 def reference_alpha_series(cfg: VConfiguration, base_index: int) -> tuple[AlphaSeries, ...]:
@@ -184,7 +187,7 @@ def test_residuals_match_fraction_reference(name):
     matrix = random_rational_metric(rng, cfg.dim)
     metric_report = check_series_with_metric(cfg, Metric(matrix))
     assert as_tuples(metric_report) == reference_residuals(
-        cfg, lambda u, v: cov_dot(u, matrix.mat_vec(v))
+        cfg, lambda u, v: fraction_dot(u, matrix.mat_vec(v))
     )
 
 
@@ -320,8 +323,8 @@ def vee_pairing_product(cfg):
 
     def product(u, v):
         if v not in duals:
-            duals[v] = dual_vector(cfg, v)
-        return cov_dot(u, duals[v])
+            duals[v] = cfg.gram_inverse.mat_vec(v)
+        return fraction_dot(u, duals[v])
 
     return product
 
@@ -333,7 +336,7 @@ def test_split_and_totals_on_wide_entries(cfg):
     the cleared rows, and the integer totals the Fraction sums."""
     assert cfg.series == tuple(reference_alpha_series(cfg, i) for i in range(len(cfg.entries)))
     report = check_series_with_metric(cfg, euclidean_metric(cfg.dim))
-    expected = reference_residuals(cfg, cov_dot)
+    expected = reference_residuals(cfg, fraction_dot)
     assert [Fraction(t, report.scale) for t in report.totals] == [r[4] for r in expected]
     if cfg.gram_det != 0:
         report = check_series_condition(cfg)
