@@ -1,15 +1,46 @@
-"""The README's library example runs as written, so that no entry point it
-documents can be dropped or renamed without this failing."""
+"""The README's examples run as written, so that no entry point or command
+it documents can be dropped or renamed without this failing."""
 
+import io
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from trigvee.cli import main
+
 README = Path(__file__).parent.parent / "README.md"
+TEXT = README.read_text(encoding="utf-8")
+
+
+def section(title):
+    return TEXT.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_library_entry_points_block_runs():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```python\n(.*?)```", section, re.S)
+    block = re.search(r"```python\n(.*?)```", section("Library entry points"), re.S)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+# the CLI section's first block is the sample file, its second the commands
+CLI_BLOCKS = re.findall(r"```\n(.*?)```", section("CLI"), re.S)
+COMMANDS = [line for line in CLI_BLOCKS[1].splitlines() if line.startswith("vee ")]
+B2_SYMBOLIC = "dim 2\n" + "".join(
+    f"vector {v} mult ?{s}\n" for v, s in zip(("1 0", "0 1", "1 1", "1 -1"), ("c1", "c2", "cp", "cm"))
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c.split("#")[0].strip() for c in COMMANDS])
+def test_cli_block_line_exits_0(command, tmp_path, monkeypatch, capsys):
+    """Each `vee` line, run in-process on the sample file as `a2.vee` and the
+    symbolic B2 as `sys.vee`; a pipe feeds one command's output to the next."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a2.vee").write_text(CLI_BLOCKS[0])
+    (tmp_path / "sys.vee").write_text(B2_SYMBOLIC)
+    for stage in command.split("|"):
+        argv = shlex.split(stage, comments=True)
+        assert argv[0] == "vee"
+        assert main(argv[1:]) == 0, stage
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
