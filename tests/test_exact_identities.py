@@ -56,8 +56,12 @@ def catalog_names(keep):
 
 
 SOLVED = catalog_names(lambda cfg: solve_lambda_squared(cfg).status == "solved")
-# the CMS hypotheses: no two covectors on one line
-NO_PARALLEL = catalog_names(lambda cfg: len(set(cfg.directions)) == len(cfg.entries))
+def no_parallel_pair(cfg):
+    """The CMS hypotheses: no two covectors on one line."""
+    return len(set(cfg.directions)) == len(cfg.entries)
+
+
+NO_PARALLEL = catalog_names(no_parallel_pair)
 
 
 def scaled(cfg, s):
@@ -217,10 +221,6 @@ def with_first_mult_perturbed(cfg):
     return build_configuration(cfg.dim, entries)
 
 
-def no_parallel_pair(cfg):
-    return len(set(cfg.directions)) == len(cfg.entries)
-
-
 def catalog_draws():
     """Every catalog entry of dimension >= 2 at its defaults and at 8 seeded
     parameter draws (3 for A4 and B4), each also with its first multiplicity
@@ -248,14 +248,16 @@ def random_sets(seed, count, sizes, keep=lambda cfg: True):
     """`count` nondegenerate sets in dimensions 2-3 of `sizes` covectors with
     integer entries in [-2, 2], distinct up to sign, and multiplicities from
     `rand_mult`, each passing `keep`."""
+    # one of v and -v for each integer vector with entries in [-2, 2]; 0 sorts first
+    pools = {
+        dim: sorted({max(v, tuple(-x for x in v)) for v in product(range(-2, 3), repeat=dim)})[1:]
+        for dim in (2, 3)
+    }
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         dim = rng.randint(2, 3)
-        pool = sorted(
-            {max(v, tuple(-x for x in v)) for v in product(range(-2, 3), repeat=dim) if any(v)}
-        )
-        vectors = rng.sample(pool, rng.randint(*sizes))
+        vectors = rng.sample(pools[dim], rng.randint(*sizes))
         cfg = build_configuration(dim, [(v, rand_mult(rng)) for v in vectors])
         if cfg.gram_det != 0 and keep(cfg):
             out.append(cfg)

@@ -27,8 +27,9 @@ def test_library_entry_points_block_runs():
 # the CLI section's first block is the sample file, its second the commands
 CLI_BLOCKS = re.findall(r"```\n(.*?)```", section("CLI"), re.S)
 COMMANDS = [line for line in CLI_BLOCKS[1].splitlines() if line.startswith("vee ")]
-B2_SYMBOLIC = "dim 2\n" + "".join(
-    f"vector {v} mult ?{s}\n" for v, s in zip(("1 0", "0 1", "1 1", "1 -1"), ("c1", "c2", "cp", "cm"))
+B2_SYMBOLIC = (
+    "dim 2\nvector 1 0 mult ?c1\nvector 0 1 mult ?c2\n"
+    "vector 1 1 mult ?cp\nvector 1 -1 mult ?cm\n"
 )
 
 
