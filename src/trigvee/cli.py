@@ -25,6 +25,7 @@ from .errors import (
     SamplingExhausted,
     UnknownName,
     VeeError,
+    ZeroLambda,
     ZeroMultiplicity,
 )
 from .exactnum import RatMatrix
@@ -38,7 +39,7 @@ from .wdvv import wdvv_residual
 
 _INPUT_ERRORS = (
     ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity, SamplingExhausted,
-    CollinearPair,
+    CollinearPair, ZeroLambda,
 )
 
 

@@ -379,23 +379,21 @@ def _merged_substitution(symbols: tuple[str, ...], images: Mapping[str, RatFunc]
 # ---------------------------------------------------------------------------
 
 
-def linear_family(
-    vectors: Sequence[Sequence], N, symbols: Sequence[str] | None = None
-) -> tuple[tuple[Fraction, ...], ...]:
+def linear_family(vectors: Sequence[Sequence], N) -> tuple[tuple[Fraction, ...], ...]:
     """A basis of the multiplicities with form proportional to N, exactly.
 
     Fix a symmetric nondegenerate rational form N (a RatMatrix or rows).
     When G(c) = mu N with mu != 0, every vee product is (a, b) = a N^-1 b^T
     / mu, so the series conditions are linear in c.  With the n(n+1)/2
     equations sum_a c_a a^T a = mu N they cut out a linear space L(N) of
-    vectors (c_1, ..., c_m, mu), coordinates in the order of the vectors
-    (and of `symbols`), mu last.  Every member with mu and all c_a nonzero
-    is a trigonometric vee-system with form mu N.  Returns the nullspace
-    basis that the reduced echelon form of the equations gives, one vector
-    per free coordinate; it is empty when L(N) = 0.  The vectors and the
-    symbols are checked as by `series_constraints`.
+    vectors (c_1, ..., c_m, mu), coordinates in the order of the vectors,
+    mu last.  Every member with mu and all c_a nonzero is a trigonometric
+    vee-system with form mu N.  Returns the nullspace basis that the reduced
+    echelon form of the equations gives, one vector per free coordinate; it
+    is empty when L(N) = 0.  The vectors are checked as by
+    `series_constraints`.
     """
-    cfg, _symbols = _unit_configuration(vectors, symbols)
+    cfg = _unit_configuration(vectors, None)[0]
     form = N if isinstance(N, RatMatrix) else RatMatrix(N)
     if not form.is_symmetric():
         raise DegenerateForm("the form N must be symmetric")
@@ -523,6 +521,8 @@ def find_multiplicities(
     """
     if starts < 1:
         raise InvalidParams(f"starts must be at least 1, got {starts}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be at least 0, got {seed}")
     cfg, syms = _unit_configuration(vectors, symbols)
     if fix_symbol is None:
         fix_symbol = syms[0]

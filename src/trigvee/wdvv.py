@@ -36,6 +36,7 @@ _MAX_TRILOG_TERMS = 200_000
 # and ten points in one batch (about 1 MB) the check ran twice as slow as in
 # chunks of at most 256 kB, and every catalog entry still takes one chunk
 _CHUNK_BYTES = 1 << 18
+_MAX_TRIES = 1000  # draws per sample point before sample_points gives up
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ def sample_points(
     num_points: int,
     seed: int,
     margin_floor: float = 0.1,
-    max_tries: int = 1000,
 ) -> tuple[EvalPoint, ...]:
     """Seeded rejection sampling of nonsingular evaluation points.
 
@@ -114,7 +114,9 @@ def sample_points(
     """
     if num_points < 1:
         raise InvalidParams(f"num_points must be at least 1, got {num_points}")
-    key = (num_points, seed, margin_floor, max_tries)
+    if seed < 0:
+        raise InvalidParams(f"seed must be at least 0, got {seed}")
+    key = (num_points, seed, margin_floor)
     view = cfg.floats
     if key in view.samples:
         return view.samples[key]
@@ -126,7 +128,7 @@ def sample_points(
     points = []
     for idx in range(num_points):
         rng = np.random.default_rng([seed, idx])
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             z = (low + span * rng.random(2 * n + 2)).view(complex)
             margin = float(np.min(np.abs(np.sin(view.covectors @ z[:n]))))
             if margin > margin_floor:
@@ -135,7 +137,7 @@ def sample_points(
                 break
         else:
             raise SamplingExhausted(
-                f"no point with margin > {margin_floor} found in {max_tries} tries"
+                f"no point with margin > {margin_floor} found in {_MAX_TRIES} tries"
             )
     view.samples[key] = points = tuple(points)
     return points

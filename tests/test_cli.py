@@ -30,6 +30,11 @@ vector 0 1 mult 1
 vector 1 1 mult 1
 """
 
+A2_SYMBOLIC_TEXT = "dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n"
+DESCENT_ONLY_TEXT = "dim 2\n" + "".join(
+    f"vector {v} mult ?c{k}\n" for k, v in enumerate(["0 1", "1 0", "1 1", "1 2", "2 1", "2 2"])
+)
+
 
 class TestFileFormat:
     def test_parse_canonical(self):
@@ -125,7 +130,7 @@ def b2sym_file(tmp_path):
 @pytest.fixture
 def a2sym_file(tmp_path):
     path = tmp_path / "a2sym.vee"
-    path.write_text("dim 2\nvector 1 0 mult ?a\nvector 0 1 mult ?b\nvector 1 1 mult ?c\n")
+    path.write_text(A2_SYMBOLIC_TEXT)
     return str(path)
 
 
@@ -520,6 +525,26 @@ class TestCli:
         with pytest.raises(InvalidParams, match=f"starts must be at least 1, got {starts}"):
             find_multiplicities([(1, 0), (0, 1), (1, 1), (1, -1)], starts=starts)
 
+    @pytest.mark.parametrize(
+        "command, text, seed",
+        [
+            (["wdvv"], A2_TEXT, "-1"),
+            (["cms"], A2_TEXT, "-3"),
+            # the descent-only planar set, where the numeric fallback reads the seed
+            (["search", "--starts", "2"], DESCENT_ONLY_TEXT, "-1"),
+            # certified by the exact stage, which never reads the seed
+            (["search"], A2_SYMBOLIC_TEXT, "-5"),
+        ],
+        ids=["wdvv", "cms", "search-descent", "search-exact"],
+    )
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command, text, seed):
+        path = tmp_path / "input.vee"
+        path.write_text(text)
+        assert main([command[0], str(path), *command[1:], "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be at least 0, got {seed}\n"
+
     def test_catalog_list_show_export(self, capsys):
         assert main(["catalog", "list"]) == 0
         assert "A2" in capsys.readouterr().out
@@ -627,6 +652,16 @@ class TestCli:
         assert captured.err == (
             "error: coupling status is no_solution; declare lambda2 in the file to force a value\n"
         )
+
+    def test_wdvv_declared_zero_coupling_exit_2(self, tmp_path, capsys):
+        """A declared lambda2 0 is outside the prepotential ansatz (a solved
+        coupling is never 0): an input error, not a failed check."""
+        path = tmp_path / "zero.vee"
+        path.write_text(A2_TEXT + "lambda2 0\n")
+        assert main(["wdvv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lambda must be nonzero\n"
 
     def test_export_check_round_trip(self, tmp_path, capsys, monkeypatch):
         assert main(["catalog", "export", "B2"]) == 0

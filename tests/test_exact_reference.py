@@ -26,7 +26,7 @@ search sums terms in that order.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -329,6 +329,10 @@ def reference_cofactor_row(rows, dim):
     return [(-1) ** k * integer_det([r[:k] + r[k + 1 :] for r in rows]) for k in range(dim)]
 
 
+# the exponent tuple of each byte, bit 0 first: a mask decodes a byte at a time
+BYTE_EXPONENTS = [tuple((b >> k) & 1 for k in range(8)) for b in range(256)]
+
+
 def reference_series_constraints(vectors):
     vecs = [covector(v) for v in vectors]
     dim = len(vecs[0])
@@ -343,11 +347,13 @@ def reference_series_constraints(vectors):
         if any(row):
             minors.append((sum(1 << k for k in t), row))
     scale = den ** (2 * dim)
+    shifts = range(0, m, 8)
 
     def poly(acc):
         terms = {}
         for mask, v in acc.items():
-            terms[tuple((mask >> k) & 1 for k in range(m))] = Fraction(v, scale)
+            bits = chain.from_iterable(BYTE_EXPONENTS[(mask >> s) & 255] for s in shifts)
+            terms[tuple(bits)[:m]] = Fraction(v, scale)
         return MultiPoly(symbols, terms)
 
     out = []

@@ -205,12 +205,13 @@ def test_identity_family_is_skipped_when_proportional(monkeypatch):
     ],
 )
 def test_bad_vectors_and_symbols(call, error, message):
-    """The same errors and messages from the search, from linear_family and
-    from the constraint extraction."""
+    """The same errors and messages from the search, from linear_family (which
+    takes no symbols) and from the constraint extraction."""
     with pytest.raises(error, match=f"^{message}$"):
         call(find_multiplicities)
-    with pytest.raises(error, match=f"^{message}$"):
-        call(lambda vectors, symbols=None: linear_family(vectors, [[1, 0], [0, 1]], symbols))
+    if error is SpanDeficient:
+        with pytest.raises(error, match=f"^{message}$"):
+            call(lambda vectors: linear_family(vectors, [[1, 0], [0, 1]]))
     with pytest.raises(error, match=f"^{message}$"):
         call(series_constraints)
 
@@ -264,6 +265,16 @@ def test_search_falls_back_to_descent_when_no_family_certifies(monkeypatch):
         cfg = build_configuration(2, [(v, sol[f"c{i + 1}"]) for i, v in enumerate(vectors)])
         assert cfg.gram_det != 0
         assert check_series_condition(cfg).passed
+
+
+@pytest.mark.parametrize(
+    "vectors", [[(1, 0), (0, 1), (1, 1)], DESCENT_ONLY], ids=["exact-stage", "descent-only"]
+)
+def test_search_refuses_negative_seed(vectors):
+    """Refused next to the starts check, also where the exact stage would
+    certify without reading the seed."""
+    with pytest.raises(InvalidParams, match="^seed must be at least 0, got -5$"):
+        find_multiplicities(vectors, seed=-5, starts=2)
 
 
 def test_linear_family_form_errors():

@@ -227,7 +227,7 @@ def test_singular_point_raises_as_before():
 def test_sampling_exhausted_raises_as_before():
     cfg = reference_configuration("B2")
     with pytest.raises(SamplingExhausted) as expected:
-        reference_sample_points(cfg, 2, 0, margin_floor=0.9, max_tries=3)
+        reference_sample_points(cfg, 2, 0, margin_floor=10, max_tries=1000)
     with pytest.raises(SamplingExhausted) as got:
-        sample_points(cfg, 2, 0, margin_floor=0.9, max_tries=3)
+        sample_points(cfg, 2, 0, margin_floor=10)
     assert str(got.value) == str(expected.value)

@@ -1,13 +1,16 @@
 """The README's examples run as written, so that no entry point or command
 it documents can be dropped or renamed without this failing."""
 
+import ast
 import io
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import trigvee
 from trigvee.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
@@ -18,10 +21,33 @@ def section(title):
     return TEXT.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
-def test_library_entry_points_block_runs():
+def library_block():
     block = re.search(r"```python\n(.*?)```", section("Library entry points"), re.S)
     assert block is not None
-    exec(compile(block.group(1), "README.md", "exec"), {})
+    return block.group(1)
+
+
+def test_library_entry_points_block_runs():
+    exec(compile(library_block(), "README.md", "exec"), {})
+
+
+def test_package_exports_exactly_the_library_block():
+    """The package's public names (not modules, not `_`-prefixed) are the
+    names the library block imports from it; every other name is imported
+    from its own module."""
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(library_block()))
+        if isinstance(node, ast.ImportFrom) and node.module == "trigvee"
+        for alias in node.names
+    }
+    public = {
+        name
+        for name, value in vars(trigvee).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(imported) == 12
+    assert public == imported
 
 
 # the CLI section's first block is the sample file, its second the commands

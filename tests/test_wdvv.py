@@ -7,7 +7,7 @@ import pytest
 
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.configuration import build_configuration, positive_system
-from trigvee.errors import OutOfDomain, SamplingExhausted, ZeroLambda
+from trigvee.errors import InvalidParams, OutOfDomain, SamplingExhausted, ZeroLambda
 from trigvee.veecheck import solve_lambda_squared
 from trigvee.wdvv import (
     EvalPoint,
@@ -160,8 +160,16 @@ class TestResiduals:
         assert p9[:5] == p5
 
     def test_sampling_exhausted(self):
+        # |sin a(x)| <= cosh 2 on the sampling box, so no draw reaches 1e6
         with pytest.raises(SamplingExhausted):
-            sample_points(a2(), 1, seed=0, margin_floor=1e6, max_tries=50)
+            sample_points(a2(), 1, seed=0, margin_floor=1e6)
+
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_refused_before_drawing(self, seed):
+        with pytest.raises(InvalidParams, match=f"^seed must be at least 0, got {seed}$"):
+            sample_points(a2(), 1, seed=seed)
+        with pytest.raises(InvalidParams, match=f"^seed must be at least 0, got {seed}$"):
+            wdvv_residual(a2(), 36, seed=seed)
 
 
 class TestSampleCache:
@@ -169,7 +177,7 @@ class TestSampleCache:
         cfg = a2()
         points = sample_points(cfg, 5, seed=4)
         assert sample_points(cfg, 5, seed=4) is points
-        assert sample_points(cfg, 5, 4, 0.1, 1000) is points
+        assert sample_points(cfg, 5, 4, 0.1) is points
         # the WDVV and CMS checks at one seed share the points
         assert wdvv_residual(cfg, 36, num_points=5, seed=4).points is points
 
@@ -181,15 +189,6 @@ class TestSampleCache:
         assert sample_points(cfg, 5, seed=5) != points
         floor = sample_points(cfg, 5, seed=4, margin_floor=0.2)
         assert floor is not points and all(p.margin > 0.2 for p in floor)
-        tries = sample_points(cfg, 5, seed=4, max_tries=999)
-        assert tries is not points and tries == points
-
-    def test_max_tries_is_part_of_the_key(self):
-        # at seed 1 and floor 0.3 the first point needs a second try
-        cfg = a2()
-        assert len(sample_points(cfg, 3, 1, margin_floor=0.3)) == 3
-        with pytest.raises(SamplingExhausted):
-            sample_points(cfg, 3, 1, margin_floor=0.3, max_tries=1)
 
     def test_cache_is_per_configuration(self):
         assert sample_points(a2(), 3, seed=2) is not sample_points(a2(), 3, seed=2)
