@@ -115,7 +115,8 @@ def cms_identity_residual(
     computed through the logarithmic-derivative expansion of psi.
     """
     _require_cms_hypotheses(cfg, metric)
-    points = wdvv.sample_points(cfg, num_points, seed, margin_floor)
+    sampled = wdvv.sample_set(cfg, num_points, seed, margin_floor)
+    points = sampled.points
 
     a, c = cfg.floats.covectors, cfg.floats.mults
     table, den = metric.integer_pairing(cfg)
@@ -126,10 +127,9 @@ def cms_identity_residual(
     norms = np.diag(pair)  # (a,a) per entry
 
     # every array below has one row per point; each product is one
-    # matrix-vector product per point, as for a single point
-    values = wdvv.covector_values(cfg, points)
-    sin = np.sin(values)
-    cot = np.cos(values) / sin
+    # matrix-vector product per point, as for a single point.  The sines and
+    # cotangents are the sample set's, shared with the WDVV checks
+    sin, cot = sampled.sins, sampled.cots
     csc2 = 1.0 / sin**2
     cc = c * cot
     column, row = cc[:, :, None], cc[:, None, :]

@@ -154,8 +154,11 @@ class FloatView:
     """A configuration's covectors (one per row), multiplicities and form G
     as float arrays, each entry rounded once from its Fraction.
 
-    `samples` holds the sample points drawn for the configuration, keyed by
-    the arguments of `wdvv.sample_points`.
+    `samples` caches, keyed by the arguments of `wdvv.sample_points`, one
+    `wdvv.SampleSet` per tuple of points drawn for the configuration: the
+    points, the values a(x), sin a(x) and the margins, and, once a check
+    reads them, cot a(x), F0^-1 and the parts of F0..Fn that do not depend
+    on the coupling.
     """
 
     covectors: np.ndarray

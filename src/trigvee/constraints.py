@@ -347,6 +347,9 @@ def _merged_substitution(symbols: tuple[str, ...], images: Mapping[str, RatFunc]
     names = tuple(symbols[ks[0]] for ks in members)
     merged_images = {name: images[name] for name in names}
     one = MultiPoly.const(merged_images[names[0]].vars, 1)
+    # shared by every call below: the merged images cleared to integers and
+    # the powers of them built so far
+    cache: dict = {}
 
     def substitute(poly: MultiPoly) -> MultiPoly:
         ints, den = _cleared(poly.terms)
@@ -361,7 +364,7 @@ def _merged_substitution(symbols: tuple[str, ...], images: Mapping[str, RatFunc]
         if not terms:
             return MultiPoly.zero(one.vars)
         merged = _from_ints(names, terms, den)
-        numerator = merged.substitute(merged_images).num
+        numerator = merged.substitute(merged_images, cache).num
         degrees = [max(col) for col in zip(*poly.terms)]
         merged_degrees = [max(col) for col in zip(*merged.terms)]
         for ks, name, top in zip(members, names, merged_degrees):

@@ -170,7 +170,7 @@ class MultiPoly:
             total += term
         return total
 
-    def substitute(self, mapping: Mapping[str, "RatFunc"]) -> "RatFunc":
+    def substitute(self, mapping: Mapping[str, "RatFunc"], cache: dict | None = None) -> "RatFunc":
         """Substitute a rational function for every variable, exactly.
 
         Terms are summed over the common denominator prod_i den_i^maxdeg_i,
@@ -185,6 +185,10 @@ class MultiPoly:
         formed, and each term added to the total, in the order of the
         expansion term by term, each dropping the terms that cancel; so the
         result's terms come in that expansion's order.
+
+        `cache` is a dict that a caller keeps across calls with one mapping:
+        it holds each image cleared to integers and the powers of it built so
+        far, so that a family of polynomials clears the images once.
         """
         if not self.terms:
             some = next(iter(mapping.values()))
@@ -195,15 +199,18 @@ class MultiPoly:
             raise ValueError("substitution images must share one variable set")
         max_deg = [max(e[i] for e in self.terms) for i in range(len(self.vars))]
         coefs, scale = _cleared(self.terms)
-        nums = [_cleared(img.num.terms) for img in images]
-        dens = [_cleared(img.den.terms) for img in images]
+        cache = {} if cache is None else cache
+        for v, img in zip(self.vars, images):
+            if v not in cache:
+                cache[v] = _cleared(img.num.terms), _cleared(img.den.terms), [None], [None]
+        nums, dens, num_pows, den_pows = zip(*(cache[v] for v in self.vars))
         # skip num^0, den^0 and powers of a denominator 1: a product with the
         # constant 1 keeps every term and its order
         one = {(0,) * len(param_vars): 1}
         has_den = [den != (one, 1) for den in dens]
-        num_pows = [_int_pow_table(num, d) for (num, _a), d in zip(nums, max_deg)]
-        den_pows = [_int_pow_table(den, d) for (den, _b), d in zip(dens, max_deg)]
-        for (_num, a), (_den, b), d in zip(nums, dens, max_deg):
+        for (num, a), (den, b), num_pow, den_pow, d in zip(nums, dens, num_pows, den_pows, max_deg):
+            _extend_pow_table(num_pow, num, d)
+            _extend_pow_table(den_pow, den, d)
             scale *= (a * b) ** d
         total: dict[tuple[int, ...], int] = {}
         for expo, coef in coefs.items():
@@ -282,12 +289,11 @@ def _int_mul(p: dict | None, q: dict) -> dict:
     return {e: c for e, c in terms.items() if c}
 
 
-def _int_pow_table(p: dict, up_to: int) -> list[dict | None]:
-    """p^0 (None, for 1), p, ..., p^up_to, each the product of the one before and p."""
-    table = [None]
-    for _ in range(up_to):
+def _extend_pow_table(table: list[dict | None], p: dict, up_to: int) -> None:
+    """Extend table = [p^0 (None, for 1), p, ...] through p^up_to, each power
+    the product of the one before and p."""
+    while len(table) <= up_to:
         table.append(_int_mul(table[-1], p))
-    return table
 
 
 def _from_ints(variables: tuple[str, ...], terms: dict, den: int) -> MultiPoly:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .configuration import VConfiguration, build_configuration
 from .errors import DimensionMismatch, ParseError, VeeError
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _SYMBOL_RE = re.compile(r"^\?[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -56,10 +56,12 @@ class ConfigFile:
 
 def parse_rational(token: str, line: int | None = None, column: int | None = None) -> Fraction:
     """The rational <q> of the grammar; ParseError, at `line` and `column`, otherwise."""
-    if not _RATIONAL_RE.fullmatch(token):
+    match = _RATIONAL_RE.fullmatch(token)
+    if not match:
         raise ParseError(f"expected a rational number, got {token!r}", line, column)
+    num, den = match.groups()
     try:
-        return Fraction(token)
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ParseError("zero denominator", line, column) from None
     except ValueError:  # more digits than int converts from str

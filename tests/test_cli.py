@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cli import main
@@ -22,6 +24,21 @@ from trigvee.veefile import (
 from trigvee.wdvv import wdvv_residual
 
 F = Fraction
+
+
+@st.composite
+def rational_tokens(draw):
+    """Tokens of the grammar's <q>, leading zeros and `-0` included, with
+    digit strings of up to 40 digits or exactly 4300, the most `int`
+    converts from a string by default."""
+    digits = st.one_of(st.integers(1, 40), st.just(4300)).flatmap(
+        lambda size: st.text("0123456789", min_size=size, max_size=size)
+    )
+    token = draw(st.sampled_from(["", "-"])) + draw(digits)
+    if draw(st.booleans()):
+        token += "/" + draw(digits)
+    return token
+
 
 A2_TEXT = """\
 dim 2
@@ -68,6 +85,21 @@ class TestFileFormat:
         assert parse_rational("-1/2") == F(-1, 2)
         with pytest.raises(ParseError, match=r"^zero denominator \(line 3, column 4\)$"):
             parse_rational("1/0", 3, 4)
+
+    @given(rational_tokens())
+    @example("-0")
+    @example("-0/007")
+    @example("0012/0018")
+    @example("9" * 4300 + "/" + "0" * 4299 + "7")
+    def test_parse_rational_equals_fraction_of_the_token(self, token):
+        assume(not re.fullmatch(r"-?[0-9]+/0+", token))
+        got = parse_rational(token)
+        assert type(got) is Fraction and got == Fraction(token)
+
+    @pytest.mark.parametrize("token", ["1" * 4301, "-1/" + "1" * 4301, "0" * 4301 + "/3"])
+    def test_parse_rational_refuses_a_token_past_the_digit_limit(self, token):
+        with pytest.raises(ParseError, match=rf"^number too long \({len(token)} characters\)"):
+            parse_rational(token)
 
     @pytest.mark.parametrize("token", ["3\n", "-1/2\n"])
     def test_parse_rational_refuses_trailing_newline(self, token):
@@ -209,6 +241,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "lambda2 = 36" in out
         assert "lambda2_status = solved" in out
+
+    @pytest.mark.parametrize("command", ["check", "lambda"])
+    @pytest.mark.parametrize(
+        "text", [A2_TEXT, "dim 2\nvector 1 0 mult 1\nvector 0 1 mult 1\n"], ids=["A2", "pair"]
+    )
+    def test_check_and_lambda_ignore_a_declared_lambda2(self, command, text, tmp_path, capsys):
+        """Only `vee wdvv` reads the lambda2 line: `check` and `lambda` solve
+        for the coupling and print the same whatever the file declares."""
+        runs = []
+        declarations = ["", "lambda2 36\n", "lambda2 5\n", "lambda2 0\n", "lambda2 -7/3\n"]
+        for k, declared in enumerate(declarations):
+            path = tmp_path / f"declared{k}.vee"
+            path.write_text(text + declared)
+            for extra in ([], ["--report-kv"]):
+                code = main([command, str(path)] + extra)
+                runs.append((extra, code, capsys.readouterr()))
+        assert runs[2:] == runs[:2] * 4
 
     def test_wdvv_pass_and_perturbed_fail(self, a2_file, tmp_path, capsys):
         assert main(["wdvv", a2_file, "--points", "10", "--seed", "7", "--tol", "1e-8"]) == 0

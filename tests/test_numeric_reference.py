@@ -87,11 +87,11 @@ def reference_third_derivative_matrices(cfg, lambda_squared, point):
     return matrices
 
 
-def reference_wdvv_residual(cfg, lambda_squared, seed, num_points=10):
+def reference_wdvv_residual(cfg, lambda_squared, seed, num_points=10, margin_floor=0.1):
     """The per-point residuals of wdvv_residual, one point at a time."""
     f0_inv = None
     per_point = []
-    for p in reference_sample_points(cfg, num_points, seed):
+    for p in reference_sample_points(cfg, num_points, seed, margin_floor):
         mats = np.array(reference_third_derivative_matrices(cfg, lambda_squared, p))
         if f0_inv is None:
             f0_inv = np.linalg.inv(mats[0])
@@ -146,7 +146,7 @@ def hex_array(m: np.ndarray) -> list[str]:
 
 def reference_configuration(name, scale=1):
     """A catalog entry or a root system with its multiplicities times scale."""
-    if name in ("A5", "B5", "B8"):
+    if name in ("A5", "A8", "B5", "B8"):
         n = int(name[1])
         roots = (a_roots if name[0] == "A" else b_roots)(n)
         return build_configuration(n, [(r, scale) for r in roots])
@@ -214,6 +214,60 @@ def test_form_as_metric_matches_frozen_loop():
     assert repr(got) == repr(reference_cms_identity_residual(cfg, metric, seed=5))
 
 
+def assert_wdvv_matches_frozen_loop(cfg, seed, num_points, margin_floor):
+    for coupling in couplings(cfg):
+        got = wdvv_residual(cfg, coupling, num_points, seed, margin_floor).per_point
+        expected = reference_wdvv_residual(cfg, coupling, seed, num_points, margin_floor)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+@pytest.mark.parametrize("name", ["B4", "TenVector", "A8"])
+@pytest.mark.parametrize("floor", [0.6, 0.8])
+def test_points_drawn_over_many_rounds_match_frozen_loop(name, floor):
+    """Floors at which most points are rejected, some of them dozens of
+    times (B4 at 0.6 takes up to 118 tries at seed 0), so that the batched
+    draw runs many rounds with fewer points waiting each time; B4 at 0.8
+    exhausts its tries, and must say so as the loop did."""
+    cfg = reference_configuration(name)
+    for seed in (0, 3):
+        try:
+            expected = reference_sample_points(cfg, 10, seed, floor)
+        except SamplingExhausted as exc:
+            with pytest.raises(SamplingExhausted) as got:
+                sample_points(cfg, 10, seed, floor)
+            assert str(got.value) == str(exc)
+            continue
+        assert repr(sample_points(cfg, 10, seed, floor)) == repr(expected)
+        assert_wdvv_matches_frozen_loop(cfg, seed, 10, floor)
+
+
+@pytest.mark.parametrize("name", ["A2", "B4", "TenVector"])
+def test_every_point_count_matches_frozen_loop(name):
+    """Point k does not depend on how many points are drawn."""
+    cfg = reference_configuration(name)
+    longest = reference_sample_points(cfg, 12, 5, 0.5)
+    for num_points in range(1, 13):
+        expected = reference_sample_points(cfg, num_points, 5, 0.5)
+        assert repr(expected) == repr(longest[:num_points])
+        assert repr(sample_points(cfg, num_points, 5, 0.5)) == repr(expected)
+        assert_wdvv_matches_frozen_loop(cfg, 5, num_points, 0.5)
+
+
+def test_ad_hoc_points_are_not_cached():
+    cfg = reference_configuration("B3")
+    sample_points(cfg, 10, 0)
+    size = len(cfg.floats.samples)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        x = tuple(rng.uniform(-2, 2, cfg.dim) + 1j * rng.uniform(-1, -0.25, cfg.dim))
+        point = EvalPoint(y=0j, x=x, margin=0.0)
+        assert list(map(hex_array, third_derivative_matrices(cfg, 5, point))) == list(
+            map(hex_array, reference_third_derivative_matrices(cfg, 5, point))
+        )
+    assert len(cfg.floats.samples) == size
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_point_raises_as_before():
     cfg = reference_configuration("A2")
     point = EvalPoint(y=0j, x=(0.5 - 0.5j, -0.5 + 0.5j), margin=0.0)
