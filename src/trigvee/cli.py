@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 when every requested check passes, 1 when a check fails (the
-exact witness is printed), 2 on usage or input errors.  With --report-kv the
-report is also emitted as stable 'key = value' lines.
+Exit codes: 0 when every requested check passes, 2 on usage errors, OSError
+and any errors.InputError, 1 on any other VeeError (a failed check prints its
+exact witness).  --report-kv adds stable 'key = value' lines to the report.
 """
 
 from __future__ import annotations
@@ -16,18 +16,7 @@ from . import catalog as catalog_mod
 from .cms import Metric, check_series_with_metric, cms_identity_residual, vee_form_metric
 from .configuration import VConfiguration
 from .constraints import find_multiplicities, series_constraints, verify_family
-from .errors import (
-    CollinearPair,
-    DegenerateParametrization,
-    DimensionMismatch,
-    InvalidParams,
-    ParseError,
-    SamplingExhausted,
-    UnknownName,
-    VeeError,
-    ZeroLambda,
-    ZeroMultiplicity,
-)
+from .errors import DegenerateParametrization, InputError, InvalidParams, ParseError, VeeError
 from .exactnum import RatMatrix
 from .multipoly import expression_variables, parse_expression
 from .veecheck import check_series_condition, full_check, solve_lambda_squared
@@ -36,11 +25,6 @@ from .veefile import (
     render_config_file,
 )
 from .wdvv import wdvv_residual
-
-_INPUT_ERRORS = (
-    ParseError, UnknownName, InvalidParams, DimensionMismatch, ZeroMultiplicity, SamplingExhausted,
-    CollinearPair, ZeroLambda,
-)
 
 
 class Report:
@@ -85,10 +69,6 @@ def _load_file(path: str) -> ConfigFile:
 
 def _load_numeric(path: str) -> tuple[ConfigFile, VConfiguration]:
     cf = _load_file(path)
-    if cf.has_symbols():
-        raise InvalidParams(
-            "file has symbolic multiplicities; use the constraints/family/search commands"
-        )
     return cf, cf.build()
 
 
@@ -484,15 +464,12 @@ def main(argv=None) -> int:
         code = args.func(args, report)
         report.emit()
         return code
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VeeError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         # an int read or printed past Python's decimal digit limit: a `dim`,
         # or a result that in-limit inputs build (a coupling, a product)

@@ -5,7 +5,12 @@ class VeeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatch(VeeError):
+class InputError(VeeError):
+    """Input outside the hypotheses of the operation: `vee` exits 2 on it, and 1
+    on any other VeeError."""
+
+
+class DimensionMismatch(InputError):
     """Operands have incompatible shapes or coordinate lengths."""
 
 
@@ -13,15 +18,15 @@ class SingularMatrix(VeeError):
     """Inverse requested for a matrix with zero determinant."""
 
 
-class ZeroCovector(VeeError):
+class ZeroCovector(InputError):
     """A configuration entry has the zero covector."""
 
 
-class ZeroMultiplicity(VeeError):
+class ZeroMultiplicity(InputError):
     """A configuration entry has multiplicity zero."""
 
 
-class DuplicateCovector(VeeError):
+class DuplicateCovector(InputError):
     """Two entries carry the same covector up to sign."""
 
 
@@ -29,7 +34,7 @@ class DegenerateForm(VeeError):
     """The bilinear form in use is degenerate, so duals do not exist."""
 
 
-class FunctionalVanishes(VeeError):
+class FunctionalVanishes(InputError):
     """A supplied orientation functional annihilates some covector."""
 
 
@@ -37,11 +42,11 @@ class SingularPoint(VeeError):
     """Evaluation point too close to a singular hyperplane sin(a(x)) = 0."""
 
 
-class ZeroLambda(VeeError):
+class ZeroLambda(InputError):
     """The coupling constant must be nonzero for the prepotential ansatz."""
 
 
-class SamplingExhausted(VeeError):
+class SamplingExhausted(InputError):
     """Could not find a nonsingular sample point within the retry budget."""
 
 
@@ -49,7 +54,7 @@ class OutOfDomain(VeeError):
     """Point outside the convergence domain of the trilogarithm series."""
 
 
-class CollinearPair(VeeError):
+class CollinearPair(InputError):
     """Operation requires pairwise non-collinear covectors."""
 
 
@@ -57,7 +62,7 @@ class NonScalarAction(VeeError):
     """The metric-vs-form operator is not diagonalizable with rational scalar blocks."""
 
 
-class SpanDeficient(VeeError):
+class SpanDeficient(InputError):
     """Vector set does not span the ambient space."""
 
 
@@ -65,15 +70,15 @@ class DegenerateParametrization(VeeError):
     """A multiplicity parametrization makes the form identically degenerate."""
 
 
-class UnknownName(VeeError):
+class UnknownName(InputError):
     """No catalog entry with the requested name."""
 
 
-class InvalidParams(VeeError):
+class InvalidParams(InputError):
     """A parameter is out of range: catalog parameters, sample counts, inputs."""
 
 
-class ParseError(VeeError):
+class ParseError(InputError):
     """Configuration file text does not match the grammar."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import VConfiguration, build_configuration
-from .errors import DimensionMismatch, ParseError, VeeError
+from .errors import DimensionMismatch, InvalidParams, ParseError
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _SYMBOL_RE = re.compile(r"^\?[A-Za-z_][A-Za-z0-9_]*$")
@@ -48,8 +48,8 @@ class ConfigFile:
 
     def build(self) -> VConfiguration:
         if self.has_symbols():
-            raise VeeError(
-                "configuration has symbolic multiplicities; use the constraint tools"
+            raise InvalidParams(
+                "file has symbolic multiplicities; use the constraints/family/search commands"
             )
         return build_configuration(self.dim, [(e.coords, e.mult) for e in self.entries])
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from trigvee import errors
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cli import main
 from trigvee.cms import cms_identity_residual, vee_form_metric
@@ -105,6 +106,13 @@ class TestFileFormat:
     def test_parse_rational_refuses_trailing_newline(self, token):
         with pytest.raises(ParseError, match="^expected a rational number"):
             parse_rational(token)
+
+    def test_build_refuses_symbolic_file(self):
+        with pytest.raises(InvalidParams) as exc:
+            parse_config_file("dim 1\nvector 1 mult ?a\n").build()
+        assert str(exc.value) == (
+            "file has symbolic multiplicities; use the constraints/family/search commands"
+        )
 
     def test_zero_covector_rejected_at_parse(self):
         with pytest.raises(ParseError) as err:
@@ -235,6 +243,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == out
         assert captured.err == err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["constraints"], ["family", "--set", "a=t"], ["search"]],
+        ids=["constraints", "family", "search"],
+    )
+    def test_non_spanning_vectors_exit_2(self, tmp_path, capsys, command):
+        """Vectors that do not span are outside the constraint tools' hypotheses."""
+        path = tmp_path / "line.vee"
+        path.write_text("dim 2\nvector 1 0 mult ?a\nvector 2 0 mult ?b\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vectors span only 1 of 2 dimensions\n"
+
+    @pytest.mark.parametrize("command", ["check", "series", "lambda", "wdvv", "cms"])
+    def test_repeated_covector_exit_2(self, tmp_path, capsys, command):
+        """A covector listed twice up to sign is not a set: an input error."""
+        path = tmp_path / "repeated.vee"
+        path.write_text("dim 2\nvector 1 0 mult 1\nvector 0 1 mult 1\nvector -1 0 mult 2\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entries v0 and v2 coincide up to sign\n"
+
+    def test_lambda_on_degenerate_form_exit_1(self, tmp_path, capsys):
+        """Collinear distinct covectors that do not span give a degenerate form:
+        a failed check, not an input error."""
+        path = tmp_path / "line.vee"
+        path.write_text("dim 2\nvector 1 0 mult 1\nvector 2 0 mult 1\n")
+        assert main(["lambda", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "check failed: the form G is degenerate\n"
 
     def test_lambda(self, a2_file, capsys):
         assert main(["lambda", a2_file, "--report-kv"]) == 0
@@ -780,3 +822,29 @@ def test_cms_on_collinear_covectors_is_an_input_error(name, pair, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: covectors {pair} are collinear\n"
+
+
+INPUT_ERRORS = {
+    "ParseError", "UnknownName", "InvalidParams", "DimensionMismatch", "ZeroMultiplicity",
+    "SamplingExhausted", "CollinearPair", "ZeroLambda", "SpanDeficient", "DuplicateCovector",
+    "ZeroCovector", "FunctionalVanishes",
+}
+CHECK_ERRORS = {
+    "DegenerateForm", "SingularMatrix", "SingularPoint", "OutOfDomain", "NonScalarAction",
+    "DegenerateParametrization",
+}
+
+
+def test_error_classes_decide_the_exit_code():
+    """`vee` exits 2 on an InputError and 1 on any other VeeError, so each
+    class of `trigvee.errors` carries that decision; a new class must be
+    placed on one side here."""
+    defined = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.VeeError)
+        and cls not in (errors.VeeError, errors.InputError)
+    }
+    assert set(defined) == INPUT_ERRORS | CHECK_ERRORS
+    inputs = {name for name, cls in defined.items() if issubclass(cls, errors.InputError)}
+    assert inputs == INPUT_ERRORS

@@ -21,6 +21,12 @@ verdict under an absolute tolerance breaks down.
   psi = prod_a sin(a(x))^-c_a and L = -Laplacian + sum_a c_a (c_a + 1) (a, a)
   csc^2 a(x), is (rho, rho) with rho = sum_a c_a s_a a.
 
+The WDVV commutators are also evaluated in mpmath at 50 digits at the
+complex points `vee wdvv` samples, from the float coordinates of those points
+taken exactly: at the solved lambda^2 they are about 1e-51 of the largest
+product F_i F_0^-1 F_j even at multiplicities x 10^6, where the float residual
+exceeds the default 1e-8 tolerance, so that failure is rounding alone.
+
 The paper's two equivalences are pinned the same way, on seeded catalog
 draws and random sets: R_ij = A_ij + lambda^2 B_ij vanishes at every point
 for exactly the coupling of `full_check` (WDVV alone fixes lambda^2), and the
@@ -33,6 +39,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from mpmath import mp
 
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import (
@@ -44,6 +51,7 @@ from trigvee.cms import (
 from trigvee.configuration import build_configuration, positive_system
 from trigvee.errors import InvalidParams
 from trigvee.veecheck import full_check, solve_lambda_squared
+from trigvee.wdvv import sample_points
 
 F = Fraction
 
@@ -184,6 +192,66 @@ def test_wdvv_block_vanishes_exactly_at_the_solved_coupling(name, scale):
     for cots in tangent_cots(cfg, random.Random(f"{name}-{scale}")):
         assert all(x == 0 for x in wdvv_blocks(cfg, lam2, cots))
         assert any(x != 0 for x in wdvv_blocks(cfg, lam2 * F(101, 100), cots))
+
+
+def mp_rational(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def mp_third_derivatives(cfg, lam2, point):
+    """F0..Fn at a sample point in mpmath, from `cfg.entries` alone: F0 is
+    2 blockdiag(1, G); Fi has off-diagonal rows 2 sum_a c_a a_i a and lower
+    block lambda sum_a c_a a_i cot a(x) a a^T, lambda = sqrt(lambda^2)."""
+    n = cfg.dim
+    f = [mp.zeros(n + 1) for _ in range(n + 1)]
+    f[0][0, 0] = 2
+    lam = mp.sqrt(mp_rational(lam2))
+    x = [mp.mpc(z) for z in point.x]
+    for entry in cfg.entries:
+        a = [mp_rational(q) for q in entry.covector]
+        c = mp_rational(entry.mult)
+        cot = mp.cot(mp.fsum(ak * xk for ak, xk in zip(a, x)))
+        for i in range(n):
+            for p in range(n):
+                f[0][i + 1, p + 1] += 2 * c * a[i] * a[p]
+                f[i + 1][0, p + 1] += 2 * c * a[i] * a[p]
+                f[i + 1][p + 1, 0] += 2 * c * a[i] * a[p]
+                for q in range(n):
+                    f[i + 1][p + 1, q + 1] += lam * c * a[i] * cot * a[p] * a[q]
+    return f
+
+
+def largest_entry(m):
+    return max(abs(m[r, s]) for r in range(m.rows) for s in range(m.cols))
+
+
+def commutator_ratio(f):
+    """The largest entry of any F_i F_0^-1 F_j - F_j F_0^-1 F_i over the
+    largest entry of any F_i F_0^-1 F_j."""
+    f0_inv = f[0] ** -1
+    prods = [[fi * f0_inv * fj for fj in f] for fi in f]
+    scale = max(largest_entry(p) for row in prods for p in row)
+    count = range(len(f))
+    worst = max(largest_entry(prods[i][j] - prods[j][i]) for i in count for j in count)
+    return worst / scale
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "name, scale",
+    [("TenVector", 1), ("TenVector", 10**3), ("TenVector", 10**6), ("B3", 10**6), ("Prop5", 10**6)],
+)
+def test_wdvv_holds_in_mpmath_at_the_sampled_points(name, scale, seed):
+    """At every point `wdvv_residual` reads, 50 digits make the commutators
+    vanish to 1e-40 of the products at the solved coupling, and leave them
+    above 1e-5 of the products at lambda^2 * 101/100."""
+    cfg = scaled(catalog_get(name).cfg, scale)
+    lam2 = solve_lambda_squared(cfg).lambda2
+    with mp.workdps(50):
+        for point in sample_points(cfg, 10, seed):
+            assert commutator_ratio(mp_third_derivatives(cfg, lam2, point)) < mp.mpf("1e-40")
+            perturbed = mp_third_derivatives(cfg, lam2 * F(101, 100), point)
+            assert commutator_ratio(perturbed) > mp.mpf("1e-5")
 
 
 @pytest.mark.parametrize("scale", SCALES)
