@@ -48,11 +48,16 @@ class Metric:
         if not self.matrix.is_symmetric():
             raise DegenerateForm("metric matrix must be symmetric")
 
+    def is_vee_form(self, cfg: VConfiguration) -> bool:
+        """Whether the matrix is cfg's G^-1, which exists, and is then
+        nonsingular, exactly when det G != 0."""
+        return cfg.gram_det != 0 and self.matrix == cfg.gram_inverse
+
     def integer_pairing(self, cfg: VConfiguration) -> IntPairing:
         """The table (a_i, a_j) = a_i . matrix . a_j^T over the entries of cfg,
         as integer numerators over one denominator; the configuration's own
         cached table when the matrix is its G^-1."""
-        if cfg.gram_det != 0 and self.matrix == cfg.gram_inverse:
+        if self.is_vee_form(cfg):
             return cfg.integer_pairing
         return integer_pairing_table(cfg.integer_covectors, self.matrix)
 
@@ -94,10 +99,11 @@ def _require_cms_hypotheses(cfg: VConfiguration, metric: Metric) -> None:
 
 
 def _require_metric(cfg: VConfiguration, metric: Metric) -> None:
-    """The one metric gate: a nonsingular dim x dim matrix."""
+    """The one metric gate: a nonsingular dim x dim matrix.  G^-1 is one
+    whenever it exists, so only another matrix is eliminated exactly."""
     if metric.matrix.rows != cfg.dim:
         raise DimensionMismatch("metric size does not match the configuration dimension")
-    if metric.matrix.det() == 0:
+    if not metric.is_vee_form(cfg) and metric.matrix.det() == 0:
         raise DegenerateForm("metric is degenerate")
 
 

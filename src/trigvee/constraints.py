@@ -9,7 +9,9 @@ Cauchy-Binet both are written in closed form, as sums of squarefree
 monomials whose coefficients are products of integer covector minors, from
 a Laplace recursion (one array step per level), one integer matmul and
 array passes over runs of whole bases: int64 under a proven no-overflow
-bound, else Python ints.
+bound, else Python ints.  The terms of a series whose subset holds a second
+member of the series cancel in pairs, so they are never formed, and every
+other term is the only one on its monomial.
 
 At a fixed form N the conditions become linear: the multiplicities with
 G(c) = mu N form the exact nullspace L(N) of `linear_family`.  The search
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, count, islice
 from typing import Mapping, Sequence
 
@@ -170,7 +171,15 @@ def series_constraints(
         D^2n * a_i . adj(G(c)) . a_j^T = sum_T c_T M[T][i] M[T][j],
         D^2n * det G(c) = sum_T sum_{j > max T} c_T c_j M[T][j]^2.
 
-    M[T][j] = 0 for j in T, so every monomial is squarefree.  `_cofactor_rows`
+    M[T][j] = 0 for j in T, so every monomial is squarefree.  A term of S
+    whose T holds another member j' of S cancels with its partner: with
+    a_j' = r a_j + k a_i (r = r_j r_j'), U = T - j', T' = U + j and
+    d = det[a_i; a_j; A_U], row swaps give M[T][i] M[T][j] = -r k d^2 and
+    M[T'][i] M[T'][j'] = k d^2, so r_j (-r k d^2) + r_j' k d^2 = 0.  A T
+    holding two members has M[T][i] = 0, as a_i and those two are
+    dependent.  So the passes drop every pair whose T meets its series,
+    and each remaining code (series, T + j) holds one member, j, and occurs
+    once in its pass: the sums are the terms themselves.  `_cofactor_rows`
     gives the cofactors of every T by a Laplace recursion, one array step per
     level, and M is one integer matmul of them with the covectors.  The
     members of every series around every base are read off the cached
@@ -179,9 +188,10 @@ def series_constraints(
     that alone exceeds it is a run); each pass's polynomials are built
     before the next pass starts.  Hadamard bounds every
     minor by (n h^2)^(n/2), h the largest |entry| of the integer covectors, so
-    the arrays are int64 when m < 63 and m (n h^2)^n < 2^63, where no sum of
-    m products of two minors and no m-bit mask overflows, and Python ints
-    otherwise; no float is involved.  One Fraction over D^2n per distinct sum.
+    the arrays are int64 when m < 63 and m (n h^2)^n < 2^63, where no
+    product of two minors, no sum of m of them and no m-bit mask overflows,
+    and Python ints otherwise; no float is involved.  One Fraction over D^2n
+    per distinct value.
     """
     cfg, symbols = _unit_configuration(vectors, symbols)
     dim, m = cfg.dim, len(symbols)
@@ -195,17 +205,20 @@ def series_constraints(
     # every nonzero M[T][j] gives the monomial T + j (j is not in T); det G(c)
     # takes each monomial once, from the T below its j
     t, j = np.nonzero(minors)
-    keys = bit[subsets].sum(axis=1)[t] + bit[j]
+    t_mask = bit[subsets].sum(axis=1)
+    keys = t_mask[t] + bit[j]
     once = j > subsets.max(axis=1, initial=-1)[t]
     monomials = np.sort(keys[once], kind="stable")
     at = np.zeros(minors.shape, dtype=np.intp)  # at[T, j]: the index of T + j in monomials
     at[t, j] = np.searchsorted(monomials, keys)
     exponents = np.fromiter(map(tuple, (monomials[:, None] // bit % 2).tolist()), dtype=object)
-    coefficient = cache(lambda v: Fraction(v, den ** (2 * dim)))  # one per distinct value
+    scale, coefficient = den ** (2 * dim), {}  # one Fraction per distinct value
 
     def polys(index: np.ndarray, vals: np.ndarray, counts) -> list[MultiPoly]:
         """One polynomial per run of counts terms, exponents[index] and vals."""
-        terms = zip(exponents[index].tolist(), map(coefficient, vals.tolist()))
+        values = vals.tolist()
+        coefficient.update((v, Fraction(v, scale)) for v in set(values).difference(coefficient))
+        terms = zip(exponents[index].tolist(), map(coefficient.__getitem__, values))
         return [MultiPoly._clean(symbols, dict(islice(terms, c))) for c in counts]
 
     (det,) = polys(at[t, j][once], minors[t, j][once] ** 2, [np.count_nonzero(once)])
@@ -223,6 +236,7 @@ def series_constraints(
     for g, j, _r in hits:
         member_indices[g].append(j)
     sid, js, signs = np.array(hits, dtype=np.intp).reshape(-1, 3).T
+    series_mask = np.array([sum(1 << j for j in ms) for ms in member_indices], dtype=a.dtype)
     hit_base = np.array(base_of, dtype=np.intp)[sid]
     row_bytes = len(minors) * minors.itemsize
     sizes = [(h1 - h0) * row_bytes for h0, h1 in zip(first_hit, first_hit[1:])]
@@ -234,19 +248,14 @@ def series_constraints(
         pairs = minors[:, hj]
         pairs *= minors[:, hit_base[h0:h1]]
         pairs = pairs.T  # M[T][i] M[T][j], one row per member j of a series around i
-        # member-major, T ascending: first-appearance order; one code per (series, T + j)
+        # a T holding another member of the series cancels with its partner: drop both
         member, t = np.nonzero(pairs)
-        code = (sid[h0:h1][member] - g0) * n + at[t, hj[member]]
+        series = sid[h0:h1][member]
+        alone = (t_mask[t] & series_mask[series]) == 0
+        member, t, series = member[alone], t[alone], series[alone]
+        # member-major, T ascending: first-appearance order; one code per (series, T + j)
+        code = (series - g0) * n + at[t, hj[member]]
         vals = signs[h0:h1][member] * pairs[member, t]
-        if len(code) and h1 - h0 > g1 - g0:  # a series with two members can repeat a code
-            # each code's sum goes to its first occurrence, which alone is kept
-            order = np.argsort(code, kind="stable")
-            runs = np.flatnonzero(np.diff(code[order], prepend=-1))
-            first, total = order[runs], np.add.reduceat(vals[order], runs)
-            vals[first] = total
-            keep = np.zeros(len(code), dtype=bool)
-            keep[first] = total != 0
-            code, vals = code[keep], vals[keep]
         counts = np.bincount(code // n, minlength=g1 - g0).tolist()
         for g, poly in enumerate(polys(code % n, vals, counts), g0):
             i = base_of[g]

@@ -64,6 +64,19 @@ class TestIdentity:
         with pytest.raises(DegenerateForm):
             cms_identity_residual(a2(), Metric(RatMatrix([[1, 1], [1, 1]])))
 
+    @pytest.mark.parametrize("name", ["A2", "B3", "A4", "B4"])
+    def test_vee_form_metric_passes_the_gate_without_elimination(self, monkeypatch, name):
+        """G^-1 is nonsingular whenever it exists, so the metric gate takes
+        the vee-form metric without computing a determinant."""
+
+        def refuse(matrix):
+            raise AssertionError("metric determinant computed")
+
+        cfg = catalog_get(name).cfg
+        monkeypatch.setattr(RatMatrix, "det", refuse)
+        assert cms_identity_residual(cfg, vee_form_metric(cfg)).max_deviation < 1e-9
+        assert cms_to_vee(cfg, vee_form_metric(cfg)).is_trig_vee
+
     @pytest.mark.parametrize(
         "covectors, named",
         [

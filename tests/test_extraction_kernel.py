@@ -2,11 +2,14 @@
 extraction of test_exact_reference, on the Python-int path that its
 overflow guard selects for large entries or more than 62 covectors, and on
 both sides of the guard's bound; the guard itself, which must keep the
-catalog and the root systems on int64; and the split of the bases into
-array passes, which must not change a term or its place at any pass size."""
+catalog and the root systems on int64; the split of the bases into array
+passes, which must not change a term or its place at any pass size; and,
+on the frozen extraction, the pairwise cancellation that lets the kernel
+drop every term whose subset holds a second member of its series."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from test_exact_reference import (
     assert_same_constraint_set,
     assert_same_extraction,
     rank,
+    reference_cofactor_row,
     reference_series_constraints,
 )
 
@@ -178,3 +182,57 @@ def test_passes_keep_extraction_of_multi_member_series(vectors):
     with pytest.MonkeyPatch.context() as monkeypatch:
         cs = assert_same_at_every_bound(monkeypatch, vectors)
     assert any(len(c.member_indices) > 1 for c in cs.polynomials)
+
+
+# ---------------------------------------------------------------------------
+# The pairwise cancellation that lets the kernel drop every T meeting the series
+# ---------------------------------------------------------------------------
+
+
+def cancelling_pairs(vectors, cs):
+    """The number of nonzero terms r_j M[T][i] M[T][j] whose T holds a second
+    member of the series: the terms the kernel drops, as each cancels with
+    the term of its partner, (T - j' + j, j')."""
+    ints, _den = clear_denominators([covector(v) for v in vectors])
+    dim, found = len(ints[0]), 0
+    for c in cs.polynomials:
+        i, members = c.base_index, set(c.member_indices)
+        for j in members:
+            for other in members - {j}:
+                rest = sorted(set(range(len(ints))) - {i, j, other})
+                for u in combinations(rest, dim - 2):
+                    cof = reference_cofactor_row([ints[k] for k in (other, *u)], dim)
+                    found += all(sum(x * y for x, y in zip(cof, ints[k])) for k in (i, j))
+    return found
+
+
+def assert_no_monomial_holds_two_members(vectors):
+    """The frozen extraction sums every pair, and no monomial of a series'
+    polynomial keeps two of the series' members."""
+    cs = reference_series_constraints(vectors)
+    for c in cs.polynomials:
+        for expo in c.poly.terms:
+            assert sum(expo[j] for j in c.member_indices) <= 1
+    return cs
+
+
+def test_smallest_planar_cancelling_pair():
+    """Around (0, 1) the series {(1, -2), (1, -1)}: its two terms c2 c3 cancel."""
+    vectors = [(0, 1), (1, -2), (1, -1)]
+    cs = assert_no_monomial_holds_two_members(vectors)
+    assert cancelling_pairs(vectors, cs) > 0
+    assert all(c.poly.is_zero() for c in cs.polynomials)
+
+
+def test_b4_pairs_cancel():
+    cs = assert_no_monomial_holds_two_members(ROOT_SYSTEMS["B4"])
+    assert cancelling_pairs(ROOT_SYSTEMS["B4"], cs) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_covector_sets())
+def test_pairs_cancel_across_the_guard(vectors):
+    signed = set(vectors) | {tuple(-x for x in v) for v in vectors}
+    assume(all(any(v) for v in vectors) and len(signed) == 2 * len(vectors))
+    assume(rank(vectors) == len(vectors[0]))
+    assert_no_monomial_holds_two_members(vectors)
