@@ -28,25 +28,26 @@ from .wdvv import wdvv_residual
 
 
 class Report:
-    """Collects human-readable lines and stable key/value pairs."""
+    """Collects human-readable lines and stable key/value pairs.  A value is
+    kept as given and formatted only when --report-kv prints it."""
 
     def __init__(self, kv_mode: bool):
         self.kv_mode = kv_mode
         self.lines: list[str] = []
-        self.pairs: list[tuple[str, str]] = []
+        self.pairs: list[tuple[str, object]] = []
 
     def line(self, text: str) -> None:
         self.lines.append(text)
 
     def kv(self, key: str, value) -> None:
-        self.pairs.append((key, str(value)))
+        self.pairs.append((key, value))
 
     def emit(self) -> None:
-        for text in self.lines:
+        # every pair is formatted before the first print, so a value that
+        # cannot be formatted leaves stdout empty
+        pairs = [f"{key} = {value}" for key, value in self.pairs] if self.kv_mode else []
+        for text in self.lines + pairs:
             print(text)
-        if self.kv_mode:
-            for key, value in self.pairs:
-                print(f"{key} = {value}")
 
 
 def _read_text(path: str) -> str:
@@ -65,11 +66,6 @@ def _read_text(path: str) -> str:
 
 def _load_file(path: str) -> ConfigFile:
     return parse_config_file(_read_text(path))
-
-
-def _load_numeric(path: str) -> tuple[ConfigFile, VConfiguration]:
-    cf = _load_file(path)
-    return cf, cf.build()
 
 
 def _load_symbolic(path: str) -> ConfigFile:
@@ -129,7 +125,7 @@ def _lambda_text(sol) -> str:
 
 
 def cmd_check(args, report: Report) -> int:
-    _, cfg = _load_numeric(args.file)
+    cfg = _load_file(args.file).build()
     result = full_check(cfg)
     if result.degenerate:
         report.line("trig-vee: FAIL (degenerate form)")
@@ -163,7 +159,7 @@ def cmd_check(args, report: Report) -> int:
 
 
 def cmd_series(args, report: Report) -> int:
-    _, cfg = _load_numeric(args.file)
+    cfg = _load_file(args.file).build()
     if cfg.gram_det == 0:
         report.line("series: FAIL (degenerate form)")
         report.kv("series", "fail")
@@ -190,7 +186,7 @@ def cmd_series(args, report: Report) -> int:
 
 
 def cmd_lambda(args, report: Report) -> int:
-    _, cfg = _load_numeric(args.file)
+    cfg = _load_file(args.file).build()
     sol = solve_lambda_squared(cfg)
     report.line(f"lambda2: {_lambda_text(sol)}")
     if sol.witness is not None:
@@ -204,7 +200,8 @@ def cmd_lambda(args, report: Report) -> int:
 
 def cmd_wdvv(args, report: Report) -> int:
     _check_sampling(args)
-    cf, cfg = _load_numeric(args.file)
+    cf = _load_file(args.file)
+    cfg = cf.build()
     if cf.lambda2 is not None:
         lam2 = cf.lambda2
         source = "file"
@@ -233,7 +230,7 @@ def cmd_wdvv(args, report: Report) -> int:
 
 def cmd_cms(args, report: Report) -> int:
     _check_sampling(args)
-    _, cfg = _load_numeric(args.file)
+    cfg = _load_file(args.file).build()
     metric = _load_metric(args.metric, cfg)
     series = check_series_with_metric(cfg, metric)
     res = cms_identity_residual(
@@ -264,10 +261,12 @@ def cmd_constraints(args, report: Report) -> int:
     cs = series_constraints(cf.vectors(), symbols=cf.symbols())
     report.line(f"{len(cs.polynomials)} constraint polynomials in {', '.join(cs.symbols)}")
     for k, c in enumerate(cs.polynomials):
-        report.line(f"[{k}] base {cs.symbols[c.base_index]} series {c.series_index}: {c.poly}")
-        report.kv(f"constraint_{k}", c.poly)
-    report.line(f"nondegeneracy: {cs.nondegeneracy}")
-    report.kv("nondegeneracy", cs.nondegeneracy)
+        text = str(c.poly)  # once, for the line and the pair
+        report.line(f"[{k}] base {cs.symbols[c.base_index]} series {c.series_index}: {text}")
+        report.kv(f"constraint_{k}", text)
+    text = str(cs.nondegeneracy)
+    report.line(f"nondegeneracy: {text}")
+    report.kv("nondegeneracy", text)
     return 0
 
 

@@ -90,7 +90,7 @@ class ConstraintSet:
 def _minor_dtype(ints: list[list[int]], dim: int):
     """int64 where `series_constraints` proves no overflow, else object (Python ints)."""
     h, m = max(abs(x) for row in ints for x in row), len(ints)
-    return np.int64 if m < 63 and m * (dim * h * h) ** dim < 2**63 else object
+    return np.int64 if m < 63 and (dim * h * h) ** dim < 2**63 else object
 
 
 def _cofactor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +187,13 @@ def series_constraints(
     bases, each run's products M[T][i] M[T][j] within `_CHUNK_BYTES` (a base
     that alone exceeds it is a run); each pass's polynomials are built
     before the next pass starts.  Hadamard bounds every
-    minor by (n h^2)^(n/2), h the largest |entry| of the integer covectors, so
-    the arrays are int64 when m < 63 and m (n h^2)^n < 2^63, where no
-    product of two minors, no sum of m of them and no m-bit mask overflows,
-    and Python ints otherwise; no float is involved.  One Fraction over D^2n
-    per distinct value.
+    minor by (n h^2)^(n/2), h the largest |entry| of the integer covectors.
+    Each array value is a minor, a product of two minors (a term, or a
+    squared minor of det G) or a mask below 2^m, and every partial sum of a
+    Laplace step or of the matmul for M is at most n h (n h^2)^((n-1)/2) <=
+    (n h^2)^n.  So the arrays are int64 when m < 63 and (n h^2)^n < 2^63, and
+    Python ints otherwise; no float is involved.  One Fraction over D^2n per
+    distinct value.
     """
     cfg, symbols = _unit_configuration(vectors, symbols)
     dim, m = cfg.dim, len(symbols)

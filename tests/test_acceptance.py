@@ -26,6 +26,7 @@ from trigvee.veecheck import (
 from trigvee.wdvv import check_f_derivative, wdvv_residual
 
 from conftest import rand_configuration, rand_nonsingular, rand_nonzero_fraction
+from corpus import B2_SYMBOLS, B2_VECTORS, G2A2_VECTORS, PROP5_VECTORS, TEN_VECTORS
 
 F = Fraction
 
@@ -172,17 +173,10 @@ def test_criterion_7_reducibility_obstruction():
 
 
 def test_criterion_8_constraint_extraction_and_search():
-    b2_vectors = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    syms = ("c1", "c2", "cp", "cm")
     t = MultiPoly.variable(("cm", "cp", "t"), "t")
-    assert verify_family(b2_vectors, {"c1": t, "c2": t}, symbols=syms).passed
-    assert not verify_family(b2_vectors, {"c1": 1, "c2": 2}, symbols=syms).passed
+    assert verify_family(B2_VECTORS, {"c1": t, "c2": t}, symbols=B2_SYMBOLS).passed
+    assert not verify_family(B2_VECTORS, {"c1": 1, "c2": 2}, symbols=B2_SYMBOLS).passed
 
-    half = F(1, 2)
-    prop5_vectors = [
-        (1, 0), (0, 1), (0, 2),
-        (half, half), (half, -half), (half, 3 * half), (half, -3 * half),
-    ]
     pv = ("s", "t")
     tt = RatFunc.variable(pv, "t")
     ss = RatFunc.variable(pv, "s")
@@ -191,13 +185,11 @@ def test_criterion_8_constraint_extraction_and_search():
         "c2": 3 * tt + 2 * ss, "c1": tt * (3 * tt - 2 * ss) / (3 * tt + 4 * ss),
     }
     assert verify_family(
-        prop5_vectors, par, symbols=("c1", "c2", "ct2", "a1", "a2", "b1", "b2")
+        PROP5_VECTORS, par, symbols=("c1", "c2", "ct2", "a1", "a2", "b1", "b2")
     ).passed
 
-    g2a2 = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2), (2, 0), (2, 2), (4, 2)]
-    ten = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]
     found = {}
-    for label, vectors in (("G2+doubled", g2a2), ("ten-vector", ten)):
+    for label, vectors in (("G2+doubled", G2A2_VECTORS), ("ten-vector", TEN_VECTORS)):
         solutions = find_multiplicities(vectors, seed=0, starts=12)
         assert solutions, label
         for sol in solutions:

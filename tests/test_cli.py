@@ -10,12 +10,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from trigvee import errors
-from trigvee.catalog import catalog_get, catalog_list
-from trigvee.cli import main
+from trigvee.catalog import catalog_get
+from trigvee.cli import Report, main
 from trigvee.cms import cms_identity_residual, vee_form_metric
 from trigvee.constraints import find_multiplicities
 from trigvee.errors import DimensionMismatch, InvalidParams, ParseError
-from trigvee.multipoly import parse_expression
+from trigvee.multipoly import MultiPoly, parse_expression
 from trigvee.veefile import (
     config_file_from_configuration,
     parse_config_file,
@@ -23,6 +23,8 @@ from trigvee.veefile import (
     render_config_file,
 )
 from trigvee.wdvv import wdvv_residual
+
+from corpus import B2_SYMBOLIC, CATALOG
 
 F = Fraction
 
@@ -161,9 +163,7 @@ def b2bad_file(tmp_path):
 @pytest.fixture
 def b2sym_file(tmp_path):
     path = tmp_path / "b2sym.vee"
-    path.write_text(
-        "dim 2\nvector 1 0 mult ?c1\nvector 0 1 mult ?c2\nvector 1 1 mult ?cp\nvector 1 -1 mult ?cm\n"
-    )
+    path.write_text(B2_SYMBOLIC)
     return str(path)
 
 
@@ -784,7 +784,7 @@ class TestCli:
         assert "lambda2 = 36" in first
 
 
-@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+@pytest.mark.parametrize("name", CATALOG)
 def test_lambda_report_kv_lines_are_stable_pairs(name, tmp_path, capsys):
     """Every `key = value` line of `vee lambda --report-kv` is one stable
     pair, a key and a one-token value, and no key repeats: the human line
@@ -848,3 +848,46 @@ def test_error_classes_decide_the_exit_code():
     assert set(defined) == INPUT_ERRORS | CHECK_ERRORS
     inputs = {name for name, cls in defined.items() if issubclass(cls, errors.InputError)}
     assert inputs == INPUT_ERRORS
+
+
+class Formatted:
+    """A report value that counts how often it is formatted; `str` fails on None."""
+
+    def __init__(self, text):
+        self.text, self.calls = text, 0
+
+    def __str__(self):
+        self.calls += 1
+        return self.text
+
+
+@pytest.mark.parametrize("kv_mode", [False, True], ids=["human", "kv"])
+def test_report_formats_a_value_only_when_printed(kv_mode, capsys):
+    report, value = Report(kv_mode), Formatted("v")
+    report.line("line")
+    report.kv("key", value)
+    report.emit()
+    assert value.calls == kv_mode
+    assert capsys.readouterr().out == "line\n" + "key = v\n" * kv_mode
+
+
+def test_report_that_cannot_format_prints_nothing(capsys):
+    """Every pair is formatted before the first line is printed."""
+    report = Report(True)
+    report.line("line")
+    report.kv("key", Formatted(None))
+    with pytest.raises(TypeError):
+        report.emit()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--report-kv"]])
+def test_constraints_formats_each_polynomial_once(flags, b2sym_file, capsys, monkeypatch):
+    formatted = []
+    to_text = MultiPoly.__str__
+    monkeypatch.setattr(MultiPoly, "__str__", lambda p: formatted.append(p) or to_text(p))
+    assert main(["constraints", b2sym_file, *flags]) == 0
+    out = capsys.readouterr().out
+    polys = int(out.split()[0])
+    assert len(formatted) == polys + 1  # the nondegeneracy polynomial too
+    assert out.count(" = ") == (polys + 1 if flags else 0)

@@ -20,14 +20,12 @@ import pytest
 from trigvee.catalog import catalog_list
 from trigvee.cli import main
 
+from corpus import B2_SYMBOLIC
+
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
 
 # catalog entries exported with every multiplicity replaced by ?cK
 SYMBOLIC = ("B3", "B4", "TenVector", "G2timesScaledA2")
-
-B2_SYMBOLIC = (
-    "dim 2\nvector 1 0 mult ?c1\nvector 0 1 mult ?c2\nvector 1 1 mult ?cp\nvector 1 -1 mult ?cm\n"
-)
 
 # Prop5's covectors, whose cleared integer rows generate a proper sublattice
 # of Z^2, so that a Hermite basis of their span gives them other integer

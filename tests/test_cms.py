@@ -19,22 +19,9 @@ from trigvee.errors import CollinearPair, DegenerateForm, DimensionMismatch
 from trigvee.exactnum import RatMatrix
 from trigvee.veecheck import check_series_condition, solve_lambda_squared
 
+from corpus import a2, b2, g2
+
 F = Fraction
-
-
-def a2():
-    return build_configuration(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
-
-
-def b2(c1=1, c2=1, cp=1, cm=1):
-    return build_configuration(
-        2, [((1, 0), c1), ((0, 1), c2), ((1, 1), cp), ((1, -1), cm)]
-    )
-
-
-def g2():
-    vs = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-    return build_configuration(2, [(v, 1) for v in vs])
 
 
 class TestIdentity:

@@ -43,27 +43,9 @@ from trigvee.exactnum import RatMatrix, clear_denominators
 from trigvee.veecheck import check_rational_vee, full_check
 
 from conftest import rand_configuration, rand_fraction, rand_nonzero_fraction
-from test_integer_kernels import a_roots, b_roots
+from corpus import a2, a_roots, b2, b_roots, g2, prop4
 
 F = Fraction
-
-
-def a2(ca=1, cb=1, cc=1):
-    return build_configuration(2, [((1, 0), ca), ((0, 1), cb), ((1, 1), cc)])
-
-
-def b2(c1=1, c2=1, cp=1, cm=1):
-    return build_configuration(
-        2, [((1, 0), c1), ((0, 1), c2), ((1, 1), cp), ((1, -1), cm)]
-    )
-
-
-G2_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-
-
-def g2(cs=1, cl=1):
-    mult = {0: cs, 2: cs, 3: cs, 1: cl, 4: cl, 5: cl}
-    return build_configuration(2, [(v, mult[i]) for i, v in enumerate(G2_VECTORS)])
 
 
 class TestBuild:
@@ -423,10 +405,7 @@ class TestComponents:
         assert len(decompose_components(a2())) == 1
 
     def test_prop4_irreducible(self):
-        cfg = build_configuration(
-            2, [((1, 0), 3), ((2, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, -1), 1)]
-        )
-        assert len(decompose_components(cfg)) == 1
+        assert len(decompose_components(prop4())) == 1
 
     def test_direct_sum_splits_back(self):
         cfg = direct_sum(a2(), a2())

@@ -21,29 +21,14 @@ from trigvee.multipoly import MultiPoly, RatFunc
 from trigvee.veecheck import check_series_condition
 
 from conftest import rand_nonzero_fraction
+from corpus import (
+    A2_VECTORS, B2_SYMBOLS, B2_VECTORS, DESCENT_ONLY, G2A2_VECTORS, PROP4_VECTORS, PROP5_SYMBOLS,
+    PROP5_VECTORS, TEN_VECTORS, nonzero_fractions, polys,
+)
 from test_exact_reference import items
-from test_integer_substitution import nonzero_fractions, polys
 
 F = Fraction
 
-B2_VECTORS = [(1, 0), (0, 1), (1, 1), (1, -1)]
-B2_SYMBOLS = ("c1", "c2", "cp", "cm")
-A2_VECTORS = [(1, 0), (0, 1), (1, 1)]
-PROP4_VECTORS = [(1, 0), (2, 0), (0, 1), (1, 1), (1, -1)]
-PROP5_VECTORS = [
-    (1, 0),
-    (0, 1),
-    (0, 2),
-    (F(1, 2), F(1, 2)),
-    (F(1, 2), F(-1, 2)),
-    (F(1, 2), F(3, 2)),
-    (F(1, 2), F(-3, 2)),
-]
-PROP5_SYMBOLS = ("c1", "c2", "ct2", "ap", "am", "bp", "bm")
-G2A2_VECTORS = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2), (2, 0), (2, 2), (4, 2)]
-TEN_VECTORS = [
-    (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1),
-]
 HALF3_VECTORS = [
     (1, 0, 0),
     (0, 1, 0),
@@ -54,7 +39,6 @@ HALF3_VECTORS = [
     (F(1, 3), 1, F(-1, 2)),
 ]
 # L(N) = 0 at both forms N: `find_multiplicities` falls back to the descent
-DESCENT_ONLY_VECTORS = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 PARALLEL3_VECTORS = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
 # dimension 3 and up, with the dimension
 HIGHER_SYSTEMS = [
@@ -393,11 +377,11 @@ class TestSearch:
             return least_squares(*args, **kwargs)
 
         monkeypatch.setattr(constraints, "least_squares", counting)
-        found = find_multiplicities(DESCENT_ONLY_VECTORS, seed=seed, starts=12)
+        found = find_multiplicities(DESCENT_ONLY, seed=seed, starts=12)
         once = len(calls)
         doubled = tuple(b for b in constraints._SNAP_BOUNDS for _ in range(2))
         monkeypatch.setattr(constraints, "_SNAP_BOUNDS", doubled)
         calls.clear()
-        assert find_multiplicities(DESCENT_ONLY_VECTORS, seed=seed, starts=12) == found
+        assert find_multiplicities(DESCENT_ONLY, seed=seed, starts=12) == found
         assert len(calls) == once
         assert found

@@ -36,45 +36,30 @@ series condition under that metric holds.
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from mpmath import mp
 
-from trigvee.catalog import catalog_get, catalog_list
+from trigvee.catalog import catalog_get
 from trigvee.cms import (
     check_series_with_metric,
     cms_identity_residual,
     euclidean_metric,
     vee_form_metric,
 )
-from trigvee.configuration import build_configuration, positive_system
-from trigvee.errors import InvalidParams
+from trigvee.configuration import positive_system
 from trigvee.veecheck import full_check, solve_lambda_squared
 from trigvee.wdvv import sample_points
+
+from corpus import catalog_draws, catalog_names, cms_slice, no_parallel_pair, random_sets, scaled
 
 F = Fraction
 
 SCALES = (1, 10**3, 10**6)
 POINTS = 3
 
-
-def catalog_names(keep):
-    return [name for name, _ in catalog_list() if keep(catalog_get(name).cfg)]
-
-
 SOLVED = catalog_names(lambda cfg: solve_lambda_squared(cfg).status == "solved")
-def no_parallel_pair(cfg):
-    """The CMS hypotheses: no two covectors on one line."""
-    return len(set(cfg.directions)) == len(cfg.entries)
-
-
 NO_PARALLEL = catalog_names(no_parallel_pair)
-
-
-def scaled(cfg, s):
-    entries = [(e.covector, e.mult * s, e.label) for e in cfg.entries]
-    return build_configuration(cfg.dim, entries)
 
 
 def tangent_cots(cfg, rng):
@@ -277,61 +262,6 @@ def test_cms_constants_fail_off_the_vee_system():
     assert any(v[1] != eigen for v in values)
 
 
-def rand_mult(rng):
-    """A multiplicity +-p/q with p <= 5 and q <= 3."""
-    return F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
-
-
-def with_first_mult_perturbed(cfg):
-    entries = [(e.covector, e.mult, e.label) for e in cfg.entries]
-    v, c, label = entries[0]
-    entries[0] = (v, c * F(101, 100), label)
-    return build_configuration(cfg.dim, entries)
-
-
-def catalog_draws():
-    """Every catalog entry of dimension >= 2 at its defaults and at 8 seeded
-    parameter draws (3 for A4 and B4), each also with its first multiplicity
-    times 101/100; draws the catalog refuses and degenerate forms skipped."""
-    rng = random.Random("catalog-draws")
-    out = []
-    for name, _ in catalog_list():
-        defaults = catalog_get(name)
-        if defaults.cfg.dim < 2:
-            continue
-        draws = [{}] + [
-            {key: rand_mult(rng) for key in defaults.params}
-            for _ in range(3 if name in ("A4", "B4") else 8)
-        ]
-        for params in draws:
-            try:
-                cfg = catalog_get(name, params).cfg
-            except InvalidParams:
-                continue
-            out += [x for x in (cfg, with_first_mult_perturbed(cfg)) if x.gram_det != 0]
-    return out
-
-
-def random_sets(seed, count, sizes, keep=lambda cfg: True):
-    """`count` nondegenerate sets in dimensions 2-3 of `sizes` covectors with
-    integer entries in [-2, 2], distinct up to sign, and multiplicities from
-    `rand_mult`, each passing `keep`."""
-    # one of v and -v for each integer vector with entries in [-2, 2]; 0 sorts first
-    pools = {
-        dim: sorted({max(v, tuple(-x for x in v)) for v in product(range(-2, 3), repeat=dim)})[1:]
-        for dim in (2, 3)
-    }
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        dim = rng.randint(2, 3)
-        vectors = rng.sample(pools[dim], rng.randint(*sizes))
-        cfg = build_configuration(dim, [(v, rand_mult(rng)) for v in vectors])
-        if cfg.gram_det != 0 and keep(cfg):
-            out.append(cfg)
-    return out
-
-
 def wdvv_coupling(cfg, points):
     """The lambda^2 at which every R_ij vanishes at every point, solved from
     the first entry with B != 0; "any" when A and B vanish everywhere and
@@ -373,8 +303,7 @@ def test_cms_identity_is_constant_exactly_when_the_metric_series_pass():
     """The generalized CMS operator has a factorized eigenfunction exactly when
     the series condition holds under its metric: the pair identity then takes
     its closed-form constant at every point, and otherwise no single value."""
-    inputs = [cfg for cfg in catalog_draws() if no_parallel_pair(cfg)]
-    inputs += random_sets("cms-sets", 120, (3, 6), keep=no_parallel_pair)
+    inputs = cms_slice()
     checks = passing = 0
     for k, cfg in enumerate(inputs):
         points = tangent_cots(cfg, random.Random(k))

@@ -31,7 +31,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from trigvee.catalog import catalog_get, catalog_list
+from trigvee.catalog import catalog_get
 from trigvee.cms import (
     CmsToVeeResult,
     Metric,
@@ -66,9 +66,9 @@ from trigvee.veecheck import (
 )
 
 from conftest import rand_configuration, rand_fraction, rand_nonzero_fraction
+from corpus import CATALOG, PROP4_VECTORS, ROOT_SYSTEMS
 
 F = Fraction
-CATALOG = [name for name, _ in catalog_list()]
 
 
 def rank(rows):
@@ -444,26 +444,9 @@ def assert_same_constraint_set(got, ref):
     ]
 
 
-def a_roots(n):
-    return [tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)]
-
-
-def b_roots(n):
-    short = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    return short + [
-        tuple(1 if k == i else (s if k == j else 0) for k in range(n))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for s in (1, -1)
-    ]
-
-
 @pytest.mark.parametrize("name", CATALOG)
 def test_extraction_matches_frozen_on_catalog(name):
     assert_same_extraction(list(catalog_get(name).cfg.covectors()))
-
-
-ROOT_SYSTEMS = {f"A{n}": a_roots(n) for n in range(2, 6)} | {f"B{n}": b_roots(n) for n in range(2, 6)}
 
 
 @pytest.mark.parametrize("name", [name for name in ROOT_SYSTEMS if name != "B5"])
@@ -576,7 +559,7 @@ def test_substitute_matches_frozen_on_family_constraints():
     polynomial, and the wrong relation whose residuals are nonzero."""
     pv = ("c1", "c2", "u")
     c1, c2, u = (RatFunc.variable(pv, v) for v in pv)
-    cs = series_constraints([(1, 0), (2, 0), (0, 1), (1, 1), (1, -1)], ("m1", "m2", "m3", "m4", "m5"))
+    cs = series_constraints(PROP4_VECTORS, ("m1", "m2", "m3", "m4", "m5"))
     nonzero = 0
     for m2 in (u * (c1 - c2) / (2 * c2), u * (c1 - c2) / c2):
         mapping = {"m1": c1, "m2": m2, "m3": c2, "m4": u, "m5": u}

@@ -7,6 +7,7 @@ passes, which must not change a term or its place at any pass size; and,
 on the frozen extraction, the pairwise cancellation that lets the kernel
 drop every term whose subset holds a second member of its series."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,9 +23,8 @@ from trigvee.configuration import covector
 from trigvee.constraints import _minor_dtype, _passes, series_constraints
 from trigvee.exactnum import clear_denominators
 
+from corpus import CATALOG, ROOT_SYSTEMS
 from test_exact_reference import (
-    CATALOG,
-    ROOT_SYSTEMS,
     assert_same_constraint_set,
     assert_same_extraction,
     rank,
@@ -77,11 +77,38 @@ def test_sixty_four_planar_covectors_match_frozen():
     assert max(len(c.member_indices) for c in cs.polynomials) > 1
 
 
+def bound_set(h):
+    """Eight covectors in dimension 4 with largest entry h, around e1 the
+    series {e2, e2 + e1, e2 + h e1}: (4 h^2)^4 < 2^63 holds up to h = 117."""
+    units = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    return units + [(1, 1, 0, 0), (h, 1, 0, 0), (0, 0, 1, h), (1, -1, 1, 1)]
+
+
+def test_guard_bound_on_both_sides():
+    """int64 exactly when m < 63 and (n h^2)^n < 2^63."""
+    assert (4 * 117**2) ** 4 < 2**63 <= (4 * 118**2) ** 4
+    assert guard(bound_set(117)) is np.int64
+    assert guard(bound_set(118)) is object
+    assert guard([(1, k) for k in range(-31, 31)]) is np.int64  # m = 62
+    assert guard([(1, k) for k in range(-31, 32)]) is object  # m = 63
+
+
+def test_int64_between_the_bounds_matches_python_ints(monkeypatch):
+    """A set that the former bound m (n h^2)^n < 2^63 sent to Python ints
+    runs on int64 and gives the same constraint set, pickle for pickle."""
+    vectors = bound_set(117)
+    assert 8 * (4 * 117**2) ** 4 >= 2**63 and guard(vectors) is np.int64
+    on_int64 = series_constraints(vectors)
+    assert any(len(c.member_indices) > 1 and not c.poly.is_zero() for c in on_int64.polynomials)
+    monkeypatch.setattr(constraints, "_minor_dtype", lambda ints, dim: object)
+    assert pickle.dumps(on_int64) == pickle.dumps(series_constraints(vectors))
+
+
 @st.composite
 def integer_covector_sets(draw):
     """Integer covectors in dims 2-4 with entries up to 2^k, k = 1..24: the
-    bound m (n h^2)^n < 2^63 falls near h = 2^14 in dim 2 and 2^6 in dim 4,
-    so both paths are drawn often."""
+    bound (n h^2)^n < 2^63 falls between h = 2^15 and 2^16 in dim 2 and
+    between 2^6 and 2^7 in dim 4, so both paths are drawn often."""
     dim = draw(st.integers(2, 4))
     h = 2 ** draw(st.integers(1, 24))
     entry = st.integers(-h, h)

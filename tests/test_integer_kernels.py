@@ -26,6 +26,7 @@ from trigvee.exactnum import RatMatrix, integer_det
 from trigvee.veecheck import TensorMismatch, integer_tensor_ratio
 
 from conftest import rand_fraction, rand_nonzero_fraction
+from corpus import CATALOG, a_roots, b_roots
 
 F = Fraction
 # a symmetric table of Fractions
@@ -86,21 +87,6 @@ def reference_tensor_ratio(cfg: VConfiguration, psys: PositiveSystem, pairing: P
     return "solved", ratio, None
 
 
-def a_roots(n):
-    return [tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)]
-
-
-def b_roots(n):
-    short = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    long_ = [
-        tuple(1 if k == i else s if k == j else 0 for k in range(n))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for s in (1, -1)
-    ]
-    return short + long_
-
-
 def fractional_metric(n):
     """A symmetric nonsingular matrix with non-integer entries."""
     return RatMatrix([[F(i + 2, 3) if i == j else F(1, 5 + i + j) for j in range(n)] for i in range(n)])
@@ -132,7 +118,7 @@ def metrics(cfg):
         yield cfg.gram_inverse
 
 
-@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+@pytest.mark.parametrize("name", CATALOG)
 def test_catalog_entries(name):
     cfg = catalog_get(name).cfg
     for matrix in metrics(cfg):

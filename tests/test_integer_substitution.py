@@ -18,11 +18,11 @@ from trigvee.constraints import series_constraints, verify_family
 from trigvee.errors import DegenerateParametrization
 from trigvee.multipoly import MultiPoly, RatFunc
 
-from test_exact_reference import ROOT_SYSTEMS, items, reference_substitute
+from corpus import PROP4_VECTORS, ROOT_SYSTEMS, fractions, nonzero_fractions, polys
+from test_exact_reference import items, reference_substitute
 
 PARAMS = ("s", "t")
 B2, B3 = ROOT_SYSTEMS["B2"], ROOT_SYSTEMS["B3"]
-PROP4 = [(1, 0), (2, 0), (0, 1), (1, 1), (1, -1)]
 
 
 def reference_merged_substitution(symbols, images):
@@ -65,16 +65,6 @@ def reference_merged_substitution(symbols, images):
 
 
 # -- strategies ---------------------------------------------------------
-
-fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
-nonzero_fractions = fractions.filter(bool)
-
-
-def polys(variables, max_terms, top=3):
-    expo = st.tuples(*[st.integers(0, top)] * len(variables))
-    terms = st.dictionaries(expo, nonzero_fractions, min_size=1, max_size=max_terms)
-    return terms.map(lambda t: MultiPoly(variables, t))
-
 
 @st.composite
 def ratfuncs(draw, nonzero=False):
@@ -167,8 +157,8 @@ def test_family_residuals_match_frozen_merge():
         (B2, b2, {"c1": t, "c2": t, "cp": s, "cm": s}),
         (B2, b2, {"c1": 1 / (t + 1), "c2": 2 / (t + 1), "cp": t, "cm": s}),
         (B2, b2, {"c1": shared, "c2": shared, "cp": shared, "cm": 3 * one}),
-        (PROP4, prop4, {"m1": s, "m2": t * (s - 1) / (2 * s), "m3": one, "m4": t, "m5": t}),
-        (PROP4, prop4, {"m1": s, "m2": t * (s - 1) / s, "m3": one, "m4": t, "m5": t}),
+        (PROP4_VECTORS, prop4, {"m1": s, "m2": t * (s - 1) / (2 * s), "m3": one, "m4": t, "m5": t}),
+        (PROP4_VECTORS, prop4, {"m1": s, "m2": t * (s - 1) / s, "m3": one, "m4": t, "m5": t}),
         (B3, b3, dict(dict.fromkeys(b3, one), c3=2 * one, c4=shared, c6=shared)),
         (B3, b3, dict(dict.fromkeys(b3, s / (s + t)), c1=t, c2=t, c3=t)),
     ]:
@@ -180,6 +170,6 @@ def test_family_residuals_match_frozen_merge():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_family_residuals_match_frozen_merge_on_drawn_images(data):
-    cases = [(B2, ("c1", "c2", "cp", "cm")), (PROP4, ("m1", "m2", "m3", "m4", "m5"))]
+    cases = [(B2, ("c1", "c2", "cp", "cm")), (PROP4_VECTORS, ("m1", "m2", "m3", "m4", "m5"))]
     vectors, symbols = data.draw(st.sampled_from(cases))
     assert_residuals_match_frozen(vectors, symbols, data.draw(image_maps(symbols, nonzero=True)))

@@ -15,7 +15,7 @@ import pytest
 import sympy
 
 import trigvee.constraints as constraints
-from trigvee.catalog import catalog_get, catalog_list
+from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
 from trigvee.constraints import find_multiplicities, linear_family, series_constraints
 from trigvee.errors import (
@@ -28,25 +28,12 @@ from trigvee.errors import (
 from trigvee.exactnum import RatMatrix
 from trigvee.veecheck import check_series_condition
 
-
-def a_roots(n):
-    return [tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)]
-
-
-def b_roots(n):
-    short = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    long_ = [
-        tuple(1 if k == i else s if k == j else 0 for k in range(n))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for s in (1, -1)
-    ]
-    return short + long_
+from corpus import B2_SYMBOLS, B2_VECTORS, CATALOG, DESCENT_ONLY, a_roots, b_roots
 
 
 # every catalog entry, and the root systems of rank <= 5 it lacks (the
 # catalog's A1..A4, B2, B3 and B4 are the others)
-CASES = {name: list(catalog_get(name).cfg.covectors()) for name, _ in catalog_list()}
+CASES = {name: list(catalog_get(name).cfg.covectors()) for name in CATALOG}
 CASES["A5"] = a_roots(5)
 CASES["B5"] = b_roots(5)
 
@@ -133,10 +120,6 @@ def no_float_search(monkeypatch):
 
     for name in ("series_constraints", "_compile_polynomials", "least_squares"):
         monkeypatch.setattr(constraints, name, forbidden)
-
-
-B2_VECTORS = [(1, 0), (0, 1), (1, 1), (1, -1)]
-B2_SYMBOLS = ("c1", "c2", "cp", "cm")
 
 
 @pytest.mark.parametrize(
@@ -236,10 +219,6 @@ def test_search_argument_errors_and_their_order():
 def test_readme_example_basis():
     """The basis printed in the README: A2 at N = [[2, 1], [1, 2]], c = mu (1, 1, 1)."""
     assert linear_family([(1, 0), (0, 1), (1, 1)], [[2, 1], [1, 2]]) == ((1, 1, 1, 1),)
-
-
-# a vee-system whose forms are proportional to neither G(1, ..., 1) nor I
-DESCENT_ONLY = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_search_falls_back_to_descent_when_no_family_certifies(monkeypatch):

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import (
     CmsReport,
     Metric,
@@ -23,12 +22,11 @@ from trigvee.cms import (
     euclidean_metric,
     vee_form_metric,
 )
-from trigvee.configuration import build_configuration
 from trigvee.errors import CollinearPair, SamplingExhausted, SingularPoint
 from trigvee.veecheck import solve_lambda_squared
 from trigvee.wdvv import EvalPoint, sample_points, third_derivative_matrices, wdvv_residual
 
-from test_integer_kernels import a_roots, b_roots
+from corpus import CATALOG, reference_configuration
 
 F = Fraction
 
@@ -144,21 +142,11 @@ def hex_array(m: np.ndarray) -> list[str]:
     return [x.hex() for x in np.asarray(m).view(float).ravel().tolist()]
 
 
-def reference_configuration(name, scale=1):
-    """A catalog entry or a root system with its multiplicities times scale."""
-    if name in ("A5", "A8", "B5", "B8"):
-        n = int(name[1])
-        roots = (a_roots if name[0] == "A" else b_roots)(n)
-        return build_configuration(n, [(r, scale) for r in roots])
-    cfg = catalog_get(name).cfg
-    return build_configuration(cfg.dim, [(e.covector, e.mult * scale) for e in cfg.entries])
-
-
 # at a scale of 10^6/3 the multiplicities are inexact in floats, so every
 # sum over covectors depends on its order
 CASES = [
     pytest.param(name, scale, id=name if scale == 1 else f"{name}-scaled")
-    for name in [name for name, _ in catalog_list()] + ["A5", "B5", "B8"]
+    for name in CATALOG + ["A5", "B5", "B8"]
     for scale in (1, F(10**6, 3))
 ]
 

@@ -13,6 +13,8 @@ import pytest
 import trigvee
 from trigvee.cli import main
 
+from corpus import B2_SYMBOLIC
+
 README = Path(__file__).parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 
@@ -53,10 +55,6 @@ def test_package_exports_exactly_the_library_block():
 # the CLI section's first block is the sample file, its second the commands
 CLI_BLOCKS = re.findall(r"```\n(.*?)```", section("CLI"), re.S)
 COMMANDS = [line for line in CLI_BLOCKS[1].splitlines() if line.startswith("vee ")]
-B2_SYMBOLIC = (
-    "dim 2\nvector 1 0 mult ?c1\nvector 0 1 mult ?c2\n"
-    "vector 1 1 mult ?cp\nvector 1 -1 mult ?cm\n"
-)
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=[c.split("#")[0].strip() for c in COMMANDS])

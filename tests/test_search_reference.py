@@ -22,6 +22,8 @@ from trigvee.constraints import _descent_search, find_multiplicities, series_con
 from trigvee.errors import VeeError
 from trigvee.veecheck import check_series_condition
 
+from corpus import DESCENT_ONLY
+
 SNAP_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 24, 60, 1000, 10**6)
 RESIDUAL_TOL = 1e-10
 DET_FLOOR = 1e-6
@@ -161,14 +163,11 @@ def test_search_matches_frozen_two_point_search(name, fix, symbols, seed):
         assert as_items(got) == as_items([c for k, c in found if k < starts])
 
 
-# L(N) = 0 at both forms N, so `find_multiplicities` falls back to the descent
-DESCENT_ONLY = (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_descent_only_search_matches_frozen_search(seed):
-    found = reference_search(DESCENT_ONLY, seed=seed, starts=12)
+    vectors = tuple(DESCENT_ONLY)
+    found = reference_search(vectors, seed=seed, starts=12)
     assert found
     for starts in (1, 6, 12):
-        got = find_multiplicities(DESCENT_ONLY, seed=seed, starts=starts)
+        got = find_multiplicities(vectors, seed=seed, starts=starts)
         assert as_items(got) == as_items([c for k, c in found if k < starts])

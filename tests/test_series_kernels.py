@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigvee import veecheck
-from trigvee.catalog import catalog_get, catalog_list
+from trigvee.catalog import catalog_get
 from trigvee.cms import Metric, check_series_with_metric, euclidean_metric, vee_form_metric
 from trigvee.configuration import (
     AlphaSeries,
@@ -32,7 +32,7 @@ from trigvee.veecheck import (
 from trigvee.wdvv import wdvv_residual
 
 from conftest import rand_fraction, rand_nonzero_fraction
-from test_integer_kernels import a_roots, b_roots
+from corpus import CATALOG, a_roots, b_roots, wdvv_configuration
 from test_numeric_reference import reference_sample_points, reference_third_derivative_matrices
 
 F = Fraction
@@ -166,7 +166,7 @@ def random_rational_metric(rng, dim):
             return matrix
 
 
-@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+@pytest.mark.parametrize("name", CATALOG)
 def test_residuals_match_fraction_reference(name):
     """At random rational multiplicities, so most residuals are nonzero."""
     rng = random.Random(name)
@@ -238,7 +238,7 @@ def assert_matches_eager(report, eager):
     assert repr(report) == repr(eager)
 
 
-@pytest.mark.parametrize("name", [name for name, _ in catalog_list()])
+@pytest.mark.parametrize("name", CATALOG)
 def test_lazy_report_matches_eager_copy(name):
     """At the catalog multiplicities (all passing), at random rational ones
     (mostly failing) and under a random metric; two reports compare equal
@@ -386,15 +386,8 @@ def reference_wdvv_per_point(cfg, lambda_squared, seed):
     return tuple(per_point)
 
 
-def wdvv_configuration(name):
-    if name in ("A5", "B5", "A6"):
-        n = int(name[1])
-        return build_configuration(n, [(r, 1) for r in (a_roots if name[0] == "A" else b_roots)(n)])
-    return catalog_get(name).cfg
-
-
 # every catalog entry with a solved coupling, and three larger root systems
-WDVV_CASES = [name for name, _ in catalog_list() if name not in ("OrthogonalPair", "A1")]
+WDVV_CASES = [name for name in CATALOG if name not in ("OrthogonalPair", "A1")]
 
 
 @pytest.mark.parametrize("name", WDVV_CASES + ["A5", "B5", "A6"])

@@ -10,36 +10,32 @@ counted over the family verdicts of B2, Prop4 and Prop5.
 
 import functools
 import sys
-from fractions import Fraction
 
 import pytest
 
 from trigvee import constraints
 from trigvee.multipoly import MultiPoly, RatFunc
 
+from corpus import B2_SYMBOLS, B2_VECTORS, PROP4_VECTORS, PROP5_SYMBOLS, PROP5_VECTORS
+
 
 def family_cases():
     """The B2, Prop4 and Prop5 families and a wrong relation for each:
     (vectors, symbols, parametrization, expected verdict)."""
     cases = []
-    b2 = [(1, 0), (0, 1), (1, 1), (1, -1)]
     t = RatFunc.variable(("cm", "cp", "t"), "t")
-    b2_symbols = ("c1", "c2", "cp", "cm")
-    cases += [(b2, b2_symbols, {"c1": t, "c2": t}, True)]
-    cases += [(b2, b2_symbols, {"c1": 3, "c2": 7}, False)]
+    cases += [(B2_VECTORS, B2_SYMBOLS, {"c1": t, "c2": t}, True)]
+    cases += [(B2_VECTORS, B2_SYMBOLS, {"c1": 3, "c2": 7}, False)]
 
     pv = ("c1", "c2", "u")
     c1, c2, u = (RatFunc.variable(pv, v) for v in pv)
-    prop4 = [(1, 0), (2, 0), (0, 1), (1, 1), (1, -1)]
     good = {"m1": c1, "m2": u * (c1 - c2) / (2 * c2), "m3": c2, "m4": u, "m5": u}
     prop4_symbols = ("m1", "m2", "m3", "m4", "m5")
-    cases += [(prop4, prop4_symbols, good, True)]
-    cases += [(prop4, prop4_symbols, dict(good, m2=u * (c1 - c2) / c2), False)]
+    cases += [(PROP4_VECTORS, prop4_symbols, good, True)]
+    cases += [(PROP4_VECTORS, prop4_symbols, dict(good, m2=u * (c1 - c2) / c2), False)]
 
     pv = ("s", "t")
     s, t = (RatFunc.variable(pv, v) for v in pv)
-    half = Fraction(1, 2)
-    prop5 = [(1, 0), (0, 1), (0, 2)] + [(half, half * k) for k in (1, -1, 3, -3)]
     good = {
         "c1": t * (3 * t - 2 * s) / (3 * t + 4 * s),
         "c2": 3 * t + 2 * s,
@@ -49,9 +45,8 @@ def family_cases():
         "bp": t,
         "bm": t,
     }
-    prop5_symbols = ("c1", "c2", "ct2", "ap", "am", "bp", "bm")
-    cases += [(prop5, prop5_symbols, good, True)]
-    cases += [(prop5, prop5_symbols, dict(good, c1=t), False)]
+    cases += [(PROP5_VECTORS, PROP5_SYMBOLS, good, True)]
+    cases += [(PROP5_VECTORS, PROP5_SYMBOLS, dict(good, c1=t), False)]
     return cases
 
 

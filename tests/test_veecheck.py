@@ -21,30 +21,9 @@ from trigvee.veecheck import (
 )
 
 from conftest import rand_configuration, rand_nonsingular, rand_nonzero_fraction
+from corpus import a2, b2, g2, prop4
 
 F = Fraction
-
-
-def a2(ca=1, cb=1, cc=1):
-    return build_configuration(2, [((1, 0), ca), ((0, 1), cb), ((1, 1), cc)])
-
-
-def b2(c1=1, c2=1, cp=1, cm=1):
-    return build_configuration(
-        2, [((1, 0), c1), ((0, 1), c2), ((1, 1), cp), ((1, -1), cm)]
-    )
-
-
-def prop4(c1=3, ct1=1, c2=1, cp=1, cm=1):
-    return build_configuration(
-        2, [((1, 0), c1), ((2, 0), ct1), ((0, 1), c2), ((1, 1), cp), ((1, -1), cm)]
-    )
-
-
-def g2(cs=1, cl=1):
-    vs = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-    mult = {0: cs, 2: cs, 3: cs, 1: cl, 4: cl, 5: cl}
-    return build_configuration(2, [(v, mult[i]) for i, v in enumerate(vs)])
 
 
 # closed forms for the planar families, evaluated independently of the solve

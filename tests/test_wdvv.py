@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trigvee.catalog import catalog_get, catalog_list
+from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration, positive_system
 from trigvee.errors import InvalidParams, OutOfDomain, SamplingExhausted, ZeroLambda
 from trigvee.veecheck import solve_lambda_squared
@@ -20,25 +20,11 @@ from trigvee.wdvv import (
     wdvv_residual,
 )
 
+from corpus import a2, b2, catalog_names, prop4
+
 F = Fraction
 
-NONDEGENERATE_CATALOG = [
-    name for name, _ in catalog_list() if catalog_get(name).cfg.gram_det != 0
-]
-
-
-def a2():
-    return build_configuration(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)])
-
-
-def b2():
-    return build_configuration(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, -1), 1)])
-
-
-def prop4():
-    return build_configuration(
-        2, [((1, 0), 3), ((2, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, -1), 1)]
-    )
+NONDEGENERATE_CATALOG = catalog_names(lambda cfg: cfg.gram_det != 0)
 
 
 class TestMatrices:
