@@ -19,21 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configuration import (
-    IntPairing,
-    PositiveSystem,
-    VConfiguration,
-    integer_pairing_table,
-    positive_system,
-)
+from .configuration import IntPairing, VConfiguration, integer_pairing_table
 from .errors import CollinearPair, DegenerateForm, DimensionMismatch
 from .exactnum import RatMatrix, integer_rank
-from .veecheck import (
-    SeriesCheckReport,
-    TensorMismatch,
-    integer_tensor_ratio,
-    series_residuals,
-)
+from .veecheck import SeriesCheckReport, series_residuals
 from . import wdvv
 from .wdvv import EvalPoint
 
@@ -224,8 +213,7 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
     Each vee residual is the metric residual divided by mu_i, so all vanish
     with the metric ones: the metric report is the intrinsic report.
     """
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
+    cfg.integer_gram_inverse  # refuses a degenerate form
     _require_metric(cfg, metric)
     table = metric.integer_pairing(cfg)
     metric_report = series_residuals(cfg, table)
@@ -238,33 +226,4 @@ def cms_to_vee(cfg: VConfiguration, metric: Metric) -> CmsToVeeResult:
         component_scalars=scalars,
         component_dims=tuple(integer_rank(blocks[mu]) for mu in scalars),
         vee_series=metric_report,
-    )
-
-
-@dataclass(frozen=True)
-class CapitalLambdaSolution:
-    status: str
-    value: Fraction | None
-    psys: PositiveSystem
-    witness: TensorMismatch | None = None
-
-
-def solve_capital_lambda(
-    cfg: VConfiguration, metric: Metric, psys: PositiveSystem | None = None
-) -> CapitalLambdaSolution:
-    """Solve the 4-tensor identity with the metric pairing for the constant.
-
-    Same proportionality solve as the lambda^2 computation but with (a,b)
-    from the supplied metric; with the vee-form metric the value equals
-    lambda^2 / 4 exactly.
-    """
-    _require_metric(cfg, metric)
-    if psys is None:
-        psys = positive_system(cfg)
-    status, ratio, witness = integer_tensor_ratio(cfg, psys, metric.integer_pairing(cfg))
-    return CapitalLambdaSolution(
-        status=status,
-        value=ratio if status == "solved" else None,
-        psys=psys,
-        witness=witness,
     )

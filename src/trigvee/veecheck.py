@@ -184,9 +184,11 @@ class LambdaSolution:
     """Outcome of the coupling solve over a positive system.
 
     status is one of:
-      'solved'     -- lambda^2 is the unique rational making the 4-tensor
-                      identity hold exactly;
-      'no_solution' -- no coupling works; witness holds the first mismatch;
+      'solved'     -- lambda2 is the unique rational lambda^2 making the
+                      4-tensor identity hold exactly;
+      'no_solution' -- no coupling works; witness holds the first entry
+                      where Q differs from r P, with r the ratio Q/P at the
+                      first nonzero entry of P (0 when P vanishes);
       'any_lambda' -- both tensors vanish identically (the identity is
                       vacuous, e.g. in dimension 1), so any coupling works.
     """
@@ -197,16 +199,17 @@ class LambdaSolution:
     witness: TensorMismatch | None = None
 
 
-def integer_tensor_ratio(
-    cfg: VConfiguration, psys: PositiveSystem, pairing: IntPairing
-) -> tuple[str, Fraction | None, TensorMismatch | None]:
-    """Solve r * P = Q for the two 4-tensors over a positive system.
+def solve_lambda_squared(
+    cfg: VConfiguration, psys: PositiveSystem | None = None
+) -> LambdaSolution:
+    """Solve the 4-tensor identity (lambda^2 / 4) P = Q for lambda^2 over a
+    positive system.
 
     P = sum c_a c_b (a,b) (a^b) x (a^b) and Q = sum c_a c_b (a^b) x (a^b),
     both over ordered pairs from the signed system, laid out on the basis
-    e^i ^ e^j (i < j) of 2-forms; (a,b) is read off the pairing of the
-    unsigned entries, integer numerators over one denominator l_p.
-    Returns (status, ratio, witness).
+    e^i ^ e^j (i < j) of 2-forms; (a,b) is the vee product, read off the
+    cached pairing of the unsigned entries, integer numerators over one
+    denominator l_p.
 
     Both tensors are built over ints, from the cached integer covectors (over
     d) and multiplicities (over l_c).  Each is even in every covector, so the
@@ -218,7 +221,9 @@ def integer_tensor_ratio(
     Gram G' = d^2 l_c G.  A wedge a ^ b is taken only on the pairs (i, j)
     where a_i or a_j is nonzero, since it vanishes on the others.
     """
-    pairing_ints, l_p = pairing
+    pairing_ints, l_p = cfg.integer_pairing  # refuses a degenerate form before any other work
+    if psys is None:
+        psys = positive_system(cfg)
     n = cfg.dim
     m = n * (n - 1) // 2
     vecs, d = cfg.integer_covectors
@@ -249,22 +254,11 @@ def integer_tensor_ratio(
         for v in range(m):
             if q[u][v] * p0 != q0 * p[u][v]:
                 lhs = Fraction(q0 * p[u][v], p0 * scale)
-                return "no_solution", None, TensorMismatch((u, v), lhs, Fraction(q[u][v], scale))
+                witness = TensorMismatch((u, v), lhs, Fraction(q[u][v], scale))
+                return LambdaSolution("no_solution", None, psys, witness)
     if first is None:
-        return "any_lambda", None, None
-    return "solved", Fraction(q0 * l_p, p0), None
-
-
-def solve_lambda_squared(
-    cfg: VConfiguration, psys: PositiveSystem | None = None
-) -> LambdaSolution:
-    """Solve the 4-tensor identity for lambda^2 = 4 * Q/P over a positive system."""
-    pairing = cfg.integer_pairing  # refuses a degenerate form before any other work
-    if psys is None:
-        psys = positive_system(cfg)
-    status, ratio, witness = integer_tensor_ratio(cfg, psys, pairing)
-    lambda2 = 4 * ratio if status == "solved" else None
-    return LambdaSolution(status=status, lambda2=lambda2, psys=psys, witness=witness)
+        return LambdaSolution("any_lambda", None, psys)
+    return LambdaSolution("solved", Fraction(4 * q0 * l_p, p0), psys)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .configuration import FloatView, PositiveSystem, VConfiguration, signed_covectors
 from .errors import (
-    DegenerateForm,
     InvalidParams,
     OutOfDomain,
     SamplingExhausted,
@@ -235,8 +234,6 @@ def _covector_values(covectors: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _third_derivatives(cfg: VConfiguration, lambda_squared, sampled: SampleSet) -> np.ndarray:
     """F0..Fn at every point of the set, shape (points, n+1, n+1, n+1); see
     third_derivative_matrices."""
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
     lam2 = complex(lambda_squared)
     if lam2 == 0:
         raise ZeroLambda("lambda must be nonzero")
@@ -262,6 +259,7 @@ def third_derivative_matrices(
     lambda sum_a c_a a_i cot(a(x)) a x a, with lambda the principal square
     root of lambda_squared.
     """
+    cfg.integer_gram_inverse  # refuses a degenerate form
     view = cfg.floats
     values = _covector_values(view.covectors, np.array([point.x], dtype=complex))
     sins = np.sin(values)
@@ -277,8 +275,7 @@ def wdvv_residual(
     margin_floor: float = 0.1,
 ) -> ResidualReport:
     """Max WDVV commutator residual over seeded sample points (pivot k = 0)."""
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
+    cfg.integer_gram_inverse  # refuses a degenerate form before sampling
     sampled = sample_set(cfg, num_points, seed, margin_floor)
     mats = _third_derivatives(cfg, lambda_squared, sampled)
     f0_inv = sampled.f0_inverse
@@ -309,8 +306,7 @@ def eval_prepotential(
     Covector signs come from the positive system; every signed a(x) must have
     negative imaginary part so the trilogarithm series converges.
     """
-    if cfg.gram_det == 0:
-        raise DegenerateForm("the form G is degenerate")
+    cfg.integer_gram_inverse  # refuses a degenerate form
     lam = cmath.sqrt(complex(lambda_squared))
     x = np.asarray(point.x, dtype=complex)
     signed = signed_covectors(cfg, psys)

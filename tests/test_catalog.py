@@ -171,15 +171,16 @@ def test_prop4_closed_form_withheld_where_its_denominator_vanishes():
 def test_degenerate_entry_refused_by_the_numeric_layers():
     cfg = catalog_get("A2", {"cc": F(-1, 2)}).cfg
     point = EvalPoint(y=0j, x=(0.5 - 0.5j, 0.25 - 0.75j), margin=1.0)
-    with pytest.raises(DegenerateForm):
+    message = "^the form G is degenerate$"
+    with pytest.raises(DegenerateForm, match=message):
         wdvv_residual(cfg, 36)
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(DegenerateForm, match=message):
         third_derivative_matrices(cfg, 36, point)
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(DegenerateForm, match=message):
         eval_prepotential(cfg, 36, positive_system(cfg), point)
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(DegenerateForm, match=message):
         cms_to_vee(cfg, euclidean_metric(2))
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(DegenerateForm, match=message):
         solve_lambda_squared(cfg)
 
 

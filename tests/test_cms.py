@@ -10,14 +10,13 @@ from trigvee.cms import (
     cms_identity_residual,
     cms_to_vee,
     euclidean_metric,
-    solve_capital_lambda,
     vee_form_metric,
 )
 from trigvee.catalog import catalog_get
 from trigvee.configuration import build_configuration
 from trigvee.errors import CollinearPair, DegenerateForm, DimensionMismatch
 from trigvee.exactnum import RatMatrix
-from trigvee.veecheck import check_series_condition, solve_lambda_squared
+from trigvee.veecheck import check_series_condition
 
 from corpus import a2, b2, g2
 
@@ -185,41 +184,8 @@ class TestCmsToVee:
             cms_to_vee(a2(), euclidean_metric(2))
 
 
-class TestCapitalLambda:
-    def test_vee_form_quarter_of_lambda2(self):
-        for cfg in (a2(), b2()):
-            lam2 = solve_lambda_squared(cfg).lambda2
-            sol = solve_capital_lambda(cfg, vee_form_metric(cfg))
-            assert sol.value == lam2 / 4
-        assert solve_capital_lambda(a2(), vee_form_metric(a2())).value == 9
-        assert solve_capital_lambda(b2(), vee_form_metric(b2())).value == F(27, 2)
-
-    def test_orthogonal_pair_none(self):
-        pair = build_configuration(2, [((1, 0), 1), ((0, 1), 1)])
-        for metric in (vee_form_metric(pair), euclidean_metric(2)):
-            assert solve_capital_lambda(pair, metric).status == "no_solution"
-
-    @pytest.mark.parametrize("size", [1, 3])
-    def test_wrong_size_metric_rejected(self, size):
-        with pytest.raises(DimensionMismatch):
-            solve_capital_lambda(b2(), Metric(RatMatrix.identity(size)))
-
-    def test_metric_homogeneity(self):
-        # scaling the metric by t keeps the verdict and scales the constant
-        # inversely (it multiplies the pairing inside the tensor identity)
-        cfg = a2()
-        mv = vee_form_metric(cfg)
-        base = solve_capital_lambda(cfg, mv)
-        for t in (F(2), F(1, 3)):
-            sol = solve_capital_lambda(cfg, mv.scaled(t))
-            assert sol.status == base.status
-            assert sol.value == base.value / t
-
-
 @pytest.mark.parametrize("size", [1, 3])
-@pytest.mark.parametrize(
-    "check", [cms_identity_residual, check_series_with_metric, cms_to_vee, solve_capital_lambda]
-)
+@pytest.mark.parametrize("check", [cms_identity_residual, check_series_with_metric, cms_to_vee])
 def test_wrong_size_metric_refused_by_one_gate(check, size):
     message = "^metric size does not match the configuration dimension$"
     with pytest.raises(DimensionMismatch, match=message):

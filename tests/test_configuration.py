@@ -17,7 +17,6 @@ from trigvee.cms import (
     check_series_with_metric,
     cms_to_vee,
     euclidean_metric,
-    solve_capital_lambda,
     vee_form_metric,
 )
 from trigvee.configuration import (
@@ -304,7 +303,6 @@ class TestIntegerView:
             check_rational_vee(cfg)
             metric = euclidean_metric(cfg.dim)
             check_series_with_metric(cfg, metric)
-            solve_capital_lambda(cfg, metric)
             if report.is_trig_vee:
                 cms_to_vee(cfg, vee_form_metric(cfg))
             assert not [

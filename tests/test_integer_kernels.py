@@ -1,4 +1,4 @@
-"""Differential tests: the integer pairing table, coupling tensors,
+"""Differential tests: the integer pairing tables, the coupling solve,
 determinant, lattice coordinates and positive-system signs against
 straightforward Fraction reference implementations, and the compiled search
 residuals against exact polynomial evaluation."""
@@ -23,7 +23,7 @@ from trigvee.configuration import (
 from trigvee.constraints import _compile_polynomials, series_constraints
 from trigvee.errors import FunctionalVanishes
 from trigvee.exactnum import RatMatrix, integer_det
-from trigvee.veecheck import TensorMismatch, integer_tensor_ratio
+from trigvee.veecheck import LambdaSolution, TensorMismatch, solve_lambda_squared
 
 from conftest import rand_fraction, rand_nonzero_fraction
 from corpus import CATALOG, a_roots, b_roots
@@ -46,7 +46,9 @@ def reference_pairing_table(covectors, matrix: RatMatrix) -> PairingTable:
 
 
 def reference_tensor_ratio(cfg: VConfiguration, psys: PositiveSystem, pairing: PairingTable):
-    """Both 4-tensors accumulated pair by pair in Fractions."""
+    """Both 4-tensors accumulated pair by pair in Fractions; returns
+    (status, ratio, witness), where `solve_lambda_squared` gives
+    lambda^2 = 4 * ratio under the vee product."""
     n = cfg.dim
     m = n * (n - 1) // 2
     if m == 0:
@@ -93,22 +95,25 @@ def fractional_metric(n):
 
 
 def assert_same(cfg, matrix):
-    """The table under `matrix`, and for the form's own inverse also the
-    cached vee table read from the integer inverse of the Gram, and the
-    coupling ratio of each, against the Fraction references."""
+    """The table under `matrix` against the Fraction reference.  For the
+    form's own inverse, also the cached vee table read from the integer
+    inverse of the Gram, and the coupling solve against the reference ratio
+    under that table (lambda^2 = 4 * ratio)."""
+    vee_form = cfg.gram_det != 0 and matrix == cfg.gram_inverse
     pairings = [integer_pairing_table(cfg.integer_covectors, matrix)]
-    if cfg.gram_det != 0 and matrix == cfg.gram_inverse:
+    if vee_form:
         pairings.append(cfg.integer_pairing)
     reference = reference_pairing_table(cfg.covectors(), matrix)
-    psys = positive_system(cfg)
-    expected = reference_tensor_ratio(cfg, psys, reference)
-    for pairing in pairings:
-        ints, den = pairing
+    for ints, den in pairings:
         table = tuple(tuple(F(x, den) for x in row) for row in ints)
         assert table == reference
         assert all(isinstance(x, int) for row in ints for x in row) and isinstance(den, int)
         assert den > 0
-        assert integer_tensor_ratio(cfg, psys, pairing) == expected
+    if vee_form:
+        psys = positive_system(cfg)
+        status, ratio, witness = reference_tensor_ratio(cfg, psys, reference)
+        lambda2 = None if ratio is None else 4 * ratio
+        assert solve_lambda_squared(cfg, psys) == LambdaSolution(status, lambda2, psys, witness)
 
 
 def metrics(cfg):
@@ -138,18 +143,19 @@ def test_mult2_negative():
     roots = b_roots(4)
     cfg = build_configuration(4, [(r, 2 if i == 0 else 1) for i, r in enumerate(roots)])
     assert_same(cfg, cfg.gram_inverse)
-    psys = positive_system(cfg)
-    assert integer_tensor_ratio(cfg, psys, cfg.integer_pairing)[0] == "no_solution"
+    assert solve_lambda_squared(cfg).status == "no_solution"
 
 
 def test_dimension_one_and_orthogonal_pair():
     line = build_configuration(1, [((2,), 3), ((F(1, 2),), F(-1, 4))])
     assert_same(line, line.gram_inverse)
-    assert integer_tensor_ratio(line, positive_system(line), line.integer_pairing) == ("any_lambda", None, None)
+    sol = solve_lambda_squared(line)
+    assert (sol.status, sol.lambda2, sol.witness) == ("any_lambda", None, None)
     pair = catalog_get("OrthogonalPair").cfg
     assert_same(pair, pair.gram_inverse)
-    status, ratio, witness = integer_tensor_ratio(pair, positive_system(pair), pair.integer_pairing)
-    assert (status, ratio, witness.lhs) == ("no_solution", None, 0) and witness.rhs != 0
+    sol = solve_lambda_squared(pair)
+    assert (sol.status, sol.lambda2, sol.witness.lhs) == ("no_solution", None, 0)
+    assert sol.witness.rhs != 0
 
 
 def test_random_configurations(rng):
@@ -175,7 +181,7 @@ def test_random_configurations(rng):
         assert_same(cfg, RatMatrix([[sym[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]))
         if cfg.gram_det != 0:
             assert_same(cfg, cfg.gram_inverse)
-            statuses.append(integer_tensor_ratio(cfg, positive_system(cfg), cfg.integer_pairing)[0])
+            statuses.append(solve_lambda_squared(cfg).status)
     assert negative > 0 and {"solved", "no_solution"} <= set(statuses)
     # fractional covectors with unlike denominators in dimension 5
     for _ in range(3):
