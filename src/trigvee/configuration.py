@@ -15,8 +15,14 @@ The build eliminates the integer Gram once, fraction-free, by
 inverse `integer_gram_inverse`, from which the Fraction matrix
 `gram_inverse` and the pairing table `integer_pairing` are read.  The table
 holds integer numerators over one denominator, the only form of it that the
-checks read.  A pairing under any other matrix is tabulated by the same
-integer kernel through `integer_pairing_table`.
+checks read; it is built on first read, and the coupling solve, which reads
+the integer inverse itself, never reads it.  A pairing under any other
+matrix is tabulated by the same integer kernel, `_pairing_numerators`,
+through `integer_pairing_table`; the kernel forms the duals' columns once
+and each row of the table as a sum of whole columns.
+The build finds covectors repeated up to sign by each covector's integer
+row over the lcm of its own denominators, which, with that lcm, determines
+the covector.
 `integer_gram_inverse` is the one place that refuses a degenerate form:
 every check that needs the vee product reaches it before doing anything
 else.
@@ -52,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -315,17 +321,27 @@ def _pairing_numerators(
     vecs: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The symmetric integer table V . M . V^T for integer rows V and a
-    symmetric integer matrix M: the one pairing kernel."""
+    symmetric integer matrix M: the one pairing kernel.
+
+    Column k of the duals M v_j^T, over all j at once, is row k of M dotted
+    with every v_j, as M is symmetric; row i of the table is then the sum,
+    over the nonzero entries u_ik of v_i, of u_ik times column k, each term
+    one list comprehension over a whole column."""
     if any(len(v) != len(rows) for v in vecs):
         raise DimensionMismatch("vector length mismatch")
-    duals = [[sum(map(mul, row, v)) for row in rows] for v in vecs]
-    table = [[0] * len(vecs) for _ in vecs]
-    for i, u in enumerate(vecs):
-        nonzero = [(k, x) for k, x in enumerate(u) if x != 0]
-        for j in range(i, len(vecs)):
-            dual = duals[j]
-            table[i][j] = table[j][i] = sum([x * dual[k] for k, x in nonzero])
-    return tuple(tuple(row) for row in table)
+    columns = [[sum(map(mul, row, v)) for v in vecs] for row in rows]
+    table = []
+    for u in vecs:
+        total = None
+        for x, column in zip(u, columns):
+            if not x:
+                continue
+            if total is None:
+                total = [x * y for y in column]
+            else:
+                total = [t + x * y for t, y in zip(total, column)]
+        table.append((0,) * len(vecs) if total is None else tuple(total))
+    return tuple(table)
 
 
 def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
@@ -338,7 +354,10 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     if dim < 1:
         raise DimensionMismatch("dimension must be at least 1")
     built: list[ConfigEntry] = []
-    seen: dict[Covector, int] = {}  # the index of the first entry on each line
+    # the index of the first entry on each line, keyed by the covector's
+    # integer row over the lcm of its own denominators, first nonzero entry
+    # positive, and that lcm
+    seen: dict[tuple[tuple[int, ...], int], int] = {}
     for k, item in enumerate(entries):
         if len(item) == 3:
             coords, mult, label = item
@@ -348,13 +367,16 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         v = covector(coords)
         if len(v) != dim:
             raise DimensionMismatch(f"entry {label}: expected {dim} coordinates, got {len(v)}")
-        if all(x == 0 for x in v):
+        den = lcm(*[x.denominator for x in v])
+        row = [x.numerator * (den // x.denominator) for x in v]
+        if not any(row):
             raise ZeroCovector(f"entry {label} is the zero covector")
         c = as_rational(mult)
         if c == 0:
             raise ZeroMultiplicity(f"entry {label} has multiplicity 0")
-        key = v if next(x for x in v if x != 0) > 0 else cov_neg(v)
-        first = seen.setdefault(key, k)
+        if next(x for x in row if x) < 0:
+            row = [-x for x in row]
+        first = seen.setdefault((tuple(row), den), k)
         if first != k:
             raise DuplicateCovector(f"entries {built[first].label} and {label} coincide up to sign")
         built.append(ConfigEntry(v, c, label))

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
+from typing import Sequence
 
 from .configuration import (
     IntPairing,
@@ -207,44 +209,44 @@ def solve_lambda_squared(
 
     P = sum c_a c_b (a,b) (a^b) x (a^b) and Q = sum c_a c_b (a^b) x (a^b),
     both over ordered pairs from the signed system, laid out on the basis
-    e^i ^ e^j (i < j) of 2-forms; (a,b) is the vee product, read off the
-    cached pairing of the unsigned entries, integer numerators over one
-    denominator l_p.
+    e^i ^ e^j (i < j) of 2-forms; (a,b) = a G^-1 b^T is the vee product.
 
-    Both tensors are built over ints, from the cached integer covectors (over
-    d) and multiplicities (over l_c).  Each is even in every covector, so the
-    signs enter only through the pairing factor s_a s_b: the unsigned rows
-    give the same integers as the signed ones.
-    Q needs no pair loop, since over ordered pairs it is twice the second
-    compound of the Gram G = sum c_a a a^T:
+    Both tensors are built over ints, from the cached integer covectors
+    a = a'/d and multiplicities c = c'/l_c, and neither needs a pair loop.
+    Q is twice the second compound of the Gram G = sum c_a a a^T:
     Q[(i,j)][(k,l)] = 2 (G_ik G_jl - G_il G_jk), read from the cached integer
-    Gram G' = d^2 l_c G.  A wedge a ^ b is taken only on the pairs (i, j)
-    where a_i or a_j is nonzero, since it vanishes on the others.
+    Gram G' = d^2 l_c G.  P comes from the signed third moment of the
+    covectors, T[t][(i,k)] = sum_a c_a s_a a_t a_i a_k (s the signs of the
+    positive system), through V = T^T M T with the vee product
+    (a,b) = a M b^T:
+
+        P[(i,j)][(k,l)] = 2 (V[(i,k)][(j,l)] - V[(i,l)][(j,k)]).
+
+    The pair (a, a) adds nothing to P, as a^a = 0, so P sums over all ordered
+    pairs (a, b).  Expanding
+    (a^b)_ij (a^b)_kl = a_i a_k b_j b_l - a_i a_l b_j b_k - a_j a_k b_i b_l + a_j a_l b_i b_k
+    and (s_a a, s_b b) = sum_tr s_a a_t M_tr s_b b_r, the double sum over
+    (a, b) of each term is one entry of V, giving
+    V[(i,k)][(j,l)] - V[(i,l)][(j,k)] - V[(j,k)][(i,l)] + V[(j,l)][(i,k)];
+    the last two equal the first two, as V is symmetric.
+
+    In integers T is summed over c' and a', and M = sgn(p) l_c R, with
+    G'^-1 = R / p from `cfg.integer_gram_inverse`, so that a' M b'^T is the
+    numerator of (a,b) over l_p = |p|.  P is then the integer tensor
+    d^4 l_c^2 l_p times the rational one, and Q the integer d^4 l_c^2 times
+    its own.  No pairing table is read or built.
     """
-    pairing_ints, l_p = cfg.integer_pairing  # refuses a degenerate form before any other work
+    _inverse, det = cfg.integer_gram_inverse  # refuses a degenerate form before any other work
     if psys is None:
         psys = positive_system(cfg)
     n = cfg.dim
-    m = n * (n - 1) // 2
-    vecs, d = cfg.integer_covectors
-    mults, l_c = cfg.integer_mults
+    _vecs, d = cfg.integer_covectors
+    _mults, l_c = cfg.integer_mults
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
     gram, _scale = cfg.integer_gram
     q = [[2 * (gram[i][k] * gram[j][l] - gram[i][l] * gram[j][k]) for k, l in pairs] for i, j in pairs]
-    p = [[0] * m for _ in range(m)]
-    for k, (a, ca) in enumerate(zip(vecs, mults)):
-        row_p = pairing_ints[k]
-        support = [(u, i, j) for u, (i, j) in enumerate(pairs) if a[i] or a[j]]
-        for l in range(k + 1, len(vecs)):
-            pw = 2 * ca * mults[l] * psys.signs[k] * psys.signs[l] * row_p[l]
-            if pw == 0:
-                continue
-            b = vecs[l]
-            w = [(u, x) for u, i, j in support if (x := a[i] * b[j] - a[j] * b[i])]
-            for u, wu in w:
-                row, pwu = p[u], pw * wu
-                for v, wv in w:
-                    row[v] += pwu * wv
+    p = _p_tensor(cfg, psys.signs)
     # compare Q with ratio * P by cross-multiplying; when P vanishes (always
     # in dimension 1) the test is Q = 0, as if the ratio were 0
     first = next(((u, v) for u in range(m) for v in range(m) if p[u][v] != 0), None)
@@ -258,7 +260,50 @@ def solve_lambda_squared(
                 return LambdaSolution("no_solution", None, psys, witness)
     if first is None:
         return LambdaSolution("any_lambda", None, psys)
-    return LambdaSolution("solved", Fraction(4 * q0 * l_p, p0), psys)
+    return LambdaSolution("solved", Fraction(4 * q0 * abs(det), p0), psys)
+
+
+def _p_tensor(cfg: VConfiguration, signs: Sequence[int]) -> list[list[int]]:
+    """The tensor P of `solve_lambda_squared` under the covector signs
+    `signs`, as the integers d^4 l_c^2 l_p P, from the signed third moment
+    T and V = T^T M T.
+
+    One pass over each covector's nonzero entries sums T; M T is formed once,
+    one column per (i, k) with i <= k; P is symmetric, as V is, and each
+    entry of its upper triangle is two length-n dot products."""
+    inverse, det = cfg.integer_gram_inverse
+    n = cfg.dim
+    vecs, _d = cfg.integer_covectors
+    mults, l_c = cfg.integer_mults
+    # moment[i][k][t] = T[t][(i,k)], one list shared by (i, k) and (k, i);
+    # dual[i][k] = M moment[i][k]
+    moment = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, c, s in zip(vecs, mults, signs):
+        nonzero = [(t, x) for t, x in enumerate(a) if x]
+        for r, (i, x) in enumerate(nonzero):
+            cx, row = s * c * x, moment[i]
+            for k, y in nonzero[r:]:
+                col, cxy = row[k], cx * y
+                for t, z in nonzero:
+                    col[t] += cxy * z
+    sign = l_c if det > 0 else -l_c
+    dual = [[[]] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            moment[k][i] = col = moment[i][k]
+            dual[i][k] = dual[k][i] = [sign * sum(map(mul, row, col)) for row in inverse]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p: list[list[int]] = []
+    for u, (i, j) in enumerate(pairs):
+        t_i, w_j = moment[i], dual[j]
+        p.append(
+            [p[v][u] for v in range(u)]
+            + [
+                2 * (sum(map(mul, t_i[k], w_j[l])) - sum(map(mul, t_i[l], w_j[k])))
+                for k, l in pairs[u:]
+            ]
+        )
+    return p
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Differential tests: the integer pairing tables, the coupling solve,
 determinant, lattice coordinates and positive-system signs against
-straightforward Fraction reference implementations, and the compiled search
-residuals against exact polynomial evaluation."""
+straightforward Fraction reference implementations, the coupling tensor P
+from the third moment against the integer pair loop it replaced, and the
+compiled search residuals against exact polynomial evaluation."""
 
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trigvee.catalog import catalog_get, catalog_list
 from trigvee.cms import euclidean_metric
@@ -21,12 +24,12 @@ from trigvee.configuration import (
     wedge_coeffs,
 )
 from trigvee.constraints import _compile_polynomials, series_constraints
-from trigvee.errors import FunctionalVanishes
+from trigvee.errors import DegenerateForm, FunctionalVanishes
 from trigvee.exactnum import RatMatrix, integer_det
-from trigvee.veecheck import LambdaSolution, TensorMismatch, solve_lambda_squared
+from trigvee.veecheck import LambdaSolution, TensorMismatch, _p_tensor, solve_lambda_squared
 
 from conftest import rand_fraction, rand_nonzero_fraction
-from corpus import CATALOG, a_roots, b_roots
+from corpus import CATALOG, a2, a_roots, b_roots, fractions, nonzero_fractions
 
 F = Fraction
 # a symmetric table of Fractions
@@ -98,7 +101,9 @@ def assert_same(cfg, matrix):
     """The table under `matrix` against the Fraction reference.  For the
     form's own inverse, also the cached vee table read from the integer
     inverse of the Gram, and the coupling solve against the reference ratio
-    under that table (lambda^2 = 4 * ratio)."""
+    under that table (lambda^2 = 4 * ratio), over the default positive
+    system and three seeded functionals: the solve carries the signs inside
+    the third moment, the reference on each pair."""
     vee_form = cfg.gram_det != 0 and matrix == cfg.gram_inverse
     pairings = [integer_pairing_table(cfg.integer_covectors, matrix)]
     if vee_form:
@@ -110,10 +115,17 @@ def assert_same(cfg, matrix):
         assert all(isinstance(x, int) for row in ints for x in row) and isinstance(den, int)
         assert den > 0
     if vee_form:
-        psys = positive_system(cfg)
-        status, ratio, witness = reference_tensor_ratio(cfg, psys, reference)
-        lambda2 = None if ratio is None else 4 * ratio
-        assert solve_lambda_squared(cfg, psys) == LambdaSolution(status, lambda2, psys, witness)
+        # a functional that vanishes on a covector is skipped
+        rng = random.Random(repr(cfg.integer_covectors))
+        functionals = [None] + [[rng.randint(-5, 5) for _ in range(cfg.dim)] for _ in range(3)]
+        for functional in functionals:
+            try:
+                psys = positive_system(cfg, functional)
+            except FunctionalVanishes:
+                continue
+            status, ratio, witness = reference_tensor_ratio(cfg, psys, reference)
+            lambda2 = None if ratio is None else 4 * ratio
+            assert solve_lambda_squared(cfg, psys) == LambdaSolution(status, lambda2, psys, witness)
 
 
 def metrics(cfg):
@@ -194,6 +206,85 @@ def test_random_configurations(rng):
         assert cfg.gram_det != 0 and cfg.integer_covectors[1] > 1
         assert_same(cfg, cfg.gram_inverse)
         assert_same(cfg, fractional_metric(5))
+
+
+def frozen_pair_loop_p(cfg: VConfiguration, signs) -> list[list[int]]:
+    """The integer P as the coupling solve summed it before the third-moment
+    form, one covector pair at a time over the vee table, kept frozen:
+    sum over k < l of 2 c'_k c'_l s_k s_l (a'_k, a'_l) (a'_k ^ a'_l) x (a'_k ^ a'_l),
+    with (a'_k, a'_l) the numerator of `cfg.integer_pairing`."""
+    pairing_ints, _l_p = cfg.integer_pairing
+    n = cfg.dim
+    m = n * (n - 1) // 2
+    vecs, _d = cfg.integer_covectors
+    mults, _l_c = cfg.integer_mults
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = [[0] * m for _ in range(m)]
+    for k, (a, ca) in enumerate(zip(vecs, mults)):
+        row_p = pairing_ints[k]
+        support = [(u, i, j) for u, (i, j) in enumerate(pairs) if a[i] or a[j]]
+        for l in range(k + 1, len(vecs)):
+            pw = 2 * ca * mults[l] * signs[k] * signs[l] * row_p[l]
+            if pw == 0:
+                continue
+            b = vecs[l]
+            w = [(u, x) for u, i, j in support if (x := a[i] * b[j] - a[j] * b[i])]
+            for u, wu in w:
+                row, pwu = p[u], pw * wu
+                for v, wv in w:
+                    row[v] += pwu * wv
+    return p
+
+
+@st.composite
+def signed_configurations(draw):
+    """A nondegenerate configuration in dimension 1-6 with rational
+    covectors, some of them rational multiples of an earlier one, rational
+    multiplicities of both signs, and an arbitrary sign per covector."""
+    dim = draw(st.integers(1, 6))
+    entries, lines = [], set()
+    for _ in range(draw(st.integers(dim, dim + 6))):
+        if entries and draw(st.integers(0, 3)) == 0:
+            factor = draw(nonzero_fractions)
+            v = tuple(factor * x for x in draw(st.sampled_from(entries))[0])
+        else:
+            v = draw(st.tuples(*[fractions] * dim).filter(any))
+        line = v if next(x for x in v if x) > 0 else tuple(-x for x in v)
+        if line not in lines:
+            lines.add(line)
+            entries.append((v, draw(nonzero_fractions)))
+    cfg = build_configuration(dim, entries)
+    assume(cfg.gram_det != 0)
+    return cfg, draw(st.tuples(*[st.sampled_from((1, -1))] * len(cfg)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_configurations())
+def test_third_moment_tensor_matches_frozen_pair_loop(case):
+    cfg, signs = case
+    assert _p_tensor(cfg, signs) == frozen_pair_loop_p(cfg, signs)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_third_moment_tensor_on_dense_root_systems(n):
+    """A_n in simple-root coordinates, whose long roots fill whole rows, and
+    B_n, at mixed multiplicities and under the default positive system."""
+    for roots in (a_roots(n), b_roots(n)):
+        cfg = build_configuration(n, [(r, F(1 + i % 3, 2)) for i, r in enumerate(roots)])
+        signs = positive_system(cfg).signs
+        assert _p_tensor(cfg, signs) == frozen_pair_loop_p(cfg, signs)
+
+
+def test_solve_builds_no_pairing_table():
+    """The solve reads the integer inverse of the Gram, not the vee table,
+    and still refuses a degenerate form with the same error."""
+    cfg = build_configuration(3, [(r, 1) for r in b_roots(3)])
+    assert solve_lambda_squared(cfg).status == "solved"
+    assert "integer_pairing" not in cfg.__dict__
+    degenerate = a2(cc=F(-1, 2))
+    with pytest.raises(DegenerateForm, match="^the form G is degenerate$"):
+        solve_lambda_squared(degenerate)
+    assert "integer_pairing" not in degenerate.__dict__
 
 
 @pytest.mark.parametrize("name", ["TenVector", "G2timesScaledA2", "B3", "Prop5", "A4", "B4"])
