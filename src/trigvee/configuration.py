@@ -20,9 +20,8 @@ the integer inverse itself, never reads it.  A pairing under any other
 matrix is tabulated by the same integer kernel, `_pairing_numerators`,
 through `integer_pairing_table`; the kernel forms the duals' columns once
 and each row of the table as a sum of whole columns.
-The build finds covectors repeated up to sign by each covector's integer
-row over the lcm of its own denominators, which, with that lcm, determines
-the covector.
+The build finds covectors repeated up to sign by the numerators and
+denominators of each covector's entries, which determine it.
 `integer_gram_inverse` is the one place that refuses a degenerate form:
 every check that needs the vee product reaches it before doing anything
 else.
@@ -58,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -324,9 +323,9 @@ def _pairing_numerators(
     symmetric integer matrix M: the one pairing kernel.
 
     Column k of the duals M v_j^T, over all j at once, is row k of M dotted
-    with every v_j, as M is symmetric; row i of the table is then the sum,
-    over the nonzero entries u_ik of v_i, of u_ik times column k, each term
-    one list comprehension over a whole column."""
+    with every v_j; row i of the table is then the sum, over the nonzero
+    entries u_ik of v_i, of u_ik times column k, each term one list
+    comprehension over a whole column."""
     if any(len(v) != len(rows) for v in vecs):
         raise DimensionMismatch("vector length mismatch")
     columns = [[sum(map(mul, row, v)) for v in vecs] for row in rows]
@@ -354,10 +353,10 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
     if dim < 1:
         raise DimensionMismatch("dimension must be at least 1")
     built: list[ConfigEntry] = []
-    # the index of the first entry on each line, keyed by the covector's
-    # integer row over the lcm of its own denominators, first nonzero entry
-    # positive, and that lcm
-    seen: dict[tuple[tuple[int, ...], int], int] = {}
+    # the index of the first entry on each line, keyed by the numerators of
+    # the covector's entries, the first nonzero one positive, then their
+    # denominators
+    seen: dict[tuple[int, ...], int] = {}
     for k, item in enumerate(entries):
         if len(item) == 3:
             coords, mult, label = item
@@ -367,16 +366,15 @@ def build_configuration(dim: int, entries: Iterable) -> VConfiguration:
         v = covector(coords)
         if len(v) != dim:
             raise DimensionMismatch(f"entry {label}: expected {dim} coordinates, got {len(v)}")
-        den = lcm(*[x.denominator for x in v])
-        row = [x.numerator * (den // x.denominator) for x in v]
-        if not any(row):
+        nums = [x.numerator for x in v]
+        if not any(nums):
             raise ZeroCovector(f"entry {label} is the zero covector")
         c = as_rational(mult)
         if c == 0:
             raise ZeroMultiplicity(f"entry {label} has multiplicity 0")
-        if next(x for x in row if x) < 0:
-            row = [-x for x in row]
-        first = seen.setdefault((tuple(row), den), k)
+        if next(x for x in nums if x) < 0:
+            nums = [-x for x in nums]
+        first = seen.setdefault((*nums, *[x.denominator for x in v]), k)
         if first != k:
             raise DuplicateCovector(f"entries {built[first].label} and {label} coincide up to sign")
         built.append(ConfigEntry(v, c, label))

@@ -21,16 +21,10 @@ from .errors import DimensionMismatch, SingularMatrix
 
 def as_rational(x) -> Fraction:
     """Coerce ints, strings like '-3/7' and Fractions to an exact Fraction."""
-    # the exact types first: `isinstance` on Fraction goes through the
-    # numbers ABC machinery
-    if type(x) is Fraction:
-        return x
-    if type(x) is int:
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
